@@ -21,6 +21,7 @@ one JSON object: {"correct", "attempted", "failed", "metrics"}.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import itertools
 import json
@@ -39,6 +40,7 @@ from tracer import Tracer, median_metrics, summarize
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+SETUPS_PER_PASS = 3
 
 
 def fresh_import():
@@ -72,6 +74,7 @@ def run_pass(cli, jobs, outdir: Path, tracer: Tracer | None = None,
     for i, (job, out) in enumerate(zip(jobs, outs)):
         if tracer is not None:
             tracer.job = f"{label}/{i}"
+        gc.collect()
         j0 = perf_counter()
         try:
             rc, err = cli.main(list(job.argv) + ["--format", "json",
@@ -163,14 +166,15 @@ def main(argv=None) -> int:
 
 
 def untraced_run(args, set_up, outdir: Path, spec) -> dict:
-    """Set up again before every pass, so that the set-up times sample
-    the same stretch of host noise as the passes."""
+    """Set up SETUPS_PER_PASS times before every pass, so that the set-up
+    times sample the same stretch of host noise as the passes."""
     reported: set = set()
     setups, passes, failed, ratios = [], [], 0, []
     deadline = None
     while True:
-        cli, jobs, dt = set_up()
-        setups.append(dt)
+        for _ in range(SETUPS_PER_PASS):
+            cli, jobs, dt = set_up()
+            setups.append(dt)
         if deadline is None:
             deadline = perf_counter() + args.seconds
         # the probe records the achieved order of each W^LF series
@@ -180,7 +184,7 @@ def untraced_run(args, set_up, outdir: Path, spec) -> dict:
         passes.append(res)
         failed += f
         ratios += r + [s[6] for s in probe.spans if s[6] is not None]
-        if perf_counter() + dt + res["wall"] > deadline:
+        if perf_counter() + SETUPS_PER_PASS * dt + res["wall"] > deadline:
             break
     attempted = len(jobs) * len(passes)
     # each job's median over the passes (the job order is the same in

@@ -25,8 +25,9 @@ def cli():
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_generated_fans_are_complete_by_angles(seed):
-    for fan in fangen.random_fans(seed, 16):
+@pytest.mark.parametrize("generate", [fangen.random_fans, fangen.benchmark_fans])
+def test_generated_fans_are_complete_by_angles(generate, seed):
+    for fan in generate(seed, 16):
         rays = fan["stacky_vectors"]
         n = len(rays)
         assert all(math.gcd(*v) == 1 for v in rays)
@@ -39,7 +40,22 @@ def test_generated_fans_are_complete_by_angles(seed):
         # each cone is strictly convex and together they wind once
         assert all(0 < g < math.pi for g in gaps)
         assert math.isclose(sum(gaps), 2 * math.pi)
-    assert fangen.random_fans(seed, 16) == fangen.random_fans(seed, 16)
+    assert generate(seed, 16) == generate(seed, 16)
+
+
+def _cone_dets(fan):
+    b = fangen.stacky_vectors(fan)
+    return sorted(abs(fangen.cross(b[i], b[j])) for i, j in fan["max_cones"])
+
+
+def test_benchmark_fans_differ_by_seed_but_not_in_work():
+    fans = [fangen.benchmark_fans(seed, 16) for seed in range(6)]
+    assert all(f != fans[0] for f in fans[1:])
+    for batch in fans[1:]:
+        for fan, first in zip(batch, fans[0]):
+            assert _cone_dets(fan) == _cone_dets(first)
+            assert sorted(map(abs, sum(fan["stacky_vectors"], []))) == \
+                sorted(map(abs, sum(first["stacky_vectors"], [])))
 
 
 def _one_pass(cli, jobs, tmp_path):

@@ -209,8 +209,8 @@ def fans_crc(root: Path, workdir: Path, rng: random.Random,
             for fan in BUNDLED for cmd in ("validate", "box", "check")]
     fandir = workdir / "fans"
     fandir.mkdir(parents=True, exist_ok=True)
-    for k, fan in enumerate(fangen.random_fans(rng.randrange(2 ** 32),
-                                               RANDOM_FANS)):
+    for k, fan in enumerate(fangen.benchmark_fans(rng.randrange(2 ** 32),
+                                                  RANDOM_FANS)):
         path = fandir / f"random{k}.json"
         with open(path, "w") as fh:
             json.dump(fan, fh)
