@@ -1,8 +1,8 @@
 """Ready-made stacky fans for the families studied by the package.
 
 All constructors return validated `StackyFan` objects:
-  * `wpn_fan(n)` — the weighted projective space P(1,...,1,n) of
-    dimension n-1, with a single Z_n quotient singularity;
+  * `wpn_fan(n)` — the weighted projective space P(1,...,1,n) with n
+    ones, of dimension n, with a single Z_n quotient singularity;
   * `kp_bundle_fan(n)` — its crepant resolution, the projective bundle
     P(K_{P^{n-1}} + O) over P^{n-1} (the Hirzebruch surface F_n for
     dimension two);

@@ -6,8 +6,14 @@ exponents. A formal variable (tau-type) only ever appears with
 nonnegative integer exponents; it is never exponentiated or inverted.
 
 Truncation is by total weighted degree: every variable weighs its
-exponent. Coefficients are `fractions.Fraction`; all operations are
-exact up to the declared truncation order.
+exponent, and a series of order N keeps the terms of weight at most N.
+Weights are computed in integers. A roster with denominators d_i has
+L = lcm(d_i), and a stored (scaled) exponent vector e, which stands for
+the exponents e_i/d_i, has the integer weight W(e) = sum e_i * (L/d_i),
+that is L times its true weight. A term is kept when W(e) <= floor(N*L),
+which is exact because W(e) is an integer. Coefficients are
+`fractions.Fraction`; all operations are exact up to the declared
+truncation order.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -44,13 +51,23 @@ class BranchCutViolation(ValueError):
     pass
 
 
+class InversionNotConverged(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Roster:
-    """Variable roster: names, exponent denominators, formal flags."""
+    """Variable roster: names, exponent denominators, formal flags.
+
+    `lcm` and `scale` are derived from `denoms` (L = lcm of the
+    denominators, scale_i = L/d_i) and take no part in equality.
+    """
 
     names: tuple[str, ...]
     denoms: tuple[int, ...]
     formal: tuple[bool, ...]
+    lcm: int = field(init=False, compare=False, repr=False)
+    scale: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (len(self.names) == len(self.denoms) == len(self.formal)):
@@ -60,9 +77,20 @@ class Roster:
         for d, f in zip(self.denoms, self.formal):
             if d < 1 or (f and d != 1):
                 raise ValueError("formal variables must have denominator 1")
+        lcm = math.lcm(*self.denoms)
+        object.__setattr__(self, "lcm", lcm)
+        object.__setattr__(self, "scale", tuple(lcm // d for d in self.denoms))
 
     def index(self, name: str) -> int:
         return self.names.index(name)
+
+    def weight(self, e: tuple[int, ...]) -> int:
+        """Integer weight of a scaled exponent vector: lcm * true weight."""
+        return sum(map(operator.mul, e, self.scale))
+
+    def cap(self, order: Fraction) -> int:
+        """Largest integer weight kept by truncation at `order`."""
+        return math.floor(order * self.lcm)
 
 
 def make_roster(names: Sequence[str], denoms: Sequence[int] | None = None,
@@ -85,15 +113,19 @@ class PuiseuxSeries:
     def __init__(self, roster: Roster, order, terms: Mapping[tuple[int, ...], Fraction]):
         self.roster = roster
         self.order = Fraction(order)
+        cap = roster.cap(self.order)
+        weight = roster.weight
+        formal = [i for i, f in enumerate(roster.formal) if f]
         clean = {}
         for e, c in terms.items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if not c:
                 continue
-            if self._weight(e) > self.order:
+            if weight(e) > cap:
                 continue
-            for i, f in enumerate(roster.formal):
-                if f and e[i] < 0:
+            for i in formal:
+                if e[i] < 0:
                     raise ValueError("negative exponent on formal variable")
             clean[tuple(e)] = c
         self.terms = clean
@@ -124,9 +156,6 @@ class PuiseuxSeries:
 
     # -- inspection ---------------------------------------------------
 
-    def _weight(self, e: tuple[int, ...]) -> Fraction:
-        return sum(Fraction(x, d) for x, d in zip(e, self.roster.denoms))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -136,7 +165,13 @@ class PuiseuxSeries:
     def valuation(self) -> Optional[Fraction]:
         if not self.terms:
             return None
-        return min(self._weight(e) for e in self.terms)
+        return Fraction(min(map(self.roster.weight, self.terms)), self.roster.lcm)
+
+    def _lowest_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        weight = self.roster.weight
+        weights = {e: weight(e) for e in self.terms}
+        vw = min(weights.values(), default=None)
+        return [(e, c) for e, c in self.terms.items() if weights[e] == vw]
 
     def coefficient(self, exponents: Mapping[str, Fraction]) -> Fraction:
         e = [0] * len(self.roster.names)
@@ -149,11 +184,11 @@ class PuiseuxSeries:
         return self.terms.get(tuple(e), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        out = []
-        for e, c in self.terms.items():
-            out.append((tuple(Fraction(x, d) for x, d in zip(e, self.roster.denoms)), c))
-        out.sort(key=lambda t: (sum(t[0]), t[0]))
-        return out
+        weight, denoms = self.roster.weight, self.roster.denoms
+        keyed = [(weight(e), tuple(Fraction(x, d) for x, d in zip(e, denoms)), c)
+                 for e, c in self.terms.items()]
+        keyed.sort(key=lambda t: t[:2])
+        return [(x, c) for _, x, c in keyed]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
@@ -210,15 +245,21 @@ class PuiseuxSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         order = self._check(other)
-        denoms = self.roster.denoms
+        weight = self.roster.weight
+        cap = self.roster.cap(order)
+        right = [(e2, c2, weight(e2)) for e2, c2 in other.terms.items()]
+        add = operator.add
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
-            w1 = self._weight(e1)
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if w1 + other._weight(e2) > order:
+            room = cap - weight(e1)
+            for e2, c2, w2 in right:
+                if w2 > room:
                     continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                if e in out:
+                    out[e] += c1 * c2
+                else:
+                    out[e] = c1 * c2
         return PuiseuxSeries(self.roster, order, out)
 
     __rmul__ = __mul__
@@ -309,7 +350,7 @@ def series_pow(s: PuiseuxSeries, e) -> PuiseuxSeries:
             return s
         raise ZeroDivisionError("0 to a nonpositive power")
     v = s.valuation()
-    lead = [(ex, c) for ex, c in s.terms.items() if s._weight(ex) == v]
+    lead = s._lowest_terms()
     if len(lead) != 1:
         raise ValueError("leading term not unique; cannot take rational power")
     (le, lc) = lead[0]
@@ -444,7 +485,6 @@ def substitute(s: PuiseuxSeries, images: Mapping[str, PuiseuxSeries],
         # that a negative-weight monomial cannot push otherwise-retained
         # terms past the truncation bound mid-product.
         shift_e = [0] * nt
-        shift_w = Fraction(0)
         coef = Fraction(c)
         factors: list[tuple[int, int]] = []
         for i, x in enumerate(e):
@@ -461,13 +501,15 @@ def substitute(s: PuiseuxSeries, images: Mapping[str, PuiseuxSeries],
                         raise ValueError(
                             "substitution exponent exceeds denominator bound")
                     shift_e[j] += int(scaled)
-                shift_w += img._weight(ie) * p
             else:
                 factors.append((i, x))
         if factors:
             term = power(*factors[0])
             for f in factors[1:]:
                 term = term * power(*f)
+            # the shift's weight is linear in its exponents, so it is the
+            # weight of the summed exponent vector
+            shift_w = Fraction(tgt.weight(shift_e), tgt.lcm)
             res_order = min(res_order, term.order + shift_w)
             for te, tc in term.terms.items():
                 ne = tuple(a + b for a, b in zip(te, shift_e))
@@ -491,12 +533,14 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
     y_{r+b} and no other extended variable. Returns [Y_1..Y_{r'}] as
     series in (q_1..q_r, tau_1..tau_s) with q(Y(q,tau)) = q and
     tau(Y(q,tau)) = tau to the truncation order.
+
+    Raises InversionNotConverged if the fixed-point iteration does not
+    settle within its pass cap, or if any Y_i falls short of `order`.
     """
     r = len(log_corrections)
     sdim = len(tau_series)
     if r + sdim == 0:
         return []
-    src = (log_corrections + list(tau_series))[0].roster if (list(log_corrections) + list(tau_series)) else None
     src = (list(log_corrections) + list(tau_series))[0].roster
     rp = len(src.names)
     if rp != r + sdim:
@@ -512,8 +556,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
     for b, B in enumerate(tau_series):
         if B.constant_term():
             raise NotMirrorShaped("tau relation has a constant term")
-        v = B.valuation()
-        lead = [(e, c) for e, c in B.terms.items() if B._weight(e) == v]
+        lead = B._lowest_terms()
         if len(lead) != 1:
             raise NotMirrorShaped("tau relation leading term not unique")
         (le, lc) = lead[0]
@@ -539,7 +582,8 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
         Y.append(base_monomial(exps))
 
     names = src.names
-    for _ in range(int(math.ceil(order)) * max([1] + list(q_denoms)) + 3):
+    passes = int(math.ceil(order)) * max([1] + list(q_denoms)) + 3
+    for _ in range(passes):
         images = dict(zip(names, Y))
         newY = []
         for a in range(r):
@@ -562,10 +606,16 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
                     continue
                 rhs = rhs * series_pow(Y[i], -leads[b][i])
             newY.append(rhs)
-        if all(a.terms == b.terms for a, b in zip(Y, newY)):
-            Y = newY
-            break
+        converged = all(a.terms == b.terms for a, b in zip(Y, newY))
         Y = newY
+        if converged:
+            break
+    else:
+        raise InversionNotConverged(f"no fixed point within {passes} passes")
+    short = [y.order for y in Y if y.order < order]
+    if short:
+        raise InversionNotConverged(
+            f"inverse reaches order {min(short)}, below the requested {order}")
     return Y
 
 

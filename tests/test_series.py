@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbimirror.series import (BadConstantTerm, BranchCutViolation,
-                               PuiseuxSeries, ZeroLinearTerm, eval_complex,
+                               InversionNotConverged, PuiseuxSeries,
+                               RosterMismatch, ZeroLinearTerm, eval_complex,
                                lagrange_invert, make_roster, multivar_invert,
                                series_compose, series_exp, series_from_json,
                                series_log, series_pow, series_to_json,
@@ -159,6 +160,27 @@ def test_multivar_invert_simple():
     assert prod == q.truncate(prod.order)
 
 
+def test_multivar_invert_order_loss_raises():
+    # A_1 = y1^{1/5} y2^{-1/7}: every pass takes a fifth root of Y_1 and
+    # shifts by a negative power of q2, so the order of Y_1 shrinks to
+    # 1/35 and the iteration settles on Y_1 = 0 + O(1/35)
+    ry = make_roster(["y1", "y2"], [5, 7])
+    A1 = PuiseuxSeries(ry, 3, {(1, -1): F(1)})
+    A2 = PuiseuxSeries.zero(ry, 3)
+    with pytest.raises(InversionNotConverged, match="below the requested"):
+        multivar_invert([A1, A2], [], ["q1", "q2"], [], [5, 7], 3)
+
+
+def test_multivar_invert_cycle_raises():
+    # A_1 = y1^{1/7} y2^{2/7}: the seventh root of Y_1 loses order, Y_1
+    # drops to zero, restarts from q1 and the iterates cycle
+    ry = make_roster(["y1", "y2"], [7, 7])
+    A1 = PuiseuxSeries(ry, 2, {(1, 2): F(1)})
+    A2 = PuiseuxSeries.zero(ry, 2)
+    with pytest.raises(InversionNotConverged, match="no fixed point"):
+        multivar_invert([A1, A2], [], ["q1", "q2"], [], [7, 7], 2)
+
+
 def test_eval_complex_and_branch():
     rq = make_roster(["q"], [2])
     s = PuiseuxSeries(rq, 4, {(1,): F(1)})  # q^{1/2}
@@ -175,3 +197,135 @@ def test_json_roundtrip():
     back = series_from_json(data)
     assert back == s
     assert back.order == s.order
+
+
+# -- integer-weight truncation against a Fraction reference ---------------
+#
+# The reference computes weights as sums of Fractions e_i/d_i and shares
+# no weight helper with the kernel.
+
+
+def ref_weight(e, denoms):
+    return sum((F(x, d) for x, d in zip(e, denoms)), F(0))
+
+
+def ref_truncate(terms, denoms, order):
+    return {e: F(c) for e, c in terms.items()
+            if c and ref_weight(e, denoms) <= order}
+
+
+def ref_mul(t1, t2, denoms, order):
+    out = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if ref_weight(e, denoms) <= order:
+                out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+denom_lists = st.integers(2, 3).flatmap(
+    lambda n: st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=n, max_size=n))
+
+# orders on and off the weight lattice of the roster, including
+# 27/2 and 13/4, whose denominators divide no lcm drawn from {1,2,3,5,7}
+orders = (st.sampled_from([F(27, 2), F(13, 4), F(0), F(-1, 2)])
+          | st.fractions(min_value=-3, max_value=8, max_denominator=12))
+
+
+@st.composite
+def series_data(draw, n):
+    exps = st.tuples(*[st.integers(-6, 14)] * n)
+    return draw(st.dictionaries(exps, coef, max_size=8))
+
+
+@st.composite
+def roster_and_terms(draw, count=1):
+    denoms = draw(denom_lists)
+    names = [f"y{i}" for i in range(len(denoms))]
+    roster = make_roster(names, denoms)
+    return (roster, *[(draw(orders), draw(series_data(len(denoms))))
+                      for _ in range(count)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(roster_and_terms())
+def test_truncation_matches_reference(data):
+    roster, (order, terms) = data
+    s = PuiseuxSeries(roster, order, terms)
+    assert s.terms == ref_truncate(terms, roster.denoms, order)
+    assert s.order == order and type(s.order) is F
+
+
+@settings(max_examples=150, deadline=None)
+@given(roster_and_terms())
+def test_valuation_matches_reference(data):
+    roster, (order, terms) = data
+    s = PuiseuxSeries(roster, order, terms)
+    v = s.valuation()
+    if s.is_zero():
+        assert v is None
+    else:
+        assert type(v) is F
+        assert v == min(ref_weight(e, roster.denoms) for e in s.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(roster_and_terms(count=2))
+def test_product_matches_reference(data):
+    roster, (o1, t1), (o2, t2) = data
+    a, b = PuiseuxSeries(roster, o1, t1), PuiseuxSeries(roster, o2, t2)
+    p = a * b
+    assert p.order == min(o1, o2)
+    assert p.terms == ref_mul(a.terms, b.terms, roster.denoms, min(o1, o2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(roster_and_terms())
+def test_sorted_terms_order_by_total_exponent(data):
+    roster, (order, terms) = data
+    got = PuiseuxSeries(roster, order, terms).sorted_terms()
+    assert all(type(x) is F for e, _ in got for x in e)
+    keys = [(sum(e), e) for e, _ in got]
+    assert keys == sorted(keys)
+
+
+def test_truncation_order_off_the_weight_lattice():
+    # roster weights are multiples of 1/3; order 27/2 keeps weight 40/3
+    # and drops 41/3
+    r = make_roster(["a", "b"], [3, 1])
+    s = PuiseuxSeries(r, F(27, 2), {(40, 0): F(1), (41, 0): F(1), (1, 13): F(2)})
+    assert s.terms == {(40, 0): F(1), (1, 13): F(2)}
+    # lcm 4: order 13/4 keeps weight exactly 13/4
+    r = make_roster(["a", "b"], [4, 2])
+    s = PuiseuxSeries(r, F(13, 4), {(13, 0): F(1), (1, 6): F(1), (3, 6): F(1)})
+    assert s.terms == {(13, 0): F(1), (1, 6): F(1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(roster_and_terms())
+def test_roster_survives_json(data):
+    roster, (order, terms) = data
+    s = PuiseuxSeries(roster, order, terms)
+    back = series_from_json(series_to_json(s))
+    assert back.roster == roster
+    assert hash(back.roster) == hash(roster)
+    assert back == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(denom_lists, st.data())
+def test_rosters_differing_in_denominators_do_not_mix(denoms, data):
+    i = data.draw(st.integers(0, len(denoms) - 1))
+    other = data.draw(st.sampled_from([d for d in [1, 2, 3, 5, 7] if d != denoms[i]]))
+    names = [f"y{k}" for k in range(len(denoms))]
+    r1 = make_roster(names, denoms)
+    r2 = make_roster(names, denoms[:i] + [other] + denoms[i + 1:])
+    assert r1 != r2
+    one = (0,) * len(denoms)
+    a = PuiseuxSeries(r1, 4, {one: F(1)})
+    b = PuiseuxSeries(r2, 4, {one: F(1)})
+    with pytest.raises(RosterMismatch):
+        a * b
+    with pytest.raises(RosterMismatch):
+        a + b
