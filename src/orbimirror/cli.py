@@ -18,9 +18,8 @@ from typing import Optional
 
 from . import crc as crc_mod
 from .extended import build_extended
-from .fan import (StackyFan, basic_box_class, compute_box, fan_from_json,
-                  fan_to_json, is_gorenstein, star_subdivide_xbar,
-                  validate_fan, wall_curve_classes)
+from .fan import (StackyFan, basic_box_class, fan_from_json, fan_to_json,
+                  is_gorenstein, star_subdivide_xbar, wall_curve_classes)
 from .mirror import extract_open_gw, hori_vafa, lf_superpotential, mirror_map
 from .series import series_to_json
 
@@ -49,10 +48,6 @@ def _load_fan(path: str) -> StackyFan:
         return fan_from_json(data)
     except (ValueError, TypeError) as e:
         raise SchemaError(f"invalid fan data: {e}")
-
-
-def _series_json(s) -> dict:
-    return series_to_json(s)
 
 
 def _emit(payload: dict, fmt: str, out: Optional[str],
@@ -104,7 +99,7 @@ def _gauge_arg(arg: Optional[str]) -> Optional[tuple[int, ...]]:
 
 def cmd_validate(args) -> int:
     fan = _load_fan(args.fan)
-    rep = validate_fan(fan)
+    rep = fan.report
     _emit({"simplicial": rep.simplicial, "complete": rep.complete,
            "errors": list(rep.errors), "valid": rep.valid},
           args.format, args.out)
@@ -113,7 +108,7 @@ def cmd_validate(args) -> int:
 
 def cmd_box(args) -> int:
     fan = _load_fan(args.fan)
-    box = compute_box(fan)
+    box = fan.box
     rows = [[_frac_vec(el.nu), list(el.cone), [_frac(t) for t in el.t],
              _frac(el.age), el.age <= 1] for el in box]
     payload = {"gorenstein": is_gorenstein(fan),
@@ -132,7 +127,7 @@ def _frac_vec(v) -> list:
 
 def cmd_check(args) -> int:
     fan = _load_fan(args.fan)
-    rep = validate_fan(fan)
+    rep = fan.report
     if not rep.valid:
         _emit({"valid": False, "errors": list(rep.errors)}, args.format, args.out)
         return 2
@@ -156,7 +151,7 @@ def _potential_json(pot) -> dict:
             "terms": [{"vector": _frac_vec(t.vector),
                        "ray_index": t.ray_index,
                        "extended": t.is_extended,
-                       "coefficient": _series_json(t.coefficient)}
+                       "coefficient": series_to_json(t.coefficient)}
                       for t in pot.terms]}
 
 
@@ -174,8 +169,8 @@ def cmd_mirror_map(args) -> int:
     mm = mirror_map(ext, args.order)
     payload = {"q_names": list(mm.q_names), "tau_names": list(mm.tau_names),
                "q_denoms": list(mm.q_denoms),
-               "log_corrections": [_series_json(s) for s in mm.log_corrections],
-               "tau": [_series_json(s) for s in mm.tau]}
+               "log_corrections": [series_to_json(s) for s in mm.log_corrections],
+               "tau": [series_to_json(s) for s in mm.tau]}
     _emit(payload, args.format, args.out)
     return 0
 
@@ -209,7 +204,7 @@ def cmd_open_gw(args) -> int:
 
 def cmd_xbar(args) -> int:
     fan = _load_fan(args.fan)
-    box = compute_box(fan)
+    box = fan.box
     extended = [k for k, el in enumerate(box) if el.age <= 1]
     if not extended:
         raise SchemaError("fan has no twisted sector of age at most one")

@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import cone_coefficients, det, integer_solve, solve_unique
 from .extended import ExtendedFanData, build_extended
-from .fan import StackyFan, compute_box, is_gorenstein
+from .fan import StackyFan
 from .series import PuiseuxSeries, lagrange_invert, make_roster
 
 
@@ -125,8 +123,7 @@ def verify_crepant(pair: ResolutionPair) -> CrepancyReport:
             refinement = False
             issues.append(f"resolution cone {cone} not contained in any "
                           "orbifold cone")
-    box = compute_box(X)
-    age_one = {el.nu for el in box if el.age == 1}
+    age_one = {el.nu for el in X.box if el.age == 1}
     crepant = refinement
     for j in pair.new_ray_indices:
         v = Y.stacky_vectors[j]
@@ -164,10 +161,10 @@ class ChartGluing:
         }
 
 
-def _extended_in_resolution(pair: ResolutionPair, ext_x: ExtendedFanData,
-                            ext_y: ExtendedFanData) -> list[list[int]]:
+def _extended_in_resolution(pair: ResolutionPair,
+                            ext_x: ExtendedFanData) -> list[list[int]]:
     """Rewrite the orbifold curve-class basis in resolution ray coordinates."""
-    X, Y = pair.orbifold, pair.resolution
+    Y = pair.resolution
     my = len(Y.stacky_vectors)
     # map each column of the orbifold extended lattice to a resolution ray
     col_to_ray = list(pair.correspondence)
@@ -198,11 +195,10 @@ def glue_charts(pair: ResolutionPair) -> ChartGluing:
                             "age at most one")
     if ext_x.r_prime != ext_y.r_prime:
         raise BasisMismatch("chart dimensions differ")
-    mapped = _extended_in_resolution(pair, ext_x, ext_y)
+    mapped = _extended_in_resolution(pair, ext_x)
     r = ext_y.r_prime
     M = []
     for row in mapped:
-        cols = [[ext_y.basis[b][j] for b in range(r)] for j in range(len(row))]
         sol = integer_solve([[ext_y.basis[b][j] for b in range(r)]
                              for j in range(len(row))], row)
         if sol is None:
@@ -469,16 +465,6 @@ def change_of_variables(n: int, order: int = 12) -> ChangeOfVariables:
 # -- open CRC verification ----------------------------------------------
 
 
-def _thread_count() -> int:
-    env = os.environ.get("ORBIMIRROR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
 def _sin_half_poly(order: int) -> TauPoly:
     """2 sin(tau/2) as an exact-coefficient Taylor polynomial."""
     c = [0.0] * (order + 1)
@@ -557,8 +543,7 @@ def crc_numeric_samples(samples: int = 20, tol: float = 1e-10,
         Q2 = cov.q2_closed(tau, q1)
         return abs(_w_orbifold(q1, tau, z) - _w_resolution(Q1, Q2, z))
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        errs = list(pool.map(check, pts))
+    errs = [check(pt) for pt in pts]
     worst = max(range(len(pts)), key=lambda i: errs[i])
     q1, tau, z = pts[worst]
     return _report("W_X(q) = W_Y(Q(q)) sampled", errs[worst],

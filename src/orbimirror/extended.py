@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (Vec, cone_index, integer_solve, lattice_generates,
-                    snf_kernel_basis, solve_unique)
-from .fan import (BoxElement, InvalidFanError, StackyFan, compute_box,
-                  validate_fan, wall_curve_classes)
+from .exact import (Vec, integer_solve, lattice_generates, snf_kernel_basis,
+                    solve_unique)
+from .fan import BoxElement, StackyFan, require_valid, wall_curve_classes
 
 
 class LatticeNotGeneratedError(ValueError):
@@ -164,12 +163,10 @@ def _nef_base_basis(kernel: list[Vec], walls: list[Vec]) -> list[Vec]:
 
 
 def build_extended(fan: StackyFan) -> ExtendedFanData:
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError("; ".join(report.errors) or "invalid fan")
+    require_valid(fan)
     n = fan.dim
     m = fan.n_rays
-    box = compute_box(fan)
+    box = fan.box
     extra = tuple(el for el in box if el.age <= 1)
     m_prime = m + len(extra)
     vectors = list(fan.stacky_vectors) + [el.nu for el in extra]

@@ -11,10 +11,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Sequence, Union
 
 from .exact import (DependentGeneratorsError, Vec, cone_coefficients,
                     cone_index, det, primitive_vector, solve_unique)
@@ -79,6 +79,15 @@ class StackyFan:
     def cone_generators(self, cone: Sequence[int]) -> list[Vec]:
         return [self.stacky_vectors[i] for i in cone]
 
+    # Kept on the instance, not in a module cache, so they go with the fan.
+    @cached_property
+    def report(self) -> "FanReport":
+        return validate_fan(self)
+
+    @cached_property
+    def box(self) -> tuple["BoxElement", ...]:
+        return compute_box(self)
+
 
 def fan_from_json(data: dict) -> StackyFan:
     dim = int(data["dim"])
@@ -108,7 +117,32 @@ class FanReport:
         return self.simplicial and self.complete and not self.errors
 
 
-def validate_fan(fan: StackyFan, samples: int = 200) -> FanReport:
+def _walls(fan: StackyFan) -> dict[frozenset, list[tuple[int, ...]]]:
+    """Each (n-1)-face of a maximal cone -> the maximal cones containing it."""
+    walls: dict[frozenset, list] = {}
+    for c in fan.max_cones:
+        for f in itertools.combinations(c, fan.dim - 1):
+            walls.setdefault(frozenset(f), []).append(c)
+    return walls
+
+
+def validate_fan(fan: StackyFan) -> FanReport:
+    """Check that the fan is simplicial and complete, exactly.
+
+    For dim >= 2 the fan is complete when every wall lies in exactly two
+    maximal cones and
+      (a) at each wall the two opposite rays lie on opposite sides of
+          the wall's hyperplane, and
+      (b) the interior point p = sum of the generators of the first
+          maximal cone lies in no other maximal cone.
+    Let d(x) count the maximal cones whose interior contains x. By (a),
+    crossing a wall leaves one cone and enters the other, so d is
+    constant off the walls (their codimension-2 faces do not separate
+    R^n minus 0). By (b), d(p) = 1. Hence every generic direction lies in
+    exactly one cone: the cones cover R^n and their interiors are
+    disjoint. A fan that folds over a wall fails (a); one that winds
+    around the origin twice, or falls into pieces, fails (b).
+    """
     errors = []
     n = fan.dim
     vecs = fan.stacky_vectors
@@ -116,6 +150,8 @@ def validate_fan(fan: StackyFan, samples: int = 200) -> FanReport:
         return FanReport(False, False, ("ray dimension mismatch",))
     if any(all(x == 0 for x in v) for v in vecs):
         return FanReport(False, False, ("zero stacky vector",))
+    if any(not 0 <= i < len(vecs) for c in fan.max_cones for i in c):
+        return FanReport(False, False, ("cone index out of range",))
     prims = set()
     for v in vecs:
         p = primitive_vector(v)
@@ -136,52 +172,44 @@ def validate_fan(fan: StackyFan, samples: int = 200) -> FanReport:
     if not simplicial:
         return FanReport(False, False, tuple(errors))
 
-    complete = True
+    bad = _completeness_errors(fan)
+    return FanReport(True, not bad, tuple(errors + bad))
+
+
+def _completeness_errors(fan: StackyFan) -> list[str]:
+    n, vecs = fan.dim, fan.stacky_vectors
     if n == 1:
-        signs = sorted(v[0] > 0 for v in vecs)
-        if len(vecs) != 2 or signs != [False, True] or \
-                sorted(fan.max_cones) != [(0,), (1,)]:
-            complete = False
-            errors.append("1-dimensional fan must consist of two opposite rays")
-    else:
-        walls: dict[frozenset, list] = {}
-        for c in fan.max_cones:
-            for f in itertools.combinations(c, n - 1):
-                walls.setdefault(frozenset(f), []).append(c)
-        for f, cs in walls.items():
-            if len(cs) != 2:
-                complete = False
-                errors.append(f"wall {tuple(sorted(f))} lies in {len(cs)} max cones")
-        if complete and len(fan.max_cones) > 1:
-            # wall-graph connectivity
-            adj = {c: set() for c in fan.max_cones}
-            for cs in walls.values():
-                if len(cs) == 2:
-                    adj[cs[0]].add(cs[1])
-                    adj[cs[1]].add(cs[0])
-            seen = {fan.max_cones[0]}
-            queue = [fan.max_cones[0]]
-            while queue:
-                for nb in adj[queue.pop()]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
-            if len(seen) != len(fan.max_cones):
-                complete = False
-                errors.append("wall graph disconnected")
-        if complete:
-            rng = random.Random(20240815)
-            for _ in range(samples):
-                v = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 7))
-                          for _ in range(n))
-                if all(x == 0 for x in v):
-                    continue
-                if not any(cone_coefficients(fan.cone_generators(c), v) is not None
-                           for c in fan.max_cones):
-                    complete = False
-                    errors.append(f"direction {v} not covered by any cone")
-                    break
-    return FanReport(simplicial, complete, tuple(errors))
+        ok = len(vecs) == 2 and sorted(v[0] > 0 for v in vecs) == [False, True] \
+            and sorted(fan.max_cones) == [(0,), (1,)]
+        return [] if ok else ["1-dimensional fan must consist of two opposite rays"]
+    if not fan.max_cones:
+        return ["fan has no maximal cones"]
+    walls = _walls(fan)
+    bad = [f"wall {tuple(sorted(f))} lies in {len(cs)} max cones"
+           for f, cs in walls.items() if len(cs) != 2]
+    if bad:
+        return bad
+    for f, (sigma0, sigma1) in walls.items():
+        gens = [vecs[j] for j in sorted(f)]
+        (e0,) = set(sigma0) - f
+        (e1,) = set(sigma1) - f
+        if (det(gens + [vecs[e0]]) > 0) == (det(gens + [vecs[e1]]) > 0):
+            bad.append(f"cones {sigma0} and {sigma1} lie on the same side "
+                       f"of wall {tuple(sorted(f))}")
+    if bad:
+        return bad
+    first = fan.max_cones[0]
+    p = [sum(vecs[j][i] for j in first) for i in range(n)]
+    return [f"interior point {tuple(p)} of cone {first} also lies in cone {c}"
+            for c in fan.max_cones[1:]
+            if cone_coefficients(fan.cone_generators(c), p) is not None]
+
+
+def require_valid(fan: StackyFan, error: type[ValueError] = InvalidFanError,
+                  prefix: str = "") -> None:
+    """Raise `error` with the fan's validation errors unless it is valid."""
+    if not fan.report.valid:
+        raise error(prefix + "; ".join(fan.report.errors))
 
 
 @dataclass(frozen=True)
@@ -228,9 +256,7 @@ def _box_of_cone(fan: StackyFan, cone: Sequence[int]) -> dict[Vec, BoxElement]:
 
 def compute_box(fan: StackyFan) -> tuple[BoxElement, ...]:
     """Box' of the fan: nonzero twisted sectors, one per minimal cone."""
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError("; ".join(report.errors) or "invalid fan")
+    require_valid(fan)
     found: dict[Vec, BoxElement] = {}
     for c in fan.max_cones:
         for nu, el in _box_of_cone(fan, c).items():
@@ -243,7 +269,7 @@ def compute_box(fan: StackyFan) -> tuple[BoxElement, ...]:
 
 
 def is_gorenstein(fan: StackyFan) -> bool:
-    return all(el.age.denominator == 1 for el in compute_box(fan))
+    return all(el.age.denominator == 1 for el in fan.box)
 
 
 @dataclass(frozen=True)
@@ -261,9 +287,7 @@ def wall_curve_classes(fan: StackyFan) -> list[WallCurve]:
     ray has coefficient 1 (the two opposite coefficients need not be
     equal for orbifold fans). c1 = sum a_j.
     """
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError("; ".join(report.errors) or "invalid fan")
+    require_valid(fan)
     n = fan.dim
     m = fan.n_rays
     out = []
@@ -273,11 +297,7 @@ def wall_curve_classes(fan: StackyFan) -> list[WallCurve]:
         rel = [Fraction(0)] * m
         rel[i], rel[j] = Fraction(1), c
         return [WallCurve((), tuple(rel), Fraction(1) + c)]
-    walls: dict[frozenset, list] = {}
-    for c in fan.max_cones:
-        for f in itertools.combinations(c, n - 1):
-            walls.setdefault(frozenset(f), []).append(c)
-    for f, cs in sorted(walls.items(), key=lambda kv: tuple(sorted(kv[0]))):
+    for f, cs in sorted(_walls(fan).items(), key=lambda kv: tuple(sorted(kv[0]))):
         sigma, sigma2 = cs
         (e0,) = set(sigma) - f
         (e1,) = set(sigma2) - f
@@ -296,9 +316,7 @@ def wall_curve_classes(fan: StackyFan) -> list[WallCurve]:
 
 
 def primitive_collections(fan: StackyFan) -> list[tuple[int, ...]]:
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError("; ".join(report.errors) or "invalid fan")
+    require_valid(fan)
     faces = set()
     for c in fan.max_cones:
         for k in range(len(c) + 1):
@@ -377,10 +395,7 @@ def polytope_to_fan(P: LabeledPolytope) -> StackyFan:
         if ok:
             cones.append(tuple(s))
     fan = StackyFan.make(n, P.normals, cones)
-    report = validate_fan(fan)
-    if not report.valid:
-        raise UnboundedPolytopeError(
-            "normal fan is not complete: " + "; ".join(report.errors))
+    require_valid(fan, UnboundedPolytopeError, "normal fan is not complete: ")
     return fan
 
 
@@ -477,13 +492,10 @@ def star_subdivide_xbar(fan: StackyFan, beta: DiscClass) -> XBarResult:
     Returns the fan X-bar together with bookkeeping for the closed class
     beta-bar = beta + beta_infinity, which satisfies d(beta-bar) = 0.
     """
-    report = validate_fan(fan)
-    if not report.valid:
-        raise IncompleteFanError("; ".join(report.errors) or "fan not complete")
+    require_valid(fan, IncompleteFanError)
     if not beta.is_basic():
         raise NonBasicClassError("X-bar construction needs a basic disc class")
-    box = compute_box(fan)
-    b0 = beta.boundary(box)
+    b0 = beta.boundary(fan.box)
     b_inf = tuple(-x for x in b0)
     C = minimal_containing_cone(fan, b_inf)
     if len(C) == 1:
@@ -505,9 +517,7 @@ def star_subdivide_xbar(fan: StackyFan, beta: DiscClass) -> XBarResult:
         else:
             cones.append(c)
     newfan = StackyFan.make(fan.dim, vecs, cones)
-    rep = validate_fan(newfan)
-    if not rep.valid:
-        raise InvalidFanError("star subdivision failed: " + "; ".join(rep.errors))
+    require_valid(newfan, prefix="star subdivision failed: ")
     note = (f"beta-bar = beta + beta_{m}; new ray {m} at {b_inf} star-subdivides "
             f"the cones containing {C}")
     return XBarResult(newfan, b0, b_inf, m, False, note)

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 from .exact import Vec, solve_unique
 from .extended import ExtendedFanData, KEffElement, keff_enumerate
-from .fan import (DiscClass, StackyFan, XBarResult, compute_box, is_gorenstein,
+from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
                   star_subdivide_xbar, wall_curve_classes)
 from .series import (PuiseuxSeries, Roster, make_roster, multivar_invert,
-                     series_exp, series_pow, substitute)
+                     substitute)
 
 
 class MirrorShapeViolation(ValueError):
@@ -474,7 +474,7 @@ def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeRepor
         raise NotGorensteinError("bridge requires a Gorenstein fan")
     if any(w.c1 <= 0 for w in wall_curve_classes(fan)):
         raise NotFanoError("bridge requires all wall curve classes with c1 > 0")
-    box = compute_box(fan)
+    box = fan.box
     xbar = star_subdivide_xbar(fan, beta)
     ext_bar = build_extended(xbar.fan)
     closed = closed_h0_z2(ext_bar, order)

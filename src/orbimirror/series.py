@@ -19,12 +19,11 @@ truncation order.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class RosterMismatch(ValueError):

@@ -1,13 +1,18 @@
 """Stacky fans: validation, Box elements, walls, polytopes, subdivisions."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbimirror.exact import cone_index
+from orbimirror.extended import build_extended
 from orbimirror.fan import (DiscClass, IncompleteFanError,
-                            InvalidDiscDataError, LabeledPolytope,
-                            NonBasicClassError, NonSimpleVertexError,
+                            InvalidDiscDataError, InvalidFanError,
+                            LabeledPolytope, NonBasicClassError,
+                            NonSimpleVertexError,
                             PointNotInteriorError, StackyFan, basic_box_class,
                             basic_ray_class, blaschke_boundary_check,
                             compute_box, disc_area, fan_from_json,
@@ -30,6 +35,15 @@ def test_validate_incomplete():
     fan = StackyFan.make(2, ((1, 0), (0, 1)), ((0, 1),))
     rep = validate_fan(fan)
     assert not rep.valid and not rep.complete
+    rep = validate_fan(StackyFan.make(2, ((1, 0), (0, 1), (-1, -1)), ()))
+    assert not rep.valid and not rep.complete
+
+
+def test_validate_cone_index_out_of_range():
+    # a negative index would otherwise pick a ray from the end
+    for cones in (((0, 1), (1, 5), (0, 2)), ((0, 1), (1, -1), (0, 2))):
+        fan = StackyFan.make(2, ((1, 0), (0, 1), (-1, -1)), cones)
+        assert validate_fan(fan).errors == ("cone index out of range",)
 
 
 def test_validate_overlapping():
@@ -37,6 +51,92 @@ def test_validate_overlapping():
     fan = StackyFan.make(2, ((1, 0), (0, 1), (1, 1), (-1, -1)),
                          ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3)))
     assert not validate_fan(fan).valid
+
+
+# both cover every direction, so only an overlap test rejects them
+FOLD = StackyFan.make(2, ((1, 0), (-1, 2), (1, 2), (-1, 0), (0, -1)),
+                      ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+DOUBLE_WINDING = StackyFan.make(2, ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)),
+                                ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+
+
+def test_validate_fold():
+    # the turn at ray 1 goes back, so cones (0,1) and (1,2) overlap
+    rep = validate_fan(FOLD)
+    assert not rep.valid and not rep.complete
+    assert any("same side" in e for e in rep.errors)
+
+
+def test_validate_double_winding():
+    # every turn is positive, but the rays go round the origin twice
+    rep = validate_fan(DOUBLE_WINDING)
+    assert not rep.valid and not rep.complete
+    assert any("also lies in" in e for e in rep.errors)
+    with pytest.raises(InvalidFanError, match="also lies in"):
+        compute_box(DOUBLE_WINDING)
+
+
+def test_validate_two_disjoint_fans():
+    # two complete fans on disjoint rays: every wall is shared correctly
+    fan = StackyFan.make(2, ((1, 0), (-1, 1), (-1, -2), (0, 1), (-2, -1), (1, -1)),
+                         ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    rep = validate_fan(fan)
+    assert not rep.valid and not rep.complete
+
+
+def _winds_once(rays) -> bool:
+    """Angle-only oracle: turns of one sign that sum to +-2 pi."""
+    turns = []
+    for (x0, y0), (x1, y1) in zip(rays, rays[1:] + rays[:1]):
+        cross = x0 * y1 - y0 * x1
+        if cross == 0:
+            return False
+        turns.append(math.atan2(cross, x0 * x1 + y0 * y1))
+    if not (all(t > 0 for t in turns) or all(t < 0 for t in turns)):
+        return False
+    return abs(abs(sum(turns)) - 2 * math.pi) < 1e-9
+
+
+_ray = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda v: v != (0, 0))
+
+
+@st.composite
+def _cyclic_rays(draw):
+    rays = draw(st.lists(_ray, min_size=3, max_size=6, unique=True))
+    if draw(st.booleans()):
+        # angle order taken with a stride prime to k: winds once or more
+        k = len(rays)
+        rays.sort(key=lambda v: math.atan2(v[1], v[0]))
+        stride = draw(st.sampled_from(
+            [s for s in range(1, k) if math.gcd(s, k) == 1]))
+        rays = [rays[i * stride % k] for i in range(k)]
+    return rays
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cyclic_rays())
+def test_validate_cyclic_fans_match_angle_oracle(rays):
+    # cones between cyclic neighbours: random orders fold, strides wind
+    k = len(rays)
+    fan = StackyFan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
+    assert validate_fan(fan).valid == _winds_once(rays)
+
+
+def test_fan_validated_once(monkeypatch):
+    calls = []
+
+    def counting(fan):
+        calls.append(fan)
+        return validate_fan(fan)
+
+    monkeypatch.setattr("orbimirror.fan.validate_fan", counting)
+    fan = wpn_fan(2)
+    build_extended(fan)
+    assert is_gorenstein(fan)
+    assert len(wall_curve_classes(fan)) == 3
+    assert len(compute_box(fan)) == 1
+    assert calls == [fan]
 
 
 def test_box_p112():
