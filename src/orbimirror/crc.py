@@ -360,9 +360,6 @@ class TauPoly:
             out = out * tau + a
         return out
 
-    def max_abs(self) -> float:
-        return max((abs(x) for x in self.c), default=0.0)
-
 
 # -- analytic continuation for P(1,...,1,n) -----------------------------
 
@@ -436,15 +433,15 @@ class ChangeOfVariables:
     q2_tau: TauPoly                 # Q_2 / q1^{1/n} as a polynomial in tau
     closed_form: Optional[str]
 
-    def q1_closed(self, tau: complex) -> complex:
-        if self.n != 2:
-            raise UnsupportedN("closed form available only for n = 2")
-        return -cmath.exp(1j * tau)
 
-    def q2_closed(self, tau: complex, q1: complex) -> complex:
-        if self.n != 2:
-            raise UnsupportedN("closed form available only for n = 2")
-        return cmath.sqrt(q1) * cmath.exp(1j * (math.pi - tau) / 2)
+def q1_closed(tau: complex) -> complex:
+    """Q_1(tau) for n = 2: -exp(i tau)."""
+    return -cmath.exp(1j * tau)
+
+
+def q2_closed(tau: complex, q1: complex) -> complex:
+    """Q_2(q1, tau) for n = 2: q1^{1/2} exp(i (pi - tau)/2)."""
+    return cmath.sqrt(q1) * cmath.exp(1j * (math.pi - tau) / 2)
 
 
 def change_of_variables(n: int, order: int = 12) -> ChangeOfVariables:
@@ -535,12 +532,11 @@ def crc_numeric_samples(samples: int = 20, tol: float = 1e-10,
         z = (cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
              cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
         pts.append((q1, tau, z))
-    cov = change_of_variables(2, 12)
 
     def check(pt):
         q1, tau, z = pt
-        Q1 = cov.q1_closed(tau)
-        Q2 = cov.q2_closed(tau, q1)
+        Q1 = q1_closed(tau)
+        Q2 = q2_closed(tau, q1)
         return abs(_w_orbifold(q1, tau, z) - _w_resolution(Q1, Q2, z))
 
     errs = [check(pt) for pt in pts]
@@ -604,7 +600,8 @@ def specialization_check(pair: Optional[ResolutionPair] = None,
                          order: int = 12, strict: bool = False) -> list[IdentityReport]:
     """At tau_2 = 0 the exceptional term of W_Y must vanish: in the n = 2
     closed form 1 + Q1 = 1 + exp(-i*pi) = 0 exactly, and numerically at
-    sampled q1 the exceptional z-term has magnitude <= 1e-12."""
+    sampled q1 the exceptional z-term has magnitude <= 1e-12. Both read
+    the closed forms only, so `order` does not enter."""
     n = 2
     if pair is not None:
         sig = _wpn_signature(pair)
@@ -615,16 +612,15 @@ def specialization_check(pair: Optional[ResolutionPair] = None,
     if n != 2:
         raise UnsupportedN("specialization check requires n = 2; the "
                            "continuation is not implemented for this family")
-    cov = change_of_variables(2, order)
     reports = []
-    q1_at_zero = cov.q1_closed(0.0)
+    q1_at_zero = q1_closed(0.0)
     exact = abs(1 + q1_at_zero)
     reports.append(_report("(1+Q1)|_{tau2=0} = 0 (closed form)", exact,
                            {"tau2": 0.0}, 1e-15))
     worst = 0.0
     wq = None
     for q1 in (0.01, 0.05):
-        Q2 = cov.q2_closed(0.0, q1)
+        Q2 = q2_closed(0.0, q1)
         val = abs(Q2 * (1 + q1_at_zero))
         if val > worst:
             worst, wq = val, q1

@@ -1,10 +1,14 @@
 """I-functions, mirror maps, superpotentials and open invariants.
 
-Cohomology-valued I-function coefficients are polynomials in the
-divisor classes pbar_1..pbar_r truncated at degree n (nilpotency),
-Laurent in 1/z, tensored with a twisted-sector label. Only the H^0 and
-H^2 parts feed the mirror map and the open-closed extraction, but the
-full truncated expansion is kept for the normalization checks.
+The I-function coefficient of an effective class delta is a polynomial
+in the divisor classes pbar_1..pbar_r, truncated at degree n
+(nilpotency), Laurent in z, in the twisted sector of delta. It is
+homogeneous of degree D_delta = -sum_j ceil <D_j, delta> in (z, pbar),
+so it is stored as one polynomial P_delta in pbar, an exact series of
+the `series` kernel, and the z-power of each term follows from its
+pbar-degree. Nothing reads below z^-2 (the mirror map reads 1/z, the
+open-closed bridge 1/z^2), so P_delta is only computed for the classes
+with D_delta >= -2.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .extended import ExtendedFanData, KEffElement, keff_enumerate
 from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
                   star_subdivide_xbar, wall_curve_classes)
 from .series import (PuiseuxSeries, Roster, make_roster, multivar_invert,
-                     substitute)
+                     series_exp, substitute)
 
 
 class MirrorShapeViolation(ValueError):
@@ -42,52 +46,26 @@ class NotFanoError(ValueError):
     pass
 
 
-# coefficient polynomials: dict[(zexp, pexp)] -> Fraction, pexp a tuple of
-# length r with sum <= n
-
-CoefPoly = dict
+# lowest z-power any reader of the I-function asks for (closed_h0_z2)
+_ZMIN = -2
 
 
-def _poly_mul(a: CoefPoly, b: CoefPoly, n: int) -> CoefPoly:
-    out: CoefPoly = {}
-    for (za, pa), ca in a.items():
-        for (zb, pb), cb in b.items():
-            pe = tuple(x + y for x, y in zip(pa, pb))
-            if sum(pe) > n:
-                continue
-            key = (za + zb, pe)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {k: v for k, v in out.items() if v}
+def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
+                   dbar_pows: Sequence[Sequence[PuiseuxSeries]]) -> PuiseuxSeries:
+    """P_delta, the class-delta coefficient of the I-function at z = 1.
 
-
-def _dbar(ext: ExtendedFanData, j: int) -> CoefPoly:
-    """D-bar_j = sum_{a<=r} d_{aj} pbar_a as a degree-1 polynomial."""
-    out: CoefPoly = {}
-    if j >= ext.m:
-        return out
-    for a in range(ext.r):
-        c = ext.basis[a][j]
-        if c:
-            pe = tuple(1 if b == a else 0 for b in range(ext.r))
-            out[(0, pe)] = Fraction(c)
-    return out
-
-
-def _i_coefficient(ext: ExtendedFanData, kel: KEffElement) -> CoefPoly:
-    """Expansion of the product over rays for one effective class.
-
-    Each factor (Dbar_j + c z) with c != 0 is written as c z times
-    exp(log(1 + Dbar_j/(c z))); nilpotency of the pbar's truncates every
-    logarithm at degree n, so the whole coefficient assembles from a
-    scalar monomial in z, an optional product of bare Dbar factors
-    (integer-negative pairings), and one exponential.
+    Each factor (Dbar_j + c z) has degree 1 in (z, pbar), so the
+    coefficient is z^{D_delta} P_delta(pbar/z) with D_delta the number
+    of numerator minus denominator factors, -sum_j ceil <D_j, delta>.
+    At z = 1 a factor with c != 0 is c exp(log(1 + Dbar_j/c)), whose
+    logarithm nilpotency truncates at pbar-degree n; a factor with c = 0
+    is a bare Dbar_j. `dbar_pows[j][i]` is Dbar_j^i.
     """
     n = ext.dim
-    r = ext.r
+    roster = dbar_pows[0][0].roster
     scalar = Fraction(1)
-    zbase = 0
-    bare: list[int] = []
-    slog: dict[tuple[int, int], Fraction] = {}  # (j, i) -> coef of Dbar_j^i z^-i
+    bare = PuiseuxSeries.constant(roster, n, 1)
+    S = PuiseuxSeries.zero(roster, n)
     for j, p in enumerate(kel.pairings):
         if p == 0:
             continue
@@ -97,73 +75,70 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement) -> CoefPoly:
         else:
             ks = range(0, math.ceil(p))
             sign = -1
+        slog = [Fraction(0)] * (n + 1)   # i -> coefficient of Dbar_j^i
         for k in ks:
             c = p - k
             if c == 0:
                 assert j < ext.m, "vanishing factor on an extended index"
-                bare.append(j)
+                bare = bare * dbar_pows[j][1]
                 continue
-            if sign > 0:
-                scalar *= c
-                zbase += 1
-            else:
-                scalar /= c
-                zbase -= 1
+            scalar = scalar * c if sign > 0 else scalar / c
             if j < ext.m:
                 for i in range(1, n + 1):
-                    slog[(j, i)] = slog.get((j, i), Fraction(0)) + \
-                        sign * Fraction((-1) ** (i + 1), i) / c ** i
-    # assemble S = sum slog * Dbar_j^i z^{-i}
-    S: CoefPoly = {}
-    dbar_pows: dict[tuple[int, int], CoefPoly] = {}
-    for (j, i), coef in slog.items():
-        if not coef:
-            continue
-        key = (j, i)
-        if key not in dbar_pows:
-            p1 = _dbar(ext, j)
-            acc = p1
-            for _ in range(i - 1):
-                acc = _poly_mul(acc, p1, n)
-            dbar_pows[key] = acc
-        for (zz, pe), cc in dbar_pows[key].items():
-            k2 = (zz - i, pe)
-            S[k2] = S.get(k2, Fraction(0)) + coef * cc
-    # exp(S): S has p-degree >= 1 in every term, so n+1 powers suffice
-    expS: CoefPoly = {(0, (0,) * r): Fraction(1)}
-    power: CoefPoly = {(0, (0,) * r): Fraction(1)}
-    for i in range(1, n + 1):
-        power = _poly_mul(power, S, n)
-        if not power:
-            break
-        for key, cc in power.items():
-            expS[key] = expS.get(key, Fraction(0)) + cc / math.factorial(i)
-    out = expS
-    for j in bare:
-        out = _poly_mul(out, _dbar(ext, j), n)
-    return {(z + zbase, pe): c * scalar for (z, pe), c in out.items() if c * scalar}
+                    slog[i] += sign * Fraction((-1) ** (i + 1), i) / c ** i
+        for i in range(1, n + 1):
+            if slog[i]:
+                S = S + dbar_pows[j][i].scale(slog[i])
+    return (series_exp(S) * bare).scale(scalar)
 
 
 @dataclass
 class ISeries:
+    """I-function coefficients per effective class delta.
+
+    `elements` is all of K_eff up to `order`. The coefficient of class
+    delta is z^{D_delta} P_delta(pbar/z): `degrees[delta]` is D_delta
+    and `coeffs[delta]` maps pexp to the coefficient of pbar^pexp in
+    P_delta, that is of z^{D_delta - |pexp|} pbar^pexp. Every z-power
+    of the class is at most D_delta, so only the classes with
+    D_delta >= _ZMIN are stored; the others contribute nothing that is
+    read.
+    """
+
     ext: ExtendedFanData
     order: Fraction
-    z_depth: int
     elements: list[KEffElement]
-    coeffs: dict[tuple, CoefPoly]  # keyed by delta
+    coeffs: dict[tuple, dict[tuple[int, ...], Fraction]]
+    degrees: dict[tuple, int]
 
     def coefficient(self, delta, zexp: int, pexp) -> Fraction:
-        return self.coeffs.get(tuple(delta), {}).get((zexp, tuple(pexp)), Fraction(0))
+        delta, pexp = tuple(delta), tuple(pexp)
+        if zexp + sum(pexp) != self.degrees.get(delta):
+            return Fraction(0)
+        return self.coeffs[delta].get(pexp, Fraction(0))
 
 
-def i_function(ext: ExtendedFanData, order, z_depth: int = 2) -> ISeries:
+def i_function(ext: ExtendedFanData, order) -> ISeries:
     order = Fraction(order)
+    n, r = ext.dim, ext.r
     elements = keff_enumerate(ext, order)
-    coeffs = {}
+    roster = make_roster([f"p{a + 1}" for a in range(r)], [1] * r, [True] * r)
+    dbar_pows = []
+    for j in range(ext.m):
+        dbar = PuiseuxSeries(roster, n, {
+            tuple(int(a == b) for b in range(r)): Fraction(ext.basis[a][j])
+            for a in range(r)})
+        pows = [PuiseuxSeries.constant(roster, n, 1)]
+        for _ in range(n):
+            pows.append(pows[-1] * dbar)
+        dbar_pows.append(pows)
+    coeffs, degrees = {}, {}
     for kel in elements:
-        poly = _i_coefficient(ext, kel)
-        coeffs[kel.delta] = {k: v for k, v in poly.items() if k[0] >= -z_depth - ext.dim}
-    return ISeries(ext, order, z_depth, elements, coeffs)
+        degree = -kel.zweight            # D_delta
+        if degree >= _ZMIN:
+            coeffs[kel.delta] = _i_coefficient(ext, kel, dbar_pows).terms
+            degrees[kel.delta] = degree
+    return ISeries(ext, order, elements, coeffs, degrees)
 
 
 def check_normalization(iseries: ISeries) -> tuple[bool, list[str]]:
@@ -172,15 +147,18 @@ def check_normalization(iseries: ISeries) -> tuple[bool, list[str]]:
     ext = iseries.ext
     zero_p = (0,) * ext.r
     for kel in iseries.elements:
-        poly = iseries.coeffs[kel.delta]
-        for (z, pe), c in poly.items():
-            if z > 0 and c:
+        degree = iseries.degrees.get(kel.delta)
+        if degree is None:
+            continue
+        for pe, c in iseries.coeffs[kel.delta].items():
+            z = degree - sum(pe)
+            if z > 0:
                 errors.append(f"positive z-power {z} at {kel.delta}")
-            if z == 0 and c:
+            if z == 0:
                 if kel.weight == 0 and pe == zero_p and c == 1:
                     continue
                 errors.append(f"unexpected z^0 term at {kel.delta}: {pe} -> {c}")
-            if z == -1 and c:
+            if z == -1:
                 if kel.nu == (0,) * ext.dim:
                     if sum(pe) > 1:
                         errors.append(f"1/z term of degree {sum(pe)} at {kel.delta}")
@@ -228,7 +206,7 @@ def mirror_map(ext: ExtendedFanData, order,
                iseries: Optional[ISeries] = None) -> MirrorMap:
     order = Fraction(order)
     if iseries is None or iseries.order < order:
-        iseries = i_function(ext, order, z_depth=2)
+        iseries = i_function(ext, order)
     ok, errors = check_normalization(iseries)
     if not ok:
         raise MirrorShapeViolation("; ".join(errors))
@@ -244,16 +222,15 @@ def mirror_map(ext: ExtendedFanData, order,
     for kel in iseries.elements:
         if kel.weight == 0:
             continue
-        poly = iseries.coeffs[kel.delta]
         mono = {y_names[a]: kel.delta[a] for a in range(rp) if kel.delta[a]}
         if kel.nu == zero_nu:
             for a in range(r):
                 pe = tuple(1 if b == a else 0 for b in range(r))
-                c = poly.get((-1, pe), Fraction(0))
+                c = iseries.coefficient(kel.delta, -1, pe)
                 if c:
                     A[a] = A[a] + PuiseuxSeries.monomial(roster, order, mono, c)
         elif kel.nu in extra_by_nu:
-            c = poly.get((-1, zero_p), Fraction(0))
+            c = iseries.coefficient(kel.delta, -1, zero_p)
             if c:
                 b = extra_by_nu[kel.nu]
                 B[b] = B[b] + PuiseuxSeries.monomial(roster, order, mono, c)
@@ -352,10 +329,11 @@ class LFResult:
 
 
 def lf_superpotential(ext: ExtendedFanData, order=10,
-                      gauge: Optional[Sequence[int]] = None) -> LFResult:
+                      gauge: Optional[Sequence[int]] = None,
+                      iseries: Optional[ISeries] = None) -> LFResult:
     """W^LF: the Hori-Vafa coefficients evaluated on the inverse mirror map."""
     order = Fraction(order)
-    mm = mirror_map(ext, order)
+    mm = mirror_map(ext, order, iseries)
     Y = mm.inverse()
     hv = hori_vafa(ext, gauge, chart_prefix="y", order=order)
     # align the HV chart roster (possibly finer denominators) with the
@@ -448,7 +426,7 @@ def closed_h0_z2(ext: ExtendedFanData, order, iseries: Optional[ISeries] = None,
     """H^0 part of the 1/z^2 coefficient of the I-function, as a y-series."""
     order = Fraction(order)
     if iseries is None:
-        iseries = i_function(ext, order, z_depth=2)
+        iseries = i_function(ext, order)
     if roster is None:
         names = [f"y{a + 1}" for a in range(ext.r_prime)]
         roster = make_roster(names, _chart_denoms(ext, iseries.elements),
@@ -459,7 +437,7 @@ def closed_h0_z2(ext: ExtendedFanData, order, iseries: Optional[ISeries] = None,
     for kel in iseries.elements:
         if kel.nu != zero_nu:
             continue
-        c = iseries.coeffs[kel.delta].get((-2, zero_p), Fraction(0))
+        c = iseries.coefficient(kel.delta, -2, zero_p)
         if c:
             mono = {roster.names[a]: kel.delta[a]
                     for a in range(ext.r_prime) if kel.delta[a]}
@@ -477,7 +455,8 @@ def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeRepor
     box = fan.box
     xbar = star_subdivide_xbar(fan, beta)
     ext_bar = build_extended(xbar.fan)
-    closed = closed_h0_z2(ext_bar, order)
+    iseries = i_function(ext_bar, order)
+    closed = closed_h0_z2(ext_bar, order, iseries)
     statement = ("n_{1,l,beta} equals the (l+1)-point closed invariant of "
                  "beta-bar = beta + beta_infinity on X-bar; " + xbar.beta_bar_note)
     if xbar.fan != fan:
@@ -503,7 +482,7 @@ def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeRepor
     delta = solve_unique(A, w)
     if delta is None:
         raise MirrorShapeViolation("beta-bar is not a curve class")
-    lf = lf_superpotential(ext, order)
+    lf = lf_superpotential(ext, order, iseries=iseries)
     table = extract_open_gw(lf, ext)
     if any(beta.ray_mult):
         jopen = beta.ray_mult.index(1)

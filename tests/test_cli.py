@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -117,3 +118,25 @@ def test_out_flag(tmp_path, capsys):
                   "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["gorenstein"] is True
+
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize("key", [
+    "open-gw p112 --order 14", "open-gw p113 --order 22",
+    "open-gw p114 --order 14", "open-gw f2 --order 12",
+    "open-gw kp3 --order 8", "mirror-map p1_3_5 --order 3",
+])
+def test_exact_output_matches_recorded_digest(key, tmp_path, capsys):
+    # the exact series outputs are pinned byte for byte by the SHA-256 of
+    # their canonical JSON form, as recorded for the benchmark
+    cmd, fan, *rest = key.split()
+    out = tmp_path / "out.json"
+    argv = [cmd, str(FANS / f"{fan}.json"), *rest, "--format", "json",
+            "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    want = json.loads(DIGESTS.read_text())[key]
+    assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -1,13 +1,16 @@
 """Mirror theorems: normalization, mirror maps, potentials, disc counts."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from orbimirror.crc import wpn_g_series
+import orbimirror.mirror
 from orbimirror.extended import build_extended
-from orbimirror.families import f2_fan, p1_orbifold, p2_fan, wpn_fan
+from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
+                                 wpn_fan)
 from orbimirror.fan import basic_box_class, basic_ray_class, compute_box
 from orbimirror.mirror import (GaugeUnsolvableError, NotFanoError,
                                NotGorensteinError, check_normalization,
@@ -25,6 +28,92 @@ def test_i_function_normalization(fan, order):
     iseries = i_function(build_extended(fan), order)
     ok, errors = check_normalization(iseries)
     assert ok, errors
+
+
+def _oracle_product(ext, kel):
+    """prod_j prod_a (Dbar_j + a z)^{+-1} as a dict (zexp, pexp) -> Fraction,
+    truncated at pbar-degree n.
+
+    For p = <D_j, delta> the numerator runs over a = p mod 1 with
+    p < a <= 0 and the denominator over a = p mod 1 with 0 < a <= p;
+    Dbar_j = sum_a basis[a][j] pbar_a, and Dbar_j = 0 on extended rays.
+    Each 1/(Dbar_j + a z) is the geometric series
+    sum_i (-Dbar_j)^i / (a z)^(i + 1).
+    """
+    n, r = ext.dim, ext.r
+    zero = (0,) * r
+
+    def mul(x, y):
+        out = {}
+        for (z1, p1), c1 in x.items():
+            for (z2, p2), c2 in y.items():
+                pe = tuple(u + v for u, v in zip(p1, p2))
+                if sum(pe) <= n:
+                    key = (z1 + z2, pe)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return {k: v for k, v in out.items() if v}
+
+    prod = {(0, zero): F(1)}
+    for j, p in enumerate(kel.pairings):
+        dbar = {}
+        if j < ext.m:
+            for a in range(r):
+                if ext.basis[a][j]:
+                    unit = tuple(int(b == a) for b in range(r))
+                    dbar[(0, unit)] = F(ext.basis[a][j])
+        a = p + 1
+        while a <= 0:
+            factor = dict(dbar)
+            if a:
+                factor[(1, zero)] = a
+            prod = mul(prod, factor)
+            a += 1
+        a = p
+        while a > 0:
+            ratio = {(z - 1, pe): -c / a for (z, pe), c in dbar.items()}
+            term = {(-1, zero): 1 / a}
+            inverse = dict(term)
+            for _ in range(n):
+                term = mul(term, ratio)
+                for key, c in term.items():
+                    inverse[key] = inverse.get(key, 0) + c
+            prod = mul(prod, inverse)
+            a -= 1
+    return prod
+
+
+@pytest.mark.parametrize("fan,order", [
+    (wpn_fan(2), 8), (wpn_fan(3), 10), (f2_fan(), 6), (kp_bundle_fan(3), 5),
+])
+def test_i_function_matches_product_oracle(fan, order):
+    ext = build_extended(fan)
+    iseries = i_function(ext, order)
+    n, r = ext.dim, ext.r
+    monomials = [pe for pe in itertools.product(range(n + 1), repeat=r)
+                 if sum(pe) <= n]
+    assert len(iseries.coeffs) < len(iseries.elements)  # some classes skipped
+    for kel in iseries.elements:
+        want = _oracle_product(ext, kel)
+        for z in (1, 0, -1, -2):
+            for pe in monomials:
+                assert iseries.coefficient(kel.delta, z, pe) == \
+                    want.get((z, pe), 0), (kel.delta, z, pe)
+
+
+def test_bridge_computes_i_function_once(monkeypatch):
+    calls = []
+    real = orbimirror.mirror.i_function
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orbimirror.mirror, "i_function", counting)
+    fan = wpn_fan(2)
+    rep = open_closed_bridge(fan, basic_box_class(fan, 0, compute_box(fan)),
+                             order=10)
+    assert rep.cross_checked and rep.match
+    assert len(calls) == 1
 
 
 def test_mirror_map_p112_twisted_closed_form():
