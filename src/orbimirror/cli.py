@@ -226,15 +226,14 @@ def cmd_crc(args) -> int:
         raise SchemaError("crc requires --resolution FILE")
     res = _load_fan(args.resolution)
     pair = crc_mod.ResolutionPair.make(fan, res)
-    payload = crc_mod.pair_report(pair, order=args.order)
-    failed = not payload["crepancy"]["crepant"]
-    if args.wpn is not None:
+    payload = crc_mod.pair_report(pair, order=args.order,
+                                  samples=args.samples, tol=args.tol)
+    if args.wpn is not None and args.wpn != payload.get("wpn"):
         reports = crc_mod.crc_verify(args.wpn, order=args.order,
                                      samples=args.samples, tol=args.tol)
         payload["reports"] = [r.to_json() for r in reports]
-        failed = failed or any(r.status != "pass" for r in reports)
-    elif "reports" in payload:
-        failed = failed or any(r["status"] != "pass" for r in payload["reports"])
+    failed = (not payload["crepancy"]["crepant"]
+              or any(r["status"] != "pass" for r in payload.get("reports", ())))
     _emit(payload, args.format, args.out)
     return 2 if failed else 0
 
@@ -293,6 +292,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
+        return 1
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
         return 1
     if args.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)

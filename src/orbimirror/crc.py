@@ -8,6 +8,13 @@ curve-class bases; for the weighted-projective family P(1,...,1,n) the
 quantum parameters of Y extend analytically to the orbifold chart, which
 gives the explicit change of variables Q = Q(q) and lets the two
 Landau-Ginzburg potentials be compared term by term.
+
+For n = 2, log Q_1 continues to -i(pi - g(x)) at x = f(tau), where f,
+the inverse of g, generates the orbi-disc invariants. With u = g(f(tau))
+this gives Q_1 = -exp(i u) and Q_2 = i q1^{1/2} exp(-i u/2), so
+Q_2 (1 + Q_1) = 2 q1^{1/2} sin(tau/2) holds exactly when u = tau: that
+composition is checked over the rationals with `series_compose`.
+Q_1 Q_2^2 = q1 holds for every u and is not reported.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from typing import Optional, Sequence
 from .exact import cone_coefficients, det, integer_solve, solve_unique
 from .extended import ExtendedFanData, build_extended
 from .fan import StackyFan
-from .series import PuiseuxSeries, lagrange_invert, make_roster
+from .series import (PuiseuxSeries, lagrange_invert, make_roster,
+                     series_compose)
 
 
 class UnsupportedN(ValueError):
@@ -267,100 +275,6 @@ def wpn_f_series(n: int, order: int) -> PuiseuxSeries:
     return lagrange_invert(wpn_g_series(n, order), order, "t")
 
 
-# -- complex Taylor polynomials in tau ----------------------------------
-
-
-class TauPoly:
-    """Dense truncated Taylor polynomial in one variable with complex
-    coefficients; just enough arithmetic for the continuation formulas."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Sequence[complex]):
-        self.c = list(map(complex, coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.c) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "TauPoly":
-        return cls([0.0] * (order + 1))
-
-    @classmethod
-    def constant(cls, order: int, v: complex) -> "TauPoly":
-        c = [0.0] * (order + 1)
-        c[0] = v
-        return cls(c)
-
-    @classmethod
-    def from_series(cls, s: PuiseuxSeries, order: int,
-                    scale: complex = 1.0) -> "TauPoly":
-        """Univariate exact series -> complex polynomial, x -> scale*tau."""
-        c = [0.0 + 0.0j] * (order + 1)
-        for e, v in s.terms.items():
-            k = e[0]
-            if 0 <= k <= order:
-                c[k] = complex(v) * scale ** k
-        return cls(c)
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            c = list(self.c)
-            c[0] += other
-            return TauPoly(c)
-        n = min(self.order, other.order)
-        return TauPoly([self.c[k] + other.c[k] for k in range(n + 1)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self + (-other)
-        return self + other.scale(-1)
-
-    def scale(self, v: complex) -> "TauPoly":
-        return TauPoly([x * v for x in self.c])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        n = min(self.order, other.order)
-        c = [0.0 + 0.0j] * (n + 1)
-        for i, a in enumerate(self.c[:n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.c[j]
-                if b:
-                    c[i + j] += a * b
-        return TauPoly(c)
-
-    __rmul__ = __mul__
-
-    def pow(self, e: int) -> "TauPoly":
-        out = TauPoly.constant(self.order, 1.0)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def exp(self) -> "TauPoly":
-        head = cmath.exp(self.c[0])
-        tail = TauPoly([0.0] + self.c[1:])
-        out = TauPoly.constant(self.order, 1.0)
-        p = TauPoly.constant(self.order, 1.0)
-        for k in range(1, self.order + 1):
-            p = p * tail
-            out = out + p.scale(1.0 / math.factorial(k))
-        return out.scale(head)
-
-    def eval(self, tau: complex) -> complex:
-        out = 0.0 + 0.0j
-        for a in reversed(self.c):
-            out = out * tau + a
-        return out
-
-
 # -- analytic continuation for P(1,...,1,n) -----------------------------
 
 
@@ -374,18 +288,7 @@ class ContinuationFormula:
     parity: str                     # "even" | "odd"
     constant: complex
     coefficients: dict              # exponent -> complex
-    exact_reduction: Optional[PuiseuxSeries]  # n = 2: g with exact terms
-    flat_structure_preserved: bool
     note: str
-
-    def series_in(self, x: TauPoly) -> TauPoly:
-        out = TauPoly.constant(x.order, self.constant)
-        powers = {}
-        for e, c in sorted(self.coefficients.items()):
-            if e not in powers:
-                powers[e] = x.pow(e)
-            out = out + powers[e].scale(c)
-        return out
 
 
 def continuation_wpn(n: int, order: int = 10) -> ContinuationFormula:
@@ -414,24 +317,11 @@ def continuation_wpn(n: int, order: int = 10) -> ContinuationFormula:
             coeffs[n * k + l] = coeffs.get(n * k + l, 0.0) + c * inner
             k += 1
     constant = -1j * math.pi if even else 0.0
-    exact = wpn_g_series(2, order) if n == 2 else None
     note = ("affine change of variables; flat structures preserved" if n == 2
             else "non-affine change of variables; flat structures near the "
                  "large-radius limit points are not preserved")
     return ContinuationFormula(n, "even" if even else "odd", constant, coeffs,
-                               exact, n == 2, note)
-
-
-@dataclass(frozen=True)
-class ChangeOfVariables:
-    """Q(q, tau) after composing the continuation with the inverse mirror
-    map of the orbifold: x = y1^{-1/n} y2 = f(tau)."""
-    n: int
-    order: int
-    log_q1: TauPoly                 # log Q_1 as a polynomial in tau
-    q1: TauPoly                     # Q_1(tau)
-    q2_tau: TauPoly                 # Q_2 / q1^{1/n} as a polynomial in tau
-    closed_form: Optional[str]
+                               note)
 
 
 def q1_closed(tau: complex) -> complex:
@@ -444,59 +334,37 @@ def q2_closed(tau: complex, q1: complex) -> complex:
     return cmath.sqrt(q1) * cmath.exp(1j * (math.pi - tau) / 2)
 
 
-def change_of_variables(n: int, order: int = 12) -> ChangeOfVariables:
-    cont = continuation_wpn(n, order)
-    f = wpn_f_series(n, order)
-    x = TauPoly.from_series(f, order)
-    log_q1 = cont.series_in(x)
-    q1 = log_q1.exp()
-    # log Q_2 = (log y1 - log Q_1)/n; the q1^{1/n} prefactor is kept
-    # symbolic, the rest is exp(-(log Q_1)/n)
-    q2_tau = log_q1.scale(-1.0 / n).exp()
-    closed = None
-    if n == 2:
-        closed = "Q1 = -exp(i*tau), Q2 = q1^(1/2) * exp(i*(pi - tau)/2)"
-    return ChangeOfVariables(n, order, log_q1, q1, q2_tau, closed)
+def change_of_variables(order: int = 12) -> PuiseuxSeries:
+    """u(t) = g(f(t)) for n = 2, exactly over the rationals.
+
+    With log Q_1 = -i(pi - g(x)) at x = f(tau), the change of variables
+    is Q_1 = -exp(i u) and Q_2 = i q1^{1/2} exp(-i u/2); it reduces to
+    the closed forms q1_closed/q2_closed exactly when u = tau.
+    """
+    return series_compose(wpn_g_series(2, order), wpn_f_series(2, order))
 
 
 # -- open CRC verification ----------------------------------------------
 
 
-def _sin_half_poly(order: int) -> TauPoly:
-    """2 sin(tau/2) as an exact-coefficient Taylor polynomial."""
-    c = [0.0] * (order + 1)
-    for k in range(0, (order - 1) // 2 + 1):
-        c[2 * k + 1] = (-1) ** k / (math.factorial(2 * k + 1) * 4 ** k)
-    return TauPoly(c)
-
-
 def crc_exact_identities(order: int = 12, tol: float = 1e-12) -> list[IdentityReport]:
-    """Series verification of the two n = 2 coefficient identities
-    Q1 Q2^2 = q1 and Q2 (1 + Q1) = 2 q1^{1/2} sin(tau/2)."""
-    cov = change_of_variables(2, order)
-    q1 = cov.q1
-    # q2_tau = Q2 / q1^{1/2} = exp(-(log Q_1)/2); the constant -i pi in
-    # log Q_1 contributes the factor exp(i pi / 2) = i
-    q2t = cov.q2_tau
-    reports = []
+    """The n = 2 coefficient identities.
 
-    lhs = q1 * q2t * q2t           # should equal 1 (coefficient of q1^1)
-    diff = lhs - 1.0
-    k = max(range(order + 1), key=lambda i: abs(diff.c[i]))
-    reports.append(_report("Q1*Q2^2 = q1", abs(diff.c[k]),
-                           {"tau_power": k, "q_power": "1"}, tol))
+    Q2 (1 + Q1) = 2 q1^{1/2} sin(tau/2) holds exactly when
+    u = g(f(tau)) = tau (module docstring); its error is the largest
+    |coefficient| of u - tau, exact over the rationals. Q1 Q2^2 = q1
+    holds for every u and is not reported. The second report compares
+    the Gamma-value continuation with -i(pi - g(x)) in floating point.
+    """
+    u = change_of_variables(order)
+    diff = u - PuiseuxSeries.monomial(u.roster, u.order, {"t": 1})
+    (k,), err = max(sorted(diff.terms.items()), key=lambda kv: abs(kv[1]),
+                    default=((1,), 0))
+    reports = [_report("Q2*(1+Q1) = 2*q1^(1/2)*sin(tau2/2)", float(abs(err)),
+                       {"tau_power": k, "q_power": "1/2"}, tol)]
 
-    lhs2 = q2t * (q1 + 1.0)        # should equal 2 sin(tau/2) (times q^{1/2})
-    diff2 = lhs2 - _sin_half_poly(order)
-    k2 = max(range(order + 1), key=lambda i: abs(diff2.c[i]))
-    reports.append(_report("Q2*(1+Q1) = 2*q1^(1/2)*sin(tau2/2)",
-                           abs(diff2.c[k2]),
-                           {"tau_power": k2, "q_power": "1/2"}, tol))
-
-    # continuation-vs-closed-form consistency: the numeric continuation
-    # series must match -i*(pi - g(x)) coefficient-wise
     cont = continuation_wpn(2, min(order, 10))
-    g = cont.exact_reduction
+    g = wpn_g_series(2, min(order, 10))
     worst = 0.0
     we = 0
     for e, c in cont.coefficients.items():
@@ -526,7 +394,7 @@ def crc_numeric_samples(samples: int = 20, tol: float = 1e-10,
     |tau2| <= 1, z on the unit torus."""
     rng = random.Random(seed)
     pts = []
-    for _ in range(max(samples, 20)):
+    for _ in range(samples):
         q1 = rng.uniform(0.001, 0.05)
         tau = rng.uniform(-1.0, 1.0)
         z = (cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
@@ -552,11 +420,15 @@ def crc_verify(n: int, order: int = 12, samples: int = 20,
                tol: float = 1e-10, strict: bool = False) -> list[IdentityReport]:
     """Verify the open crepant-resolution identities for P(1,...,1,n).
 
-    n = 2 runs the exact series identities plus numeric sampling. For
+    n = 2 reports the exact composition g(f(tau)) = tau, the continuation
+    against -i(pi - g(x)) (see crc_exact_identities; both are held to
+    min(tol, 1e-12)), and the sampled comparison of the two potentials
+    on `samples` points, held to `tol`. Q1 Q2^2 = q1 is true for every
+    change of variables of the n = 2 form and is not reported. For
     n >= 3 the change of variables is non-affine and no independent
     closed form of W_Y on |Q1| = 1 is available, so the checks are
-    property-based: the stated leading coefficient of the continuation
-    and the branch consistency |Q1| = 1 for real tau.
+    property-based: the stated leading coefficient of the continuation,
+    held to 1e-12 whatever `tol` is.
     """
     if n < 2:
         raise UnsupportedN("crc requires n >= 2")
@@ -638,9 +510,11 @@ def specialization_check(pair: Optional[ResolutionPair] = None,
     return reports
 
 
-def pair_report(pair: ResolutionPair, order: int = 10) -> dict:
+def pair_report(pair: ResolutionPair, order: int = 10, samples: int = 20,
+                tol: float = 1e-10) -> dict:
     """Full report for a crepant pair: crepancy, chart gluing, and (for
-    the weighted family) continuation/CRC data."""
+    the weighted family) continuation/CRC data; `samples` and `tol` go
+    to crc_verify."""
     crep = verify_crepant(pair)
     out = {"crepancy": crep.to_json()}
     if not crep.crepant:
@@ -660,5 +534,6 @@ def pair_report(pair: ResolutionPair, order: int = 10) -> dict:
                              for e, c in sorted(cont.coefficients.items())},
             "note": cont.note,
         }
-        out["reports"] = [r.to_json() for r in crc_verify(n, order)]
+        out["reports"] = [r.to_json()
+                          for r in crc_verify(n, order, samples, tol)]
     return out

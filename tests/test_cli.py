@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import orbimirror.crc as crc_mod
 from orbimirror.cli import main
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
@@ -90,6 +91,30 @@ def test_crc_pair_passes(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["crepancy"]["crepant"] is True
+
+
+def test_crc_verifies_once(monkeypatch, capsys):
+    # --wpn naming the detected n reuses the pair report's checks
+    calls = []
+    verify = crc_mod.crc_verify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(crc_mod, "crc_verify", counting)
+    code, _ = run(capsys, "crc", P112, "--resolution", F2, "--wpn", "2")
+    assert code == 0 and len(calls) == 1
+
+
+def test_crc_honours_tol(capsys):
+    # the detected n = 2 reports are held to --tol without --wpn too
+    code, _ = run(capsys, "crc", P112, "--resolution", F2, "--tol", "1e-30")
+    assert code == 2
+
+
+def test_bad_samples_exits_1(capsys):
+    assert run(capsys, "crc", P112, "--resolution", F2, "--samples", "0")[0] == 1
 
 
 def test_specialize(capsys):

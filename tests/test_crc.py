@@ -1,13 +1,12 @@
 """Crepant resolution checks: gluing, continuation, potential identities."""
 
-import cmath
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from orbimirror.crc import (ChangeOfVariables, MismatchBeyondTolerance,
-                            ResolutionPair, TauPoly, UnsupportedN,
+from orbimirror.crc import (MismatchBeyondTolerance, ResolutionPair,
+                            UnsupportedN, change_of_variables,
                             continuation_wpn,
                             crc_exact_identities, crc_numeric_samples,
                             crc_verify, glue_charts, pair_report,
@@ -15,7 +14,7 @@ from orbimirror.crc import (ChangeOfVariables, MismatchBeyondTolerance,
                             verify_crepant, wpn_f_series, wpn_g_series)
 from orbimirror.families import f2_fan, kp_bundle_fan, p2_fan, wpn_fan
 from orbimirror.fan import StackyFan
-from orbimirror.series import eval_complex
+from orbimirror.series import PuiseuxSeries
 
 
 def wpn_pair(n):
@@ -113,27 +112,55 @@ def test_change_of_variables_tau_zero():
     assert abs(q1_closed(math.pi) - 1.0) < 1e-14
 
 
-def test_tau_poly_matches_cmath():
-    p = TauPoly.zero(10)
-    p.c[1] = 0.5 - 0.25j
-    p.c[2] = 0.125
-    e = p.exp()
-    # truncation at order 10 costs ~|tau|^11 / 11!
-    for tau in (0.0, 0.1, -0.2):
-        z = 0.5 * tau - 0.25j * tau + 0.125 * tau ** 2
-        assert abs(e.eval(tau) - cmath.exp(z)) < 1e-12
-
-
 def test_crc_exact_identities():
     reports = crc_exact_identities(order=12, tol=1e-12)
     assert all(r.status == "pass" for r in reports)
     assert max(r.max_error for r in reports) < 1e-12
 
 
+@pytest.mark.parametrize("order", [12, 20])
+def test_change_of_variables_is_exactly_tau(order):
+    # g(f(tau)) = tau over the rationals, so the identity reads 0.0
+    u = change_of_variables(order)
+    assert u.terms == {(1,): 1}
+    exact = crc_exact_identities(order=order)[0]
+    assert exact.identity.startswith("Q2*(1+Q1)")
+    assert exact.max_error == 0.0 and exact.status == "pass"
+
+
+def _perturbed(series_fn, power, name):
+    def perturbed(n, order):
+        s = series_fn(n, order)
+        return s + PuiseuxSeries.monomial(s.roster, s.order, {name: power},
+                                          F(1, 1000))
+    return perturbed
+
+
+def test_exact_identity_catches_perturbed_f(monkeypatch):
+    monkeypatch.setattr("orbimirror.crc.wpn_f_series",
+                        _perturbed(wpn_f_series, 5, "t"))
+    exact, cont = crc_exact_identities(order=12)
+    assert exact.status == "fail" and exact.max_error == 0.001
+    assert exact.worst_point["tau_power"] == 5
+    assert cont.status == "pass"
+
+
+def test_continuation_catches_perturbed_g(monkeypatch):
+    # f is recomputed as the inverse of the perturbed g, so only the
+    # comparison with the Gamma-value continuation can see the change
+    monkeypatch.setattr("orbimirror.crc.wpn_g_series",
+                        _perturbed(wpn_g_series, 3, "x"))
+    exact, cont = crc_exact_identities(order=12)
+    assert exact.status == "pass" and exact.max_error == 0.0
+    assert cont.status == "fail" and cont.worst_point["x_power"] == 3
+
+
 def test_crc_numeric_samples():
     rep = crc_numeric_samples(samples=20, tol=1e-10)
     assert rep.status == "pass"
     assert rep.max_error < 1e-10
+    # exactly `samples` points are evaluated
+    assert crc_numeric_samples(samples=5).worst_point["sample"] < 5
 
 
 def test_crc_numeric_deterministic():

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbimirror.exact import cone_index
@@ -121,6 +121,34 @@ def test_validate_cyclic_fans_match_angle_oracle(rays):
     k = len(rays)
     fan = StackyFan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
     assert validate_fan(fan).valid == _winds_once(rays)
+
+
+def _parallelepiped_count(g1, g2) -> int:
+    """Lattice points t1*g1 + t2*g2 with 0 <= t1, t2 < 1, by scanning the
+    bounding box and solving for (t1, t2) with Cramer's rule."""
+    d = g1[0] * g2[1] - g1[1] * g2[0]
+    xs = range(min(0, g1[0], g2[0], g1[0] + g2[0]),
+               max(0, g1[0], g2[0], g1[0] + g2[0]) + 1)
+    ys = range(min(0, g1[1], g2[1], g1[1] + g2[1]),
+               max(0, g1[1], g2[1], g1[1] + g2[1]) + 1)
+    return sum(0 <= F(x * g2[1] - y * g2[0], d) < 1
+               and 0 <= F(g1[0] * y - g1[1] * x, d) < 1
+               for x in xs for y in ys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cyclic_rays())
+def test_box_counts_match_determinants(rays):
+    # each maximal cone holds |det| Box elements, the identity included
+    k = len(rays)
+    fan = StackyFan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
+    assume(validate_fan(fan).valid)
+    box = compute_box(fan)
+    for cone in fan.max_cones:
+        g1, g2 = (rays[i] for i in cone)
+        index = abs(g1[0] * g2[1] - g1[1] * g2[0])
+        inside = sum(set(el.cone) <= set(cone) for el in box)
+        assert inside + 1 == index == _parallelepiped_count(g1, g2)
 
 
 def test_fan_validated_once(monkeypatch):
