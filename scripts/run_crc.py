@@ -2,9 +2,13 @@
 """Run the full crepant-resolution report for the weighted family.
 
 For each n this verifies crepancy of P(1,...,1,n) against its canonical
-resolution, prints the chart gluing, and runs the open-CRC checks
-(exact identities plus numeric sampling for n = 2, property-based checks
-for n >= 3).
+resolution, prints the chart gluing, and runs the open-CRC checks: for
+n = 2 the exact composition g(f(tau)) = tau, the continuation against
+-i(pi - g(x)) and the sampled comparison of the two potentials; for
+n >= 3 one check of the continuation's x^1 coefficient against its
+Gamma-reflection form (W_X = W_Y(Q) is not compared for n >= 3).
+
+    python scripts/run_crc.py --max-n 4
 """
 
 import argparse

@@ -3,7 +3,8 @@
 Commands operate on a stacky-fan JSON file
 ({"dim": int, "stacky_vectors": [[int]], "max_cones": [[int]],
 optional "labels": [int]}) and emit text, canonical JSON, or CSV.
-Exit codes: 0 success, 2 verification failure, 1 input error.
+Each command accepts only the flags it reads (`build_parser`).
+Exit codes: 0 success, 2 verification failure, 1 input or usage error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional
 
 from . import crc as crc_mod
 from .extended import build_extended
+from .families import wpn_index
 from .fan import (StackyFan, basic_box_class, fan_from_json, fan_to_json,
                   is_gorenstein, star_subdivide_xbar, wall_curve_classes)
 from .mirror import extract_open_gw, hori_vafa, lf_superpotential, mirror_map
@@ -85,15 +87,6 @@ def _emit(payload: dict, fmt: str, out: Optional[str],
         sys.stdout.write(text)
 
 
-def _gauge_arg(arg: Optional[str]) -> Optional[tuple[int, ...]]:
-    if arg is None:
-        return None
-    try:
-        return tuple(sorted(int(x) for x in arg.split(",")))
-    except ValueError:
-        raise SchemaError(f"bad --gauge value {arg!r}; expected e.g. '0,2'")
-
-
 # -- command implementations ---------------------------------------------
 
 
@@ -158,7 +151,7 @@ def _potential_json(pot) -> dict:
 def cmd_hori_vafa(args) -> int:
     fan = _load_fan(args.fan)
     ext = build_extended(fan)
-    pot = hori_vafa(ext, _gauge_arg(args.gauge), order=args.order)
+    pot = hori_vafa(ext, args.gauge, order=args.order)
     _emit(_potential_json(pot), args.format, args.out)
     return 0
 
@@ -178,7 +171,7 @@ def cmd_mirror_map(args) -> int:
 def cmd_superpotential(args) -> int:
     fan = _load_fan(args.fan)
     ext = build_extended(fan)
-    lf = lf_superpotential(ext, args.order, _gauge_arg(args.gauge))
+    lf = lf_superpotential(ext, args.order, args.gauge)
     payload = _potential_json(lf.potential)
     payload["status"] = lf.status
     _emit(payload, args.format, args.out)
@@ -188,7 +181,7 @@ def cmd_superpotential(args) -> int:
 def cmd_open_gw(args) -> int:
     fan = _load_fan(args.fan)
     ext = build_extended(fan)
-    lf = lf_superpotential(ext, args.order, _gauge_arg(args.gauge))
+    lf = lf_superpotential(ext, args.order, args.gauge)
     tab = extract_open_gw(lf, ext)
     rows = []
     for (j, qe, te), v in sorted(tab.entries.items()):
@@ -229,9 +222,8 @@ def cmd_crc(args) -> int:
     payload = crc_mod.pair_report(pair, order=args.order,
                                   samples=args.samples, tol=args.tol)
     if args.wpn is not None and args.wpn != payload.get("wpn"):
-        reports = crc_mod.crc_verify(args.wpn, order=args.order,
-                                     samples=args.samples, tol=args.tol)
-        payload["reports"] = [r.to_json() for r in reports]
+        raise SchemaError(f"--wpn {args.wpn} does not match the pair "
+                          f"(detected n: {payload.get('wpn')})")
     failed = (not payload["crepancy"]["crepant"]
               or any(r["status"] != "pass" for r in payload.get("reports", ())))
     _emit(payload, args.format, args.out)
@@ -240,26 +232,61 @@ def cmd_crc(args) -> int:
 
 def cmd_specialize(args) -> int:
     fan = _load_fan(args.fan)
-    pair = None
     if args.resolution:
-        pair = crc_mod.ResolutionPair.make(fan, _load_fan(args.resolution))
-    reports = crc_mod.specialization_check(pair, order=args.order)
+        n = crc_mod.pair_wpn_index(
+            crc_mod.ResolutionPair.make(fan, _load_fan(args.resolution)))
+    else:
+        n = wpn_index(fan)
+    reports = crc_mod.specialization_check(n, tol=args.tol)
     payload = {"reports": [r.to_json() for r in reports]}
     _emit(payload, args.format, args.out)
     return 0 if all(r.status == "pass" for r in reports) else 2
 
 
+# command -> (implementation, the flags it reads besides --format and --out)
 COMMANDS = {
-    "validate": cmd_validate,
-    "box": cmd_box,
-    "check": cmd_check,
-    "hori-vafa": cmd_hori_vafa,
-    "mirror-map": cmd_mirror_map,
-    "superpotential": cmd_superpotential,
-    "open-gw": cmd_open_gw,
-    "xbar": cmd_xbar,
-    "crc": cmd_crc,
-    "specialize": cmd_specialize,
+    "validate": (cmd_validate, ()),
+    "box": (cmd_box, ()),
+    "check": (cmd_check, ()),
+    "hori-vafa": (cmd_hori_vafa, ("--order", "--gauge")),
+    "mirror-map": (cmd_mirror_map, ("--order",)),
+    "superpotential": (cmd_superpotential, ("--order", "--gauge")),
+    "open-gw": (cmd_open_gw, ("--order", "--gauge")),
+    "xbar": (cmd_xbar, ()),
+    "crc": (cmd_crc, ("--order", "--resolution", "--tol", "--samples",
+                      "--wpn")),
+    "specialize": (cmd_specialize, ("--resolution", "--tol")),
+}
+
+
+def _positive(cast):
+    """argparse type: cast(text), which must be > 0."""
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = f"positive {cast.__name__}"
+    return parse
+
+
+def _gauge(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(sorted(int(x) for x in text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not like '0,2'")
+
+
+FLAGS = {
+    "--order": dict(type=_positive(int), default=10,
+                    help="series truncation order"),
+    "--gauge": dict(type=_gauge, help="gauge cone ray indices, e.g. 0,2"),
+    "--resolution": dict(help="path to the resolution fan JSON file"),
+    "--tol": dict(type=_positive(float), default=1e-10,
+                  help="largest error of a passing report"),
+    "--samples": dict(type=_positive(int), default=20,
+                      help="points of the sampled n = 2 comparison"),
+    "--wpn": dict(type=int, help="the n that the pair must have"),
 }
 
 
@@ -269,44 +296,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Landau-Ginzburg mirrors, open invariants, and "
                     "crepant-resolution checks for toric orbifolds.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("fan", help="path to a stacky-fan JSON file")
-        sp.add_argument("--order", type=int, default=10)
-        sp.add_argument("--gauge", default=None,
-                        help="comma-separated ray indices of the gauge cone")
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
         sp.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
-        sp.add_argument("--samples", type=int, default=20)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--resolution", default=None,
-                        help="path to the resolution fan JSON file")
-        sp.add_argument("--wpn", type=int, default=None,
-                        help="n for the P(1,...,1,n) family closed forms")
         sp.add_argument("--out", default=None, help="write output to a file")
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 1
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return 1
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 1
     try:
-        return COMMANDS[args.command](args)
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except crc_mod.MismatchBeyondTolerance as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2 on a usage error, which is
+        # an input error here: exit code 2 means a failed verification
+        return 0 if e.code == 0 else 1
+    try:
+        return COMMANDS[args.command][0](args)
     except (ValueError, KeyError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from .exact import (Vec, integer_solve, lattice_generates, snf_kernel_basis,
                     solve_unique)
-from .fan import BoxElement, StackyFan, require_valid, wall_curve_classes
+from .fan import (BoxElement, InvalidFanError, StackyFan, require_valid,
+                  wall_curve_classes)
 
 
 class LatticeNotGeneratedError(ValueError):

@@ -1,6 +1,7 @@
 """Ready-made stacky fans for the families studied by the package.
 
-All constructors return validated `StackyFan` objects:
+The constructors return `StackyFan` objects; as for any fan, validation
+runs on first use of `fan.report` (or `fan.box`), not at construction:
   * `wpn_fan(n)` — the weighted projective space P(1,...,1,n) with n
     ones, of dimension n, with a single Z_n quotient singularity;
   * `kp_bundle_fan(n)` — its crepant resolution, the projective bundle
@@ -10,12 +11,16 @@ All constructors return validated `StackyFan` objects:
   * `f2_fan()` — the Hirzebruch surface F_2 = kp_bundle_fan(2);
   * `p1_orbifold(a, b)` — the football P^1_{a,b} with two cyclic
     orbifold points.
+
+`wpn_index(fan)` recognises the P(1,...,1,n) family.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Optional
 
+from .exact import cone_index
 from .fan import StackyFan
 
 
@@ -35,6 +40,18 @@ def wpn_fan(n: int) -> StackyFan:
     rays.append(tuple([0] * (dim - 1) + [-1]))
     cones = list(combinations(range(dim + 1), dim))
     return StackyFan.make(dim, tuple(rays), tuple(cones))
+
+
+def wpn_index(fan: StackyFan) -> Optional[int]:
+    """n if `fan` has the shape of P(1,...,1,n), else None: dim + 1 rays,
+    one maximal cone of index n > 1, n = dim, and Box ages 1, ..., n - 1."""
+    n = fan.dim
+    if len(fan.stacky_vectors) != n + 1:
+        return None
+    indices = [cone_index(fan.cone_generators(c)) for c in fan.max_cones]
+    if [k for k in indices if k > 1] != [n]:
+        return None
+    return n if sorted(el.age for el in fan.box) == list(range(1, n)) else None
 
 
 def kp_bundle_fan(n: int) -> StackyFan:

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .exact import Vec, solve_unique
 from .extended import ExtendedFanData, KEffElement, keff_enumerate
+from .families import wpn_index
 from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
                   star_subdivide_xbar, wall_curve_classes)
 from .series import (PuiseuxSeries, Roster, make_roster, multivar_invert,
@@ -277,7 +278,7 @@ def _gauge_exponents(ext: ExtendedFanData, gauge: Sequence[int]) -> dict[int, li
 
 
 def hori_vafa(ext: ExtendedFanData, gauge: Optional[Sequence[int]] = None,
-              chart_prefix: str = "y", order=10) -> Potential:
+              order=10) -> Potential:
     """W^HV: one term z^{b_j} (or z^nu) per extended ray; coefficients are
     monomials in the chart coordinates, C_j = 1 on the gauge cone."""
     gauge = tuple(gauge) if gauge is not None else ext.fan.max_cones[0]
@@ -286,7 +287,7 @@ def hori_vafa(ext: ExtendedFanData, gauge: Optional[Sequence[int]] = None,
     expo = _gauge_exponents(ext, gauge)
     fracs = [x for exps in expo.values() for x in exps]
     denoms = _chart_denoms(ext, [], fracs)
-    names = [f"{chart_prefix}{a + 1}" for a in range(ext.r_prime)]
+    names = [f"y{a + 1}" for a in range(ext.r_prime)]
     roster = make_roster(names, denoms, [False] * ext.r_prime)
     vectors = ext.all_vectors()
     terms = []
@@ -305,18 +306,8 @@ def _theorem_status(ext: ExtendedFanData) -> str:
     """Open mirror theorem coverage: manifolds and the P(1,..,1,n) family."""
     if not ext.box:
         return "proved (manifold)"
-    fan = ext.fan
-    if ext.m == fan.dim + 1:
-        indices = []
-        from .exact import cone_index
-        for c in fan.max_cones:
-            indices.append(cone_index(fan.cone_generators(c)))
-        big = [i for i in indices if i > 1]
-        if len(big) == 1:
-            k = big[0]
-            ages = sorted(el.age for el in ext.box)
-            if ages == [Fraction(i) for i in range(1, k)]:
-                return "proved (P(1,...,1,n) family)"
+    if wpn_index(ext.fan) is not None:
+        return "proved (P(1,...,1,n) family)"
     return "conjectural via the open mirror theorem"
 
 
@@ -335,7 +326,7 @@ def lf_superpotential(ext: ExtendedFanData, order=10,
     order = Fraction(order)
     mm = mirror_map(ext, order, iseries)
     Y = mm.inverse()
-    hv = hori_vafa(ext, gauge, chart_prefix="y", order=order)
+    hv = hori_vafa(ext, gauge, order=order)
     # align the HV chart roster (possibly finer denominators) with the
     # mirror-map images
     images = {}
@@ -421,16 +412,15 @@ class BridgeReport:
     match: Optional[bool]
 
 
-def closed_h0_z2(ext: ExtendedFanData, order, iseries: Optional[ISeries] = None,
-                 roster: Optional[Roster] = None) -> PuiseuxSeries:
+def closed_h0_z2(ext: ExtendedFanData, order,
+                 iseries: Optional[ISeries] = None) -> PuiseuxSeries:
     """H^0 part of the 1/z^2 coefficient of the I-function, as a y-series."""
     order = Fraction(order)
     if iseries is None:
         iseries = i_function(ext, order)
-    if roster is None:
-        names = [f"y{a + 1}" for a in range(ext.r_prime)]
-        roster = make_roster(names, _chart_denoms(ext, iseries.elements),
-                             [False] * ext.r_prime)
+    names = [f"y{a + 1}" for a in range(ext.r_prime)]
+    roster = make_roster(names, _chart_denoms(ext, iseries.elements),
+                         [False] * ext.r_prime)
     zero_p = (0,) * ext.r
     zero_nu = (0,) * ext.dim
     out = PuiseuxSeries.zero(roster, order)

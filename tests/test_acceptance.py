@@ -146,7 +146,7 @@ def test_criterion_4_open_crc_n2():
 
 
 def test_criterion_5_specialization():
-    reports = specialization_check(order=12)
+    reports = specialization_check(2)
     ok = all(r.status == "pass" for r in reports)
     report(5, "exceptional term of the resolved potential vanishes at "
               "tau2 = 0 (exactly in closed form, <= 1e-12 sampled)", ok)
@@ -205,9 +205,11 @@ def test_criterion_6_box_size_equals_index():
 
 
 def roundtrip_exact(fan, order) -> bool:
+    """The inverse Y(q, tau) of the mirror map gives back q_a = Y_a
+    exp(A_a(Y)) and tau_b = B_b(Y), each at the order the substitution
+    returns."""
     ext = build_extended(fan)
     mm = mirror_map(ext, order)
-    Y = ext_images = None
     Y = mm.inverse()
     images = {mm.y_roster.names[a]: Y[a] for a in range(len(Y))}
     for a, A in enumerate(mm.log_corrections):
@@ -217,12 +219,23 @@ def roundtrip_exact(fan, order) -> bool:
                                    {mm.q_names[a]: 1})
         if prod != q.truncate(prod.order):
             return False
+    for b, B in enumerate(mm.tau):
+        back = substitute(B, images, order)
+        tau = PuiseuxSeries.monomial(back.roster, back.order,
+                                     {mm.tau_names[b]: 1})
+        if back != tau.truncate(back.order):
+            return False
     return True
 
 
+# every bundled fan whose mirror map inverts (P^1_{3,5} does not yet)
+ROUNDTRIP_FANS = ("p112", "p113", "p114", "f2", "kp3", "p2", "p1")
+
+
 def test_criterion_7_mirror_roundtrips():
-    ok = all(roundtrip_exact(f, 10)
-             for f in (wpn_fan(2), wpn_fan(3), wpn_fan(4), f2_fan()))
+    ok = all(roundtrip_exact(
+        fan_from_json(json.loads((FANS / f"{name}.json").read_text())), 10)
+        for name in ROUNDTRIP_FANS)
     rng = random.Random(20240817)
     roster = make_roster(["t"])
     for _ in range(100):
@@ -238,8 +251,9 @@ def test_criterion_7_mirror_roundtrips():
         if comp != t.truncate(comp.order):
             ok = False
             break
-    report(7, "mirror map round-trips exactly to order 10 for P(1,1,n) "
-              "n = 2,3,4 and F2; series inversion composes to the identity "
+    report(7, "mirror map round-trips exactly in q and tau to order 10 "
+              "on the bundled fans P(1,...,1,n) n = 2,3,4, F2, kp3, P2 "
+              "and P1; series inversion composes to the identity "
               "on 100 random series at order 12", ok)
 
 

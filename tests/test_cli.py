@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -9,12 +10,14 @@ from pathlib import Path
 import pytest
 
 import orbimirror.crc as crc_mod
-from orbimirror.cli import main
+from orbimirror.cli import build_parser, main
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 P112 = str(FANS / "p112.json")
 F2 = str(FANS / "f2.json")
 P2 = str(FANS / "p2.json")
+P113 = str(FANS / "p113.json")
+P1_3_5 = str(FANS / "p1_3_5.json")
 
 
 def run(capsys, *argv):
@@ -49,7 +52,42 @@ def test_missing_schema_key_exits_1(tmp_path, capsys):
 
 
 def test_bad_order_exits_1(capsys):
-    assert run(capsys, "box", P112, "--order", "0")[0] == 1
+    assert run(capsys, "open-gw", P112, "--order", "0")[0] == 1
+
+
+def test_missing_fan_exits_1(capsys):
+    assert run(capsys, "validate")[0] == 1
+
+
+def test_unknown_flag_exits_1(capsys):
+    # validate reads no --order, so it does not accept one
+    assert run(capsys, "validate", P112, "--order", "5")[0] == 1
+
+
+def test_help_exits_0(capsys):
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "crc", "--help")[0] == 0
+
+
+def _flags(parser):
+    return {a.option_strings[0] for a in parser._actions if a.option_strings
+            and a.dest != "help"}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: _flags(p) - {"--format", "--out"}
+             for name, p in sub.choices.items()}
+    series = {"--order", "--gauge"}
+    assert flags == {
+        "validate": set(), "box": set(), "check": set(), "xbar": set(),
+        "hori-vafa": series, "superpotential": series, "open-gw": series,
+        "mirror-map": {"--order"},
+        "crc": {"--order", "--resolution", "--tol", "--samples", "--wpn"},
+        "specialize": {"--resolution", "--tol"},
+    }
+    assert sum(len(f) + 2 for f in flags.values()) == 34
 
 
 def test_box_smooth_fan_empty(capsys):
@@ -113,6 +151,12 @@ def test_crc_honours_tol(capsys):
     assert code == 2
 
 
+def test_crc_wpn_mismatch_exits_1(capsys):
+    assert run(capsys, "crc", P112, "--resolution", F2, "--wpn", "3")[0] == 1
+    # a pair outside the family has no n to match
+    assert run(capsys, "crc", P2, "--resolution", P2, "--wpn", "2")[0] == 1
+
+
 def test_bad_samples_exits_1(capsys):
     assert run(capsys, "crc", P112, "--resolution", F2, "--samples", "0")[0] == 1
 
@@ -122,6 +166,17 @@ def test_specialize(capsys):
     assert code == 0
     for rep in json.loads(out)["reports"]:
         assert rep["status"] == "pass"
+
+
+def test_specialize_honours_tol(capsys):
+    assert run(capsys, "specialize", P112, "--resolution", F2,
+               "--tol", "1e-30")[0] == 2
+
+
+@pytest.mark.parametrize("fan", [P113, P1_3_5])
+def test_specialize_reads_the_fan(fan, capsys):
+    # only P(1,1,2) has the n = 2 closed form; other fans exit 1
+    assert run(capsys, "specialize", fan)[0] == 1
 
 
 def test_json_deterministic(capsys):

@@ -5,13 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbimirror.crc import (MismatchBeyondTolerance, ResolutionPair,
+from orbimirror.crc import (ContinuationFormula, ResolutionPair,
                             UnsupportedN, change_of_variables,
                             continuation_wpn,
                             crc_exact_identities, crc_numeric_samples,
                             crc_verify, glue_charts, pair_report,
-                            q1_closed, q2_closed, specialization_check,
-                            verify_crepant, wpn_f_series, wpn_g_series)
+                            pair_wpn_index, q1_closed, q2_closed,
+                            specialization_check, verify_crepant,
+                            wpn_f_series, wpn_g_series)
 from orbimirror.families import f2_fan, kp_bundle_fan, p2_fan, wpn_fan
 from orbimirror.fan import StackyFan
 from orbimirror.series import PuiseuxSeries
@@ -176,16 +177,48 @@ def test_crc_verify_n2_and_n3():
     assert all(r.status == "pass" for r in rep3)
 
 
-def test_crc_verify_strict_raises():
-    with pytest.raises(MismatchBeyondTolerance):
-        crc_verify(2, order=10, samples=10, tol=1e-30, strict=True)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_crc_verify_reflection_form(n):
+    # one report for n >= 3: the Gamma(1 - 1/n) coefficient against its
+    # Gamma(1/n) reflection form
+    (rep,) = crc_verify(n, order=10)
+    assert rep.status == "pass" and rep.max_error < 1e-14
+    assert rep.worst_point == {"x_power": 1}
+    assert "W_X = W_Y(Q) is not compared" in continuation_wpn(n).note
+
+
+def _gamma_swapped(n, order=10):
+    # continuation_wpn with Gamma(l/n) in place of Gamma(1 - l/n)
+    cont = continuation_wpn(n, order)
+    coeffs = dict(cont.coefficients)
+    c = -math.pi / (math.gamma(1 / n) ** n * math.sin(math.pi / n))
+    if n % 2 == 0:
+        c *= complex(math.cos(math.pi / n), -math.sin(math.pi / n))
+    coeffs[1] = c
+    return ContinuationFormula(n, cont.parity, cont.constant, coeffs,
+                               cont.note)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_crc_verify_catches_swapped_gamma(monkeypatch, n):
+    monkeypatch.setattr("orbimirror.crc.continuation_wpn", _gamma_swapped)
+    (rep,) = crc_verify(n, order=10)
+    assert rep.status == "fail" and rep.max_error > 0.1
+
+
+def test_crc_verify_n3_holds_to_tol():
+    assert crc_verify(3, order=8, tol=1e-30)[0].status == "fail"
 
 
 def test_specialization():
-    reports = specialization_check(order=12)
+    reports = specialization_check(2)
     assert all(r.status == "pass" for r in reports)
     with pytest.raises(UnsupportedN):
-        specialization_check(pair=wpn_pair(3))
+        specialization_check(pair_wpn_index(wpn_pair(3)))
+    with pytest.raises(UnsupportedN):
+        specialization_check(None)
+    # each report is held to min(tol, its bound)
+    assert specialization_check(2, tol=1e-30)[1].status == "fail"
 
 
 def test_pair_report_wpn():

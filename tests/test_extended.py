@@ -1,5 +1,6 @@
 """Extended fan data: kernel bases, pushforwards, effective classes."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from orbimirror.extended import (LatticeNotGeneratedError, build_extended,
                                  keff_enumerate)
 from orbimirror.families import f2_fan, p1_orbifold, p2_fan, wpn_fan
-from orbimirror.fan import StackyFan
+from orbimirror.fan import InvalidFanError, StackyFan
 
 
 def test_p112_extended_shape():
@@ -106,3 +107,11 @@ def test_keff_bound_monotone():
     small = {el.delta for el in keff_enumerate(ext, 2)}
     large = {el.delta for el in keff_enumerate(ext, 4)}
     assert small < large
+
+
+def test_keff_sector_outside_box_raises():
+    # a class whose twisted sector is missing from the Box is an input
+    # fault, reported as InvalidFanError
+    ext = dataclasses.replace(build_extended(wpn_fan(2)), box=())
+    with pytest.raises(InvalidFanError, match="is not a Box element"):
+        keff_enumerate(ext, 4)

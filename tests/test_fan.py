@@ -1,7 +1,9 @@
 """Stacky fans: validation, Box elements, walls, polytopes, subdivisions."""
 
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,13 +24,31 @@ from orbimirror.fan import (DiscClass, IncompleteFanError,
                             star_subdivide_xbar, validate_fan,
                             wall_curve_classes)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
-                                 wpn_fan)
+                                 wpn_fan, wpn_index)
 
 
 def test_validate_families():
     for fan in (wpn_fan(2), wpn_fan(3), wpn_fan(4), f2_fan(),
                 kp_bundle_fan(3), p2_fan(), p1_orbifold(3, 5)):
         assert validate_fan(fan).valid
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wpn_index_family(n):
+    assert wpn_index(wpn_fan(n)) == n
+
+
+@pytest.mark.parametrize("name", ["f2", "kp3", "p1", "p1_3_5", "p2"])
+def test_wpn_index_bundled_non_family(name):
+    path = Path(__file__).resolve().parent.parent / "fans" / f"{name}.json"
+    assert wpn_index(fan_from_json(json.loads(path.read_text()))) is None
+
+
+def test_wpn_index_non_family():
+    # P^1_{2,1} has one index-2 cone, but n = 2 != dim = 1 and its one
+    # twisted sector has age 1/2
+    for fan in (kp_bundle_fan(3), p1_orbifold(3, 5), p1_orbifold(2, 1)):
+        assert wpn_index(fan) is None
 
 
 def test_validate_incomplete():
