@@ -8,7 +8,7 @@ n = 2 the exact composition g(f(tau)) = tau, the continuation against
 n >= 3 one check of the continuation's x^1 coefficient against its
 Gamma-reflection form (W_X = W_Y(Q) is not compared for n >= 3).
 
-    python scripts/run_crc.py --max-n 4
+    python scripts/run_crc.py --max-n 6
 """
 
 import argparse

@@ -232,13 +232,19 @@ def cmd_crc(args) -> int:
 
 def cmd_specialize(args) -> int:
     fan = _load_fan(args.fan)
+    payload = {}
     if args.resolution:
-        n = crc_mod.pair_wpn_index(
-            crc_mod.ResolutionPair.make(fan, _load_fan(args.resolution)))
+        pair = crc_mod.ResolutionPair.make(fan, _load_fan(args.resolution))
+        crep = crc_mod.verify_crepant(pair)
+        payload["crepancy"] = crep.to_json()
+        if not crep.crepant:
+            _emit(payload, args.format, args.out)
+            return 2
+        n = crc_mod.pair_wpn_index(pair)
     else:
         n = wpn_index(fan)
     reports = crc_mod.specialization_check(n, tol=args.tol)
-    payload = {"reports": [r.to_json() for r in reports]}
+    payload["reports"] = [r.to_json() for r in reports]
     _emit(payload, args.format, args.out)
     return 0 if all(r.status == "pass" for r in reports) else 2
 

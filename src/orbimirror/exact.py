@@ -208,6 +208,12 @@ def det(A: Sequence[Sequence]) -> Fraction:
     return sign * d
 
 
+def coordinates(vectors: Sequence[Sequence], w: Sequence) -> Optional[list[Fraction]]:
+    """The unique c with w = sum c_k vectors[k], for independent vectors,
+    or None when w is outside their span."""
+    return solve_unique([[v[j] for v in vectors] for j in range(len(w))], w)
+
+
 def cone_coefficients(generators: Sequence[Sequence], v: Sequence) -> Optional[list[Fraction]]:
     """Coefficients of v on independent generators, if all nonnegative.
 
@@ -217,9 +223,7 @@ def cone_coefficients(generators: Sequence[Sequence], v: Sequence) -> Optional[l
     """
     if not generators:
         raise DependentGeneratorsError("no generators")
-    n = len(generators[0])
-    A = [[Fraction(g[i]) for g in generators] for i in range(n)]
-    c = solve_unique(A, [Fraction(x) for x in v])
+    c = coordinates(generators, v)
     if c is None or any(x < 0 for x in c):
         return None
     return c

@@ -13,10 +13,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .exact import (Vec, integer_solve, lattice_generates, snf_kernel_basis,
-                    solve_unique)
+from .exact import (Vec, coordinates, det, integer_solve, lattice_generates,
+                    snf_kernel_basis, solve_unique)
 from .fan import (BoxElement, InvalidFanError, StackyFan, require_valid,
                   wall_curve_classes)
 
@@ -58,15 +58,6 @@ class ExtendedFanData:
         return sum(Fraction(da) * self.basis[a][j] for a, da in enumerate(delta))
 
 
-def _express_in_kernel(kernel: Sequence[Vec], w: Sequence[Fraction]) -> list[Fraction]:
-    m = len(w)
-    A = [[Fraction(kernel[a][j]) for a in range(len(kernel))] for j in range(m)]
-    sol = solve_unique(A, [Fraction(x) for x in w])
-    if sol is None:
-        raise BasisShapeInfeasibleError("vector not in the kernel lattice span")
-    return sol
-
-
 def _scale_primitive(w: Sequence[Fraction]) -> Vec:
     den = 1
     for x in w:
@@ -79,88 +70,31 @@ def _scale_primitive(w: Sequence[Fraction]) -> Vec:
 
 
 def _nef_base_basis(kernel: list[Vec], walls: list[Vec]) -> list[Vec]:
-    """An integral basis of the base kernel on which every wall class is
-    nonnegative; ordered by (c1, lex), lexicographically smallest among
-    qualifying bases."""
+    """A unimodular basis of the base kernel on which every wall class has
+    nonnegative coordinates.
+
+    The wall classes span the Mori cone (Reid, "Decomposition of toric
+    morphisms", 1983), so a nef basis inside that cone can only be its
+    primitive extremal wall classes. For kernel rank r <= 2 the candidates
+    are the r-subsets of the distinct primitive wall classes, each ordered
+    by (c1, lex); at most one of them qualifies. For r > 2, where the
+    subsets grow as C(|walls|, r), the one candidate is the SNF kernel
+    basis in its own order.
+    """
     r = len(kernel)
-    if r == 0:
-        return []
-    # wall classes in kernel coordinates
-    wcoords = [_express_in_kernel(kernel, [Fraction(x) for x in w]) for w in walls]
-
-    def combo(c: Sequence[int]) -> Vec:
-        return tuple(sum(c[a] * kernel[a][j] for a in range(r))
-                     for j in range(len(kernel[0])))
-
-    if r == 1:
-        for sign in (1, -1):
-            if all(sign * wc[0] >= 0 for wc in wcoords):
-                return [combo((sign,))]
-        raise BasisShapeInfeasibleError("no sign makes the kernel basis nef")
-    if r == 2:
-        def in_wall_cone(c) -> bool:
-            # c (kernel coords) must be a nonnegative combination of the
-            # wall classes; in rank 2 it suffices to test pairs
-            cf = [Fraction(x) for x in c]
-            for wi in wcoords:
-                for wj in wcoords:
-                    d = wi[0] * wj[1] - wi[1] * wj[0]
-                    if d == 0:
-                        continue
-                    al = (cf[0] * wj[1] - cf[1] * wj[0]) / d
-                    be = (wi[0] * cf[1] - wi[1] * cf[0]) / d
-                    if al >= 0 and be >= 0:
-                        return True
-            # colinear fallback
-            for wi in wcoords:
-                if any(wi):
-                    k = None
-                    ok = True
-                    for x, y in zip(cf, wi):
-                        if y == 0:
-                            if x != 0:
-                                ok = False
-                            continue
-                        q = x / y
-                        if k is None:
-                            k = q
-                        elif q != k:
-                            ok = False
-                    if ok and k is not None and k >= 0:
-                        return True
-            return False
-
-        rng = range(-4, 5)
-        cands = [c for c in itertools.product(rng, rng)
-                 if math.gcd(c[0], c[1]) == 1 and in_wall_cone(c)]
-        best = None
-        for c1 in cands:
-            for c2 in cands:
-                if c1[0] * c2[1] - c1[1] * c2[0] not in (1, -1):
-                    continue
-                ok = True
-                for wc in wcoords:
-                    sol = solve_unique([[Fraction(c1[0]), Fraction(c2[0])],
-                                        [Fraction(c1[1]), Fraction(c2[1])]],
-                                       [wc[0], wc[1]])
-                    if sol is None or any(x < 0 for x in sol):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                v1, v2 = combo(c1), combo(c2)
-                pair = sorted([v1, v2], key=lambda v: (sum(v), v))
-                if best is None or pair < best:
-                    best = pair
-        if best is None:
-            raise BasisShapeInfeasibleError("no nef basis found in search window")
-        return best
-    # higher rank: accept the raw kernel basis only if already nef
-    for wc in wcoords:
-        if any(x < 0 for x in wc):
-            raise BasisShapeInfeasibleError(
-                "nef basis search not implemented for kernel rank > 2")
-    return [tuple(v) for v in kernel]
+    wcoords = {w: coordinates(kernel, w) for w in walls}
+    if None in wcoords.values():
+        raise BasisShapeInfeasibleError("wall class not in the kernel lattice span")
+    candidates = [kernel] if r > 2 else [
+        sorted(s, key=lambda v: (sum(v), v))
+        for s in itertools.combinations(sorted(wcoords), r)]
+    for cand in candidates:
+        ccoords = [coordinates(kernel, v) for v in cand]
+        if abs(det(ccoords)) == 1 and all(min(coordinates(ccoords, wc)) >= 0
+                                          for wc in wcoords.values()):
+            return [tuple(v) for v in cand]
+    raise BasisShapeInfeasibleError(
+        f"no nef unimodular basis of kernel rank {r} among the candidates")
 
 
 def build_extended(fan: StackyFan) -> ExtendedFanData:
@@ -231,8 +165,10 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
                 raise BasisShapeInfeasibleError("push-forward outside base kernel")
             dtilde.append(())
         else:
-            dtilde.append(tuple(_express_in_kernel(
-                [b[:m] for b in basis[:r]], v)))
+            coords = coordinates([b[:m] for b in basis[:r]], v)
+            if coords is None:
+                raise BasisShapeInfeasibleError("push-forward outside base kernel")
+            dtilde.append(tuple(coords))
     return ExtendedFanData(fan, box, extra, tuple(basis), tuple(t_extra),
                            tuple(dtilde), m, m_prime, r, r_prime)
 
@@ -244,13 +180,6 @@ class KEffElement:
     nu: Vec                          # twisted sector (zero vector if none)
     zweight: int                     # w(d) = sum ceil <D_j, d>
     weight: Fraction                 # sum of delta (truncation weight)
-
-
-def _delta_of_pairings(ext: ExtendedFanData, w: Sequence[Fraction]) -> Optional[tuple]:
-    A = [[Fraction(ext.basis[a][j]) for a in range(ext.r_prime)]
-         for j in range(ext.m_prime)]
-    sol = solve_unique(A, [Fraction(x) for x in w])
-    return tuple(sol) if sol is not None else None
 
 
 def keff_enumerate(ext: ExtendedFanData, bound) -> list[KEffElement]:
@@ -279,14 +208,14 @@ def keff_enumerate(ext: ExtendedFanData, bound) -> list[KEffElement]:
             for idx, val in zip(sigma, wsig):
                 w[idx] = val
             w[j] = Fraction(1)
-            delta = _delta_of_pairings(ext, w)
+            delta = coordinates(ext.basis, w)
             if delta is None:
                 raise BasisShapeInfeasibleError("pairing vector outside the kernel")
             omega = sum(delta)
             if omega <= 0:
                 raise EnumerationUnboundedError(
                     f"direction {j} of cone {sigma} has nonpositive weight {omega}")
-            units.append((tuple(w), delta, omega))
+            units.append((tuple(w), tuple(delta), omega))
 
         def rec(idx: int, w_acc, delta_acc, weight_acc):
             if weight_acc > bound:

@@ -73,9 +73,6 @@ class StackyFan:
             out.append(g)
         return tuple(out)
 
-    def primitive_rays(self) -> tuple[Vec, ...]:
-        return tuple(primitive_vector(v) for v in self.stacky_vectors)
-
     def cone_generators(self, cone: Sequence[int]) -> list[Vec]:
         return [self.stacky_vectors[i] for i in cone]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Vec, solve_unique
+from .exact import Vec, coordinates, solve_unique
 from .extended import ExtendedFanData, KEffElement, keff_enumerate
 from .families import wpn_index
 from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
@@ -467,9 +467,7 @@ def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeRepor
         for j, t in zip(el.cone, el.t):
             w[j] += t
     w[xbar.new_ray_index] += 1
-    A = [[Fraction(ext.basis[a][j]) for a in range(ext.r_prime)]
-         for j in range(ext.m_prime)]
-    delta = solve_unique(A, w)
+    delta = coordinates(ext.basis, w)
     if delta is None:
         raise MirrorShapeViolation("beta-bar is not a curve class")
     lf = lf_superpotential(ext, order, iseries=iseries)

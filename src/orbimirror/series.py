@@ -325,11 +325,16 @@ def _rational_root(c: Fraction, e: Fraction) -> Fraction:
         raise ValueError("cannot take fractional power of nonpositive constant")
 
     def iroot(m: int, k: int) -> int:
-        r = round(m ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand > 0 and cand ** k == m:
-                return cand
-        raise ValueError(f"{m} has no integer {k}-th root")
+        # floor of the k-th root by integer Newton from above
+        r = math.isqrt(m) if k == 2 else 1 << -(-m.bit_length() // k)
+        while k > 2:
+            s = ((k - 1) * r + m // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r ** k != m:
+            raise ValueError(f"{m} has no integer {k}-th root")
+        return r
 
     k = e.denominator
     base = Fraction(iroot(c.numerator, k), iroot(c.denominator, k))

@@ -11,6 +11,8 @@ import pytest
 
 import orbimirror.crc as crc_mod
 from orbimirror.cli import build_parser, main
+from orbimirror.families import kp_bundle_fan, wpn_fan
+from orbimirror.fan import fan_to_json
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 P112 = str(FANS / "p112.json")
@@ -166,6 +168,42 @@ def test_specialize(capsys):
     assert code == 0
     for rep in json.loads(out)["reports"]:
         assert rep["status"] == "pass"
+
+
+def test_specialize_reports_crepancy(capsys):
+    code, out = run(capsys, "specialize", P112, "--resolution", F2,
+                    "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["crepancy"]["crepant"] is True
+    assert [r["status"] for r in data["reports"]] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("cmd", ["crc", "specialize"])
+def test_non_crepant_resolution_exits_2(cmd, tmp_path, capsys):
+    # P(1,1,2) refined by the ray (1,1), which is not a Box element
+    res = tmp_path / "p112_by_11.json"
+    res.write_text(json.dumps({
+        "dim": 2, "stacky_vectors": [[1, 0], [-1, 2], [0, -1], [1, 1]],
+        "max_cones": [[0, 3], [1, 3], [1, 2], [0, 2]]}))
+    code, out = run(capsys, cmd, P112, "--resolution", str(res),
+                    "--format", "json")
+    assert code == 2
+    assert json.loads(out)["crepancy"]["crepant"] is False
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_crc_wpn_family_n5_n6(n, tmp_path, capsys):
+    paths = []
+    for name, fan in (("wpn", wpn_fan(n)), ("kp", kp_bundle_fan(n))):
+        path = tmp_path / f"{name}{n}.json"
+        path.write_text(json.dumps(fan_to_json(fan)))
+        paths.append(str(path))
+    code, out = run(capsys, "crc", paths[0], "--resolution", paths[1],
+                    "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["crepancy"]["crepant"] is True
+    assert data["wpn"] == n
+    assert [r["status"] for r in data["reports"]] == ["pass"]
 
 
 def test_specialize_honours_tol(capsys):

@@ -1,14 +1,22 @@
 """Extended fan data: kernel bases, pushforwards, effective classes."""
 
 import dataclasses
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
-from orbimirror.extended import (LatticeNotGeneratedError, build_extended,
+from orbimirror.exact import snf_kernel_basis
+from orbimirror.extended import (BasisShapeInfeasibleError,
+                                 LatticeNotGeneratedError, _nef_base_basis,
+                                 _scale_primitive, build_extended,
                                  keff_enumerate)
-from orbimirror.families import f2_fan, p1_orbifold, p2_fan, wpn_fan
-from orbimirror.fan import InvalidFanError, StackyFan
+from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
+                                 wpn_fan)
+from orbimirror.fan import InvalidFanError, StackyFan, wall_curve_classes
+from strategies import complete_fan_rays
 
 
 def test_p112_extended_shape():
@@ -24,6 +32,90 @@ def test_f2_extended_shape():
     assert (ext.m, ext.m_prime, ext.r, ext.r_prime) == (4, 4, 2, 2)
     assert ext.extra == ()
     assert set(ext.basis) == {(1, 1, 0, -2), (0, 0, 1, 1)}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_kp_bundle_nef_basis_beyond_small_n(n):
+    # the fibre class (1,...,1,0,-n) and the exceptional class (0,...,0,1,1)
+    ext = build_extended(kp_bundle_fan(n))
+    assert ext.basis == (tuple([1] * n + [0, -n]), tuple([0] * n + [1, 1]))
+
+
+def _det(rows) -> F:
+    if len(rows) == 1:
+        return F(rows[0][0])
+    (a, b), (c, d) = rows
+    return F(a * d - b * c)
+
+
+def _coords(vectors, w):
+    """Cramer's rule on the first nonsingular r x r minor, checked on
+    all of w; None when w is outside the span of the r <= 2 vectors."""
+    r = len(vectors)
+    for cols in itertools.combinations(range(len(w)), r):
+        minor = [[vectors[a][j] for j in cols] for a in range(r)]
+        d = _det(minor)
+        if d:
+            x = []
+            for a in range(r):
+                swapped = [list(row) for row in minor]
+                swapped[a] = [w[j] for j in cols]
+                x.append(_det(swapped) / d)
+            if all(sum(x[a] * vectors[a][j] for a in range(r)) == w[j]
+                   for j in range(len(w))):
+                return x
+            return None
+    raise ValueError("dependent vectors")
+
+
+def _in_cone(c, gens) -> bool:
+    """c is a nonnegative combination of one gen or, in rank 2, of two
+    independent gens (Caratheodory)."""
+    subsets = [[g] for g in gens]
+    if len(c) == 2:
+        subsets += [p for p in itertools.combinations(gens, 2) if _det(p)]
+    return any((x := _coords(sub, c)) is not None and min(x) >= 0
+               for sub in subsets)
+
+
+def _window_basis(kernel, walls):
+    """The nef basis of the [-4, 4]^r kernel-coordinate window search: r
+    primitive points of the wall cone that form a unimodular basis on
+    which every wall is nonnegative, least by (c1, lex)."""
+    r = len(kernel)
+    wc = [_coords(kernel, w) for w in walls]
+    pts = [c for c in itertools.product(range(-4, 5), repeat=r)
+           if math.gcd(*c) == 1 and _in_cone(c, wc)]
+    best = None
+    for basis in itertools.combinations(pts, r):
+        if abs(_det(basis)) != 1 or any(min(_coords(basis, w)) < 0 for w in wc):
+            continue
+        vecs = sorted((tuple(sum(c[a] * kernel[a][j] for a in range(r))
+                             for j in range(len(kernel[0]))) for c in basis),
+                      key=lambda v: (sum(v), v))
+        if best is None or vecs < best:
+            best = vecs
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(complete_fan_rays(max_rays=4))
+def test_nef_basis_is_the_extremal_wall_classes(rays):
+    k = len(rays)
+    fan = StackyFan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
+    kernel = snf_kernel_basis([[v[i] for v in rays] for i in range(2)])
+    walls = [_scale_primitive(w.relation) for w in wall_curve_classes(fan)]
+    window = _window_basis(kernel, walls)
+    try:
+        basis = _nef_base_basis(kernel, walls)
+    except BasisShapeInfeasibleError:
+        assert window is None
+        return
+    assert window is None or basis == window
+    assert set(basis) <= set(walls)
+    coords = [_coords(kernel, v) for v in basis]
+    assert abs(_det(coords)) == 1
+    assert all(min(_coords(basis, w)) >= 0 for w in walls)
 
 
 def test_p2_extended_shape():

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from orbimirror.series import (BadConstantTerm, BranchCutViolation,
                                InversionNotConverged, PuiseuxSeries,
-                               RosterMismatch, ZeroLinearTerm, eval_complex,
-                               lagrange_invert, make_roster, multivar_invert,
-                               series_compose, series_exp, series_from_json,
-                               series_log, series_pow, series_to_json,
-                               substitute)
+                               RosterMismatch, ZeroLinearTerm, _rational_root,
+                               eval_complex, lagrange_invert, make_roster,
+                               multivar_invert, series_compose, series_exp,
+                               series_from_json, series_log, series_pow,
+                               series_to_json, substitute)
 
 R1 = make_roster(["t"])
 
@@ -74,6 +74,25 @@ def test_pow_rational():
     inv = series_pow(s, -1)
     one = PuiseuxSeries.constant(rq, inv.order, 1)
     assert (inv * s).truncate(inv.order - 1) == one.truncate(inv.order - 1)
+
+
+@pytest.mark.parametrize("c, e, root", [
+    (F((10 ** 20 + 1) ** 3), F(1, 3), F(10 ** 20 + 1)),
+    (F(3 ** 80), F(1, 2), F(3 ** 40)),
+    (F(7 ** 400), F(1, 2), F(7 ** 200)),
+    (F(2 ** 90, 5 ** 60), F(2, 3), F(2 ** 60, 5 ** 40)),
+])
+def test_rational_root_exact_on_large_powers(c, e, root):
+    # integers far beyond float precision (and, for 7**400, float range)
+    assert _rational_root(c, e) == root
+
+
+@pytest.mark.parametrize("c, e", [(F(2 ** 200 + 1), F(1, 2)),
+                                  (F(2 ** 200 + 1), F(1, 5)),
+                                  (F(1, 3 ** 80 + 1), F(1, 2))])
+def test_rational_root_of_non_power_raises(c, e):
+    with pytest.raises(ValueError, match="no integer"):
+        _rational_root(c, e)
 
 
 def test_pow_high_power_keeps_order():
