@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exact import (Vec, coordinates, det, integer_solve, lattice_generates,
@@ -31,6 +32,17 @@ class BasisShapeInfeasibleError(ValueError):
 
 class EnumerationUnboundedError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class EnumerationUnit:
+    """The class u of a max cone sigma and a free index j (not in sigma)
+    with <D_j, u> = 1 and <D_k, u> = 0 for the other free indices k."""
+
+    pairings: tuple[Fraction, ...]   # <D_j, u> for j = 1..m'
+    delta: tuple[Fraction, ...]      # coordinates in the d_a basis
+    weight: Fraction                 # sum of delta
+    c: Fraction                      # sum of the pairings
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,36 @@ class ExtendedFanData:
     def pairing(self, j: int, delta: Sequence[Fraction]) -> Fraction:
         """<D_j, d> for d = sum delta_a d_a."""
         return sum(Fraction(da) * self.basis[a][j] for a, da in enumerate(delta))
+
+    # Kept on the instance, as `StackyFan.box` is, so they go with the data.
+    @cached_property
+    def cone_units(self) -> tuple[tuple[EnumerationUnit, ...], ...]:
+        """The enumeration units of each max cone, in `fan.max_cones`
+        order, one per free index; every unit has positive weight."""
+        n = self.dim
+        vectors = self.all_vectors()
+        out = []
+        for sigma in self.fan.max_cones:
+            Bsig = [[Fraction(vectors[j][i]) for j in sigma] for i in range(n)]
+            units = []
+            for j in range(self.m_prime):
+                if j in sigma:
+                    continue
+                rhs = [Fraction(-vectors[j][i]) for i in range(n)]
+                w = [Fraction(0)] * self.m_prime
+                for idx, val in zip(sigma, solve_unique(Bsig, rhs)):
+                    w[idx] = val
+                w[j] = Fraction(1)
+                delta = coordinates(self.basis, w)
+                if delta is None:
+                    raise BasisShapeInfeasibleError("pairing vector outside the kernel")
+                omega = sum(delta)
+                if omega <= 0:
+                    raise EnumerationUnboundedError(
+                        f"direction {j} of cone {sigma} has nonpositive weight {omega}")
+                units.append(EnumerationUnit(tuple(w), tuple(delta), omega, sum(w)))
+            out.append(tuple(units))
+        return tuple(out)
 
 
 def _scale_primitive(w: Sequence[Fraction]) -> Vec:
@@ -182,14 +224,23 @@ class KEffElement:
     weight: Fraction                 # sum of delta (truncation weight)
 
 
-def keff_enumerate(ext: ExtendedFanData, bound) -> list[KEffElement]:
-    """All effective classes of weight <= bound.
+def keff_enumerate(ext: ExtendedFanData, bound,
+                   max_c=None) -> list[KEffElement]:
+    """All effective classes of weight <= bound, and of c(d) <= max_c
+    unless max_c is None, where c(d) = sum_j <D_j, d> over all m' indices.
 
     A class d belongs to K_eff iff the set J of indices with
     <D_j, d> not in Z_{>=0} consists of base rays spanning a cone of the
     fan. Enumeration runs over (max cone sigma, nonnegative integer
-    multiplicities on the complement), which realizes exactly these
-    classes.
+    multiplicities on the units `ext.cone_units`), which realizes exactly
+    these classes.
+
+    c is additive over the units. In a cone whose units all have c >= 0
+    the partial sums only grow, so the recursion stops as soon as
+    c > max_c. A cone with a unit of c < 0 (the non-Fano Hirzebruch
+    surfaces F_3 and F_4 have them) is enumerated in full up to the
+    weight bound and each class is kept only if c <= max_c. Either way
+    the result is exactly K_eff with weight <= bound and c <= max_c.
     """
     bound = Fraction(bound)
     n = ext.dim
@@ -197,31 +248,15 @@ def keff_enumerate(ext: ExtendedFanData, bound) -> list[KEffElement]:
     seen: dict[tuple, KEffElement] = {}
     box_by_nu = {el.nu: el for el in ext.box}
     zero = (0,) * n
-    for sigma in ext.fan.max_cones:
-        free = [j for j in range(ext.m_prime) if j not in sigma]
-        Bsig = [[Fraction(vectors[j][i]) for j in sigma] for i in range(n)]
-        units = []
-        for j in free:
-            rhs = [Fraction(-vectors[j][i]) for i in range(n)]
-            wsig = solve_unique(Bsig, rhs)
-            w = [Fraction(0)] * ext.m_prime
-            for idx, val in zip(sigma, wsig):
-                w[idx] = val
-            w[j] = Fraction(1)
-            delta = coordinates(ext.basis, w)
-            if delta is None:
-                raise BasisShapeInfeasibleError("pairing vector outside the kernel")
-            omega = sum(delta)
-            if omega <= 0:
-                raise EnumerationUnboundedError(
-                    f"direction {j} of cone {sigma} has nonpositive weight {omega}")
-            units.append((tuple(w), tuple(delta), omega))
+    for units in ext.cone_units:
+        prune = max_c is not None and all(u.c >= 0 for u in units)
+        c_limit = max_c if prune else math.inf
 
-        def rec(idx: int, w_acc, delta_acc, weight_acc):
+        def rec(idx: int, w_acc, delta_acc, weight_acc, c_acc):
             if weight_acc > bound:
                 return
             if idx == len(units):
-                if delta_acc in seen:
+                if delta_acc in seen or (max_c is not None and c_acc > max_c):
                     return
                 w = tuple(w_acc)
                 # membership: fractional/negative pairings only on sigma
@@ -242,15 +277,16 @@ def keff_enumerate(ext: ExtendedFanData, bound) -> list[KEffElement]:
                 zw = sum(math.ceil(x) for x in w)
                 seen[delta_acc] = KEffElement(delta_acc, w, nu, zw, weight_acc)
                 return
-            w0, d0, om0 = units[idx]
+            u = units[idx]
             k = 0
-            while weight_acc + k * om0 <= bound:
+            while (weight_acc + k * u.weight <= bound
+                   and c_acc + k * u.c <= c_limit):
                 rec(idx + 1,
-                    [a + k * b for a, b in zip(w_acc, w0)],
-                    tuple(a + k * b for a, b in zip(delta_acc, d0)),
-                    weight_acc + k * om0)
+                    [a + k * b for a, b in zip(w_acc, u.pairings)],
+                    tuple(a + k * b for a, b in zip(delta_acc, u.delta)),
+                    weight_acc + k * u.weight, c_acc + k * u.c)
                 k += 1
 
         rec(0, [Fraction(0)] * ext.m_prime,
-            (Fraction(0),) * ext.r_prime, Fraction(0))
+            (Fraction(0),) * ext.r_prime, Fraction(0), Fraction(0))
     return sorted(seen.values(), key=lambda el: (el.weight, el.delta))

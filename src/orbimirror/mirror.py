@@ -8,7 +8,9 @@ so it is stored as one polynomial P_delta in pbar, an exact series of
 the `series` kernel, and the z-power of each term follows from its
 pbar-degree. Nothing reads below z^-2 (the mirror map reads 1/z, the
 open-closed bridge 1/z^2), so P_delta is only computed for the classes
-with D_delta >= -2.
+with D_delta >= -2. Since -D_delta = sum_j ceil <D_j, delta> >= c(delta)
+= sum_j <D_j, delta>, those classes have c(delta) <= 2, and only the
+classes with c(delta) <= 2 are enumerated.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
 class ISeries:
     """I-function coefficients per effective class delta.
 
-    `elements` is all of K_eff up to `order`. The coefficient of class
+    `elements` is K_eff up to `order`, cut to the classes with
+    c(delta) <= -_ZMIN, which holds whenever D_delta >= _ZMIN (see the
+    module docstring). The coefficient of class
     delta is z^{D_delta} P_delta(pbar/z): `degrees[delta]` is D_delta
     and `coeffs[delta]` maps pexp to the coefficient of pbar^pexp in
     P_delta, that is of z^{D_delta - |pexp|} pbar^pexp. Every z-power
@@ -122,7 +126,7 @@ class ISeries:
 def i_function(ext: ExtendedFanData, order) -> ISeries:
     order = Fraction(order)
     n, r = ext.dim, ext.r
-    elements = keff_enumerate(ext, order)
+    elements = keff_enumerate(ext, order, -_ZMIN)
     roster = make_roster([f"p{a + 1}" for a in range(r)], [1] * r, [True] * r)
     dbar_pows = []
     for j in range(ext.m):
@@ -191,15 +195,21 @@ class MirrorMap:
                                self.q_denoms, self.order)
 
 
-def _chart_denoms(ext: ExtendedFanData, elements: Sequence[KEffElement],
-                  extra_fracs: Sequence[Fraction] = ()) -> list[int]:
+def _chart_denoms(ext: ExtendedFanData, order: Fraction) -> list[int]:
+    """The lcm of the delta_a-denominators over K_eff up to weight `order`,
+    one per chart coordinate y_a.
+
+    Every class is a sum, with multiplicities k >= 1, of units of one max
+    cone, and each of those units has positive weight at most the
+    class's; each unit is itself a class. So the lcm over K_eff equals
+    the lcm over the units of weight <= order across all max cones, and
+    no element list is needed.
+    """
     dens = [1] * ext.r_prime
-    for kel in elements:
-        for a, x in enumerate(kel.delta):
-            dens[a] = dens[a] * x.denominator // math.gcd(dens[a], x.denominator)
-    for f in extra_fracs:
-        for a in range(ext.r_prime):
-            dens[a] = dens[a] * f.denominator // math.gcd(dens[a], f.denominator)
+    for units in ext.cone_units:
+        for u in units:
+            if u.weight <= order:
+                dens = [math.lcm(d, x.denominator) for d, x in zip(dens, u.delta)]
     return dens
 
 
@@ -213,7 +223,7 @@ def mirror_map(ext: ExtendedFanData, order,
         raise MirrorShapeViolation("; ".join(errors))
     r, rp = ext.r, ext.r_prime
     y_names = [f"y{a + 1}" for a in range(rp)]
-    denoms = _chart_denoms(ext, iseries.elements)
+    denoms = _chart_denoms(ext, iseries.order)
     roster = make_roster(y_names, denoms, [False] * rp)
     zero_p = (0,) * r
     A = [PuiseuxSeries.zero(roster, order) for _ in range(r)]
@@ -285,10 +295,9 @@ def hori_vafa(ext: ExtendedFanData, gauge: Optional[Sequence[int]] = None,
     if gauge not in ext.fan.max_cones:
         raise GaugeUnsolvableError(f"{gauge} is not a maximal cone")
     expo = _gauge_exponents(ext, gauge)
-    fracs = [x for exps in expo.values() for x in exps]
-    denoms = _chart_denoms(ext, [], fracs)
+    den = math.lcm(*(x.denominator for exps in expo.values() for x in exps))
     names = [f"y{a + 1}" for a in range(ext.r_prime)]
-    roster = make_roster(names, denoms, [False] * ext.r_prime)
+    roster = make_roster(names, [den] * ext.r_prime, [False] * ext.r_prime)
     vectors = ext.all_vectors()
     terms = []
     for j in range(ext.m_prime):
@@ -419,7 +428,7 @@ def closed_h0_z2(ext: ExtendedFanData, order,
     if iseries is None:
         iseries = i_function(ext, order)
     names = [f"y{a + 1}" for a in range(ext.r_prime)]
-    roster = make_roster(names, _chart_denoms(ext, iseries.elements),
+    roster = make_roster(names, _chart_denoms(ext, iseries.order),
                          [False] * ext.r_prime)
     zero_p = (0,) * ext.r
     zero_nu = (0,) * ext.dim

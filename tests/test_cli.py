@@ -258,3 +258,10 @@ def test_exact_output_matches_recorded_digest(key, tmp_path, capsys):
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     want = json.loads(DIGESTS.read_text())[key]
     assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_p1_3_5_open_gw_fails_on_tied_tau_relation(capsys):
+    # the tau_3 relation has two lowest terms of weight 4/5,
+    # y1^{-6/5} y2^2 and y1^{-1/5} y3, so it cannot be inverted
+    assert main(["open-gw", P1_3_5, "--order", "4"]) == 1
+    assert "tau relation leading term not unique" in capsys.readouterr().err

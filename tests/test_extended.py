@@ -2,8 +2,10 @@
 
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from orbimirror.extended import (BasisShapeInfeasibleError,
                                  keff_enumerate)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
-from orbimirror.fan import InvalidFanError, StackyFan, wall_curve_classes
+from orbimirror.fan import (InvalidFanError, StackyFan, fan_from_json,
+                            wall_curve_classes)
+from orbimirror.mirror import _chart_denoms
 from strategies import complete_fan_rays
 
 
@@ -207,3 +211,61 @@ def test_keff_sector_outside_box_raises():
     ext = dataclasses.replace(build_extended(wpn_fan(2)), box=())
     with pytest.raises(InvalidFanError, match="is not a Box element"):
         keff_enumerate(ext, 4)
+
+
+FANS = Path(__file__).resolve().parent.parent / "fans"
+
+
+def _hirzebruch(k: int) -> StackyFan:
+    return StackyFan.make(2, ((1, 0), (0, 1), (-1, k), (0, -1)),
+                          ((0, 1), (1, 2), (2, 3), (3, 0)))
+
+
+def _bundled(name: str) -> StackyFan:
+    return fan_from_json(json.loads((FANS / f"{name}.json").read_text()))
+
+
+# (label, fan, two weight bounds). The footballs get lower bounds since
+# their full K_eff grows fastest; at the bound 1/4 their units of larger
+# weight, which carry other denominators, are left out.
+_PRUNE_CASES = (
+    [(f"{name}.json", lambda name=name: _bundled(name), (2, 4))
+     for name in ("p1", "p2", "p112", "p113", "p114", "f2", "kp3")]
+    + [("p1_3_5.json", lambda: _bundled("p1_3_5"), (F(1, 4), 2))]
+    + [(f"wpn{n}", lambda n=n: wpn_fan(n), (2, 4)) for n in range(2, 7)]
+    + [(f"kp{n}", lambda n=n: kp_bundle_fan(n), (2, 4)) for n in range(2, 5)]
+    # P^1_{a,b} builds for coprime a, b
+    + [(f"p1_{a}_{b}", lambda a=a, b=b: p1_orbifold(a, b), (F(1, 4), 2))
+       for a in range(1, 6) for b in range(a, 6) if math.gcd(a, b) == 1]
+    + [(f"F{k}", lambda k=k: _hirzebruch(k), (2, 4)) for k in (3, 4)]
+)
+
+
+@pytest.mark.parametrize("make,bounds", [c[1:] for c in _PRUNE_CASES],
+                         ids=[c[0] for c in _PRUNE_CASES])
+def test_keff_prune_is_the_full_set_cut_at_c_2(make, bounds):
+    ext = build_extended(make())
+    for bound in bounds:
+        full = keff_enumerate(ext, bound)
+        assert keff_enumerate(ext, bound, 2) == \
+            [el for el in full if sum(el.pairings) <= 2]
+        dens = [1] * ext.r_prime
+        for el in full:
+            dens = [math.lcm(d, x.denominator) for d, x in zip(dens, el.delta)]
+        assert _chart_denoms(ext, F(bound)) == dens
+
+
+@pytest.mark.parametrize("k,c,delta", [(3, -1, (2, 2)), (4, -2, (1, 2))])
+def test_non_fano_hirzebruch_units_take_the_fallback(k, c, delta):
+    # the unit d_1 has c = 2 - k < 0 and the unit d_2 has c = 2. The class
+    # below has c = 2, but its d_2 part alone has c = 2 * delta_2 > 2, so
+    # a cone that adds d_2 before d_1 must not stop at c > 2
+    ext = build_extended(_hirzebruch(k))
+    assert min(u.c for units in ext.cone_units for u in units) == c
+    units = next(us for us in ext.cone_units if min(u.c for u in us) < 0)
+    one_cone = dataclasses.replace(ext)
+    one_cone.__dict__["cone_units"] = (tuple(sorted(units, key=lambda u: -u.c)),)
+    pruned = keff_enumerate(one_cone, 6, 2)
+    assert pruned == [el for el in keff_enumerate(one_cone, 6)
+                      if sum(el.pairings) <= 2]
+    assert tuple(map(F, delta)) in {el.delta for el in pruned}

@@ -8,7 +8,7 @@ import pytest
 
 from orbimirror.crc import wpn_g_series
 import orbimirror.mirror
-from orbimirror.extended import build_extended
+from orbimirror.extended import build_extended, keff_enumerate
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
 from orbimirror.fan import basic_box_class, basic_ray_class, compute_box
@@ -91,8 +91,11 @@ def test_i_function_matches_product_oracle(fan, order):
     n, r = ext.dim, ext.r
     monomials = [pe for pe in itertools.product(range(n + 1), repeat=r)
                  if sum(pe) <= n]
-    assert len(iseries.coeffs) < len(iseries.elements)  # some classes skipped
-    for kel in iseries.elements:
+    # the full K_eff, so the classes the enumeration prunes at c > 2 are
+    # checked to read 0 as well
+    elements = keff_enumerate(ext, order)
+    assert len(iseries.coeffs) < len(elements)  # some classes skipped
+    for kel in elements:
         want = _oracle_product(ext, kel)
         for z in (1, 0, -1, -2):
             for pe in monomials:
