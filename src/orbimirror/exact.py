@@ -119,8 +119,40 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
 
 
 def rank(A: Sequence[Sequence[int]]) -> int:
-    _, S, _ = smith_normal_form(A)
-    return sum(1 for i in range(min(len(S), len(S[0]))) if S[i][i])
+    return SmithFactor(A).rank
+
+
+class SmithFactor:
+    """U A V = S for one integer matrix A, computed once and reused by
+    every kernel basis and integral solve of A."""
+
+    def __init__(self, A: Sequence[Sequence[int]]):
+        self.U, self.S, self.V = smith_normal_form(A)
+        self.rows, self.cols = len(A), len(A[0])
+        self.rank = sum(1 for i in range(min(self.rows, self.cols)) if self.S[i][i])
+
+    def kernel_basis(self) -> list[Vec]:
+        """Saturated integral basis of ker(A); see snf_kernel_basis."""
+        if self.rank < self.rows:
+            raise RankDeficientError("matrix rows are linearly dependent")
+        V, cols = self.V, self.cols
+        return [tuple(V[i][j] for i in range(cols)) for j in range(self.rank, cols)]
+
+    def solve(self, b: Sequence[int]) -> Optional[list[int]]:
+        """One integral solution x of A x = b, or None if none exists."""
+        U, S, V, rows, cols = self.U, self.S, self.V, self.rows, self.cols
+        ub = [sum(U[i][k] * b[k] for k in range(rows)) for i in range(rows)]
+        y = [0] * cols
+        for i in range(rows):
+            d = S[i][i] if i < cols else 0
+            if d == 0:
+                if ub[i]:
+                    return None
+            else:
+                if ub[i] % d:
+                    return None
+                y[i] = ub[i] // d
+        return [sum(V[i][j] * y[j] for j in range(cols)) for i in range(cols)]
 
 
 def snf_kernel_basis(A: Sequence[Sequence[int]]) -> list[Vec]:
@@ -130,30 +162,12 @@ def snf_kernel_basis(A: Sequence[Sequence[int]]) -> list[Vec]:
     unimodular matrix, hence primitive, and every integral kernel vector
     is an integer combination of them.
     """
-    U, S, V = smith_normal_form(A)
-    rows, cols = len(A), len(A[0])
-    r = sum(1 for i in range(min(rows, cols)) if S[i][i])
-    if r < rows:
-        raise RankDeficientError("matrix rows are linearly dependent")
-    return [tuple(V[i][j] for i in range(cols)) for j in range(r, cols)]
+    return SmithFactor(A).kernel_basis()
 
 
 def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[int]]:
     """One integral solution x of A x = b, or None if none exists."""
-    U, S, V = smith_normal_form(A)
-    rows, cols = len(A), len(A[0])
-    ub = [sum(U[i][k] * b[k] for k in range(rows)) for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        d = S[i][i] if i < cols else 0
-        if d == 0:
-            if ub[i]:
-                return None
-        else:
-            if ub[i] % d:
-                return None
-            y[i] = ub[i] // d
-    return [sum(V[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+    return SmithFactor(A).solve(b)
 
 
 def solve_unique(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[list[Fraction]]:

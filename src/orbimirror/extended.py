@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import (Vec, coordinates, det, integer_solve, lattice_generates,
+from .exact import (SmithFactor, Vec, coordinates, det, lattice_generates,
                     snf_kernel_basis, solve_unique)
 from .fan import (BoxElement, InvalidFanError, StackyFan, require_valid,
                   wall_curve_classes)
@@ -153,13 +153,14 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
     r = m - n
     r_prime = m_prime - n
     base_matrix = [[fan.stacky_vectors[j][i] for j in range(m)] for i in range(n)]
-    kernel = snf_kernel_basis(base_matrix) if r > 0 else []
+    base = SmithFactor(base_matrix)
+    kernel = base.kernel_basis() if r > 0 else []
     walls = [_scale_primitive(w.relation) for w in wall_curve_classes(fan)]
     base_basis = _nef_base_basis(list(kernel), walls) if r > 0 else []
     basis: list[Vec] = [tuple(list(d) + [0] * len(extra)) for d in base_basis]
     # extension vectors: nu_k = sum c_j b_j (integrally), d = e_{m+k} - c
     for k, el in enumerate(extra):
-        c = integer_solve(base_matrix, list(el.nu))
+        c = base.solve(list(el.nu))
         if c is None:
             raise BasisShapeInfeasibleError(
                 f"Box element {el.nu} is not an integer combination of the rays")
@@ -183,9 +184,11 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
     # saturation: each SNF kernel vector of the full matrix must be an
     # integer combination of the chosen basis
     full_matrix = [[vectors[j][i] for j in range(m_prime)] for i in range(n)]
-    for kv in snf_kernel_basis(full_matrix):
-        A = [[basis[a][j] for a in range(r_prime)] for j in range(m_prime)]
-        if integer_solve(A, list(kv)) is None:
+    saturation = snf_kernel_basis(full_matrix)
+    if saturation:
+        chosen = SmithFactor([[basis[a][j] for a in range(r_prime)]
+                              for j in range(m_prime)])
+        if any(chosen.solve(list(kv)) is None for kv in saturation):
             raise BasisShapeInfeasibleError("chosen basis does not saturate the kernel")
     # t-expansions of the extras over the base rays
     t_extra = []

@@ -25,8 +25,8 @@ from .extended import ExtendedFanData, KEffElement, keff_enumerate
 from .families import wpn_index
 from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
                   star_subdivide_xbar, wall_curve_classes)
-from .series import (PuiseuxSeries, Roster, make_roster, multivar_invert,
-                     series_exp, substitute)
+from .series import (PowerLadder, PuiseuxSeries, Roster, make_roster,
+                     multivar_invert, series_exp, substitute)
 
 
 class MirrorShapeViolation(ValueError):
@@ -341,9 +341,10 @@ def lf_superpotential(ext: ExtendedFanData, order=10,
     images = {}
     for a, name in enumerate(hv.terms[0].coefficient.roster.names):
         images[name] = Y[a]
+    ladder = PowerLadder(images)
     terms = []
     for t in hv.terms:
-        coef = substitute(t.coefficient, images, order)
+        coef = substitute(t.coefficient, ladder, order)
         terms.append(PotentialTerm(t.vector, t.ray_index, t.is_extended, coef))
     pot = Potential(hv.gauge, tuple(terms), label="lagrangian-floer")
     return LFResult(pot, mm, images, _theorem_status(ext))

@@ -14,6 +14,14 @@ that is L times its true weight. A term is kept when W(e) <= floor(N*L),
 which is exact because W(e) is an integer. Coefficients are
 `fractions.Fraction`; all operations are exact up to the declared
 truncation order.
+
+Substitution takes the powers of its images from a `PowerLadder`, which
+builds each power once as the product of the one below it and can be
+shared by several substitutions at the same images. The inverse of a
+mirror-shaped map (`multivar_invert`, and `lagrange_invert` through it)
+is found by Newton iteration in log coordinates, doubling the order at
+each step, and is returned only once the residual vanishes exactly at
+the requested order.
 """
 
 from __future__ import annotations
@@ -91,6 +99,19 @@ class Roster:
         """Largest integer weight kept by truncation at `order`."""
         return math.floor(order * self.lcm)
 
+    def scaled(self, exponents: Mapping[str, Fraction]) -> tuple[int, ...]:
+        """Scaled exponent vector of the monomial with these exponents."""
+        e = [0] * len(self.names)
+        for name, p in exponents.items():
+            i = self.index(name)
+            p = Fraction(p)
+            scaled = p * self.denoms[i]
+            if scaled.denominator != 1:
+                raise ValueError(
+                    f"exponent {p} of {name} exceeds denominator bound {self.denoms[i]}")
+            e[i] = int(scaled)
+        return tuple(e)
+
 
 def make_roster(names: Sequence[str], denoms: Sequence[int] | None = None,
                 formal: Sequence[bool] | None = None) -> Roster:
@@ -142,16 +163,7 @@ class PuiseuxSeries:
     @classmethod
     def monomial(cls, roster: Roster, order, exponents: Mapping[str, Fraction],
                  coef=1) -> "PuiseuxSeries":
-        e = [0] * len(roster.names)
-        for name, p in exponents.items():
-            i = roster.index(name)
-            p = Fraction(p)
-            scaled = p * roster.denoms[i]
-            if scaled.denominator != 1:
-                raise ValueError(
-                    f"exponent {p} of {name} exceeds denominator bound {roster.denoms[i]}")
-            e[i] = int(scaled)
-        return cls(roster, order, {tuple(e): Fraction(coef)})
+        return cls(roster, order, {roster.scaled(exponents): Fraction(coef)})
 
     # -- inspection ---------------------------------------------------
 
@@ -240,10 +252,9 @@ class PuiseuxSeries:
         return PuiseuxSeries(self.roster, self.order,
                              {e: c * k for e, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        order = self._check(other)
+    def _product(self, other: "PuiseuxSeries", order) -> "PuiseuxSeries":
+        """self * other kept up to weight `order`, which the caller
+        vouches the product is known to."""
         weight = self.roster.weight
         cap = self.roster.cap(order)
         right = [(e2, c2, weight(e2)) for e2, c2 in other.terms.items()]
@@ -260,6 +271,19 @@ class PuiseuxSeries:
                 else:
                     out[e] = c1 * c2
         return PuiseuxSeries(self.roster, order, out)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        order = self._check(other)
+        # (a + O(o1)) (b + O(o2)) is known to min(o1 + v(b), o2 + v(a)),
+        # so a factor of negative valuation lowers the order
+        weight, lcm = self.roster.weight, self.roster.lcm
+        for s, t in ((self, other), (other, self)):
+            v = min(map(weight, t.terms), default=0)
+            if v < 0:
+                order = min(order, s.order + Fraction(v, lcm))
+        return self._product(other, order)
 
     __rmul__ = __mul__
 
@@ -392,6 +416,8 @@ def series_pow(s: PuiseuxSeries, e) -> PuiseuxSeries:
     k = 0
     while (k + 1) * uv <= u_order:
         coef = coef * (e - k) / (k + 1)
+        if not coef:
+            break
         k += 1
         p = p * u
         if p.is_zero():
@@ -440,7 +466,12 @@ def series_compose(outer: PuiseuxSeries, inner: PuiseuxSeries) -> PuiseuxSeries:
 
 def lagrange_invert(s: PuiseuxSeries, order: int,
                     out_name: Optional[str] = None) -> PuiseuxSeries:
-    """Compositional inverse of a univariate series c1*z + O(z^2)."""
+    """Compositional inverse f of a univariate series s = c1*z + O(z^2).
+
+    tau = s(z)/c1 is a tau relation of `multivar_invert` with no Kahler
+    variable, and its inverse Z(tau) gives f(t) = Z(t/c1). Raises
+    InversionNotConverged unless s(f(t)) = t holds exactly to `order`.
+    """
     if len(s.roster.names) != 1 or s.roster.denoms[0] != 1:
         raise ValueError("inversion requires a univariate integer-exponent series")
     if s.constant_term():
@@ -449,39 +480,84 @@ def lagrange_invert(s: PuiseuxSeries, order: int,
     if not c1:
         raise ZeroLinearTerm("linear coefficient is zero")
     name = out_name or s.roster.names[0]
+    (Z,) = multivar_invert([], [s.scale(1 / c1)], [], [name], [], order)
     roster = make_roster([name], [1], [s.roster.formal[0]])
+    f = PuiseuxSeries(roster, order,
+                      {e: c / c1 ** e[0] for e, c in Z.terms.items()})
     t = PuiseuxSeries.monomial(roster, order, {name: 1})
-    h = (s - PuiseuxSeries.monomial(s.roster, s.order, {s.roster.names[0]: 1}, c1)).truncate(order)
-    f = t.scale(1 / c1)
-    for _ in range(order + 1):
-        nf = (t - series_compose(h, f)).scale(1 / c1)
-        if nf == f:
-            break
-        f = nf
+    if series_compose(s, f).terms != t.terms:
+        raise InversionNotConverged(f"s(f(t)) differs from t at order {f.order}")
     return f
 
 
-def substitute(s: PuiseuxSeries, images: Mapping[str, PuiseuxSeries],
+class PowerLadder:
+    """Rational powers of the images of a substitution, each built once
+    and shared by every substitution at those images.
+
+    The powers of an image Y are the multiples k*g of a step g, the gcd
+    of the exponents asked for. The rungs k = 1 and k = -1 are
+    series_pow(Y, +-g); every further rung is the rung before it times
+    that one. Rung k keeps the order series_pow(Y, k*g) has, N + (k*g - 1)v
+    for Y of order N and valuation v, which is the order such a product
+    is known to, and so it has the same terms. A request off the step
+    rebuilds that image's rungs on the gcd of the two steps.
+    """
+
+    def __init__(self, images: Mapping[str, PuiseuxSeries]):
+        self.images = dict(images)
+        self._steps: dict[str, Fraction] = {}
+        self._rungs: dict[str, dict[int, PuiseuxSeries]] = {}
+
+    def power(self, name: str, p: Fraction, step: Fraction) -> PuiseuxSeries:
+        """images[name]**p, for p a multiple of `step`."""
+        img = self.images[name]
+        if img.is_zero():
+            return series_pow(img, p)
+        g = self._steps.get(name)
+        if g is None or (step / g).denominator != 1:
+            if g is not None:
+                step = Fraction(math.gcd(step.numerator, g.numerator),
+                                math.lcm(step.denominator, g.denominator))
+            g = self._steps[name] = step
+            self._rungs[name] = {}
+        rungs = self._rungs[name]
+        k = int(p / g)
+        if k not in rungs:
+            sign = 1 if k > 0 else -1
+            if sign not in rungs:
+                rungs[sign] = series_pow(img, sign * g)
+            base = rungs[sign]
+            v = base.valuation()
+            j = max(i * sign for i in rungs)
+            while j < abs(k):
+                prev = rungs[sign * j]
+                j += 1
+                rungs[sign * j] = prev._product(base, prev.order + v)
+        return rungs[k]
+
+
+def substitute(s: PuiseuxSeries,
+               images: Mapping[str, PuiseuxSeries] | PowerLadder,
                order=None) -> PuiseuxSeries:
     """Substitute a series for every variable of s.
 
-    Every image must have a unique interpretation for the rational
-    powers appearing in s (delegated to series_pow). Images must share a
-    roster.
+    `images` maps every variable of s to a series, all in one roster. A
+    PowerLadder over such a mapping may be passed instead, so that
+    substitutions at the same images build each power once. Rational
+    powers of an image are those of series_pow (its leading term must
+    be unique); an image of one term is an exact monomial.
     """
-    imgs = [images[n] for n in s.roster.names]
+    ladder = images if isinstance(images, PowerLadder) else PowerLadder(images)
+    names, denoms = s.roster.names, s.roster.denoms
+    imgs = [ladder.images[n] for n in names]
     tgt = imgs[0].roster
     order = Fraction(order) if order is not None else min(i.order for i in imgs)
     nt = len(tgt.names)
     acc: dict[tuple[int, ...], Fraction] = {}
     res_order = order
-    cache: dict[tuple[int, int], PuiseuxSeries] = {}
-
-    def power(i: int, scaled: int) -> PuiseuxSeries:
-        key = (i, scaled)
-        if key not in cache:
-            cache[key] = series_pow(imgs[i], Fraction(scaled, s.roster.denoms[i]))
-        return cache[key]
+    # every power of y_i is a multiple of the gcd of its exponents in s
+    steps = [Fraction(math.gcd(*(e[i] for e in s.terms)), d)
+             for i, d in enumerate(denoms)]
 
     for e, c in s.terms.items():
         # Monomial images are exact; collect them into a single exponent
@@ -490,13 +566,13 @@ def substitute(s: PuiseuxSeries, images: Mapping[str, PuiseuxSeries],
         # terms past the truncation bound mid-product.
         shift_e = [0] * nt
         coef = Fraction(c)
-        factors: list[tuple[int, int]] = []
+        factors: list[PuiseuxSeries] = []
         for i, x in enumerate(e):
             if not x:
                 continue
             img = imgs[i]
+            p = Fraction(x, denoms[i])
             if len(img.terms) == 1:
-                p = Fraction(x, s.roster.denoms[i])
                 ((ie, ic),) = img.terms.items()
                 coef *= _rational_root(ic, p)
                 for j, xe in enumerate(ie):
@@ -506,11 +582,11 @@ def substitute(s: PuiseuxSeries, images: Mapping[str, PuiseuxSeries],
                             "substitution exponent exceeds denominator bound")
                     shift_e[j] += int(scaled)
             else:
-                factors.append((i, x))
+                factors.append(ladder.power(names[i], p, steps[i]))
         if factors:
-            term = power(*factors[0])
+            term = factors[0]
             for f in factors[1:]:
-                term = term * power(*f)
+                term = term * f
             # the shift's weight is linear in its exponents, so it is the
             # weight of the summed exponent vector
             shift_w = Fraction(tgt.weight(shift_e), tgt.lcm)
@@ -524,22 +600,50 @@ def substitute(s: PuiseuxSeries, images: Mapping[str, PuiseuxSeries],
     return PuiseuxSeries(tgt, res_order, acc)
 
 
+def _euler(s: PuiseuxSeries, i: int) -> PuiseuxSeries:
+    """y_i d/dy_i of s: every term times its exponent of y_i."""
+    d = s.roster.denoms[i]
+    return PuiseuxSeries(s.roster, s.order, {e: c * Fraction(e[i], d)
+                                             for e, c in s.terms.items() if e[i]})
+
+
 def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
                     tau_series: Sequence[PuiseuxSeries],
                     q_names: Sequence[str], tau_names: Sequence[str],
                     q_denoms: Sequence[int], order) -> list[PuiseuxSeries]:
-    """Invert a mirror-shaped map.
+    """Invert a mirror-shaped map by Newton iteration.
 
     Input (all series in a common y-roster of length r' = r + s):
       log q_a = log y_a + A_a(y),  A_a with no constant term (a = 1..r)
       tau_b   = B_b(y),            B_b with zero constant term (b = 1..s)
-    where B_b = y^{v_b} * (1 + higher) and v_b has exponent exactly 1 on
-    y_{r+b} and no other extended variable. Returns [Y_1..Y_{r'}] as
-    series in (q_1..q_r, tau_1..tau_s) with q(Y(q,tau)) = q and
-    tau(Y(q,tau)) = tau to the truncation order.
+    where B_b = y^{v_b} * (1 + C_b(y)) and v_b has exponent exactly 1 on
+    y_{r+b} and no other extended variable. A_a and B_b are read as
+    polynomials. Returns [Y_1..Y_{r'}] as series in (q_1..q_r,
+    tau_1..tau_s) with q(Y(q,tau)) = q and tau(Y(q,tau)) = tau to the
+    truncation order.
 
-    Raises InversionNotConverged if the fixed-point iteration does not
-    settle within its pass cap, or if any Y_i falls short of `order`.
+    Method. Write Y_i = Y0_i exp(U_i) about the starting monomials
+    Y0_a = q_a and Y0_{r+b} = tau_b q^{-v_b}. The relations become
+
+      F(U) = L U + H(Y(U)) = 0,   H = (A_a, log(1 + C_b)),
+
+    with L unipotent: (L U)_a = U_a, (L U)_{r+b} = U_{r+b} + sum_a
+    v_{b,a} U_a. The Jacobian is L + D with D_ic = (y_c d/dy_c H_i)(Y),
+    and D has positive valuation, so each Newton step solves
+    (L + D) delta = -F by a Neumann series in L^{-1} D. Each step works
+    to twice the order of the one before (Brent & Kung, "Fast algorithms
+    for manipulating formal power series", JACM 1978), and the Jacobian
+    to that order less the valuation of F. The residual and every entry
+    of D are substitutions at the same images and share one PowerLadder.
+
+    The iteration stops when F vanishes exactly to the order at which
+    every Y_i reaches `order`. When a substitution returns less than the
+    working order (a negative power of an image that is not a monomial
+    loses order), the working order rises once by the shortfall.
+
+    Raises InversionNotConverged if F or D has a term of weight <= 0, if
+    a step does not raise the valuation of F, or if the residual still
+    falls short of `order` after the rise.
     """
     r = len(log_corrections)
     sdim = len(tau_series)
@@ -556,7 +660,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
     for A in log_corrections:
         if A.constant_term():
             raise NotMirrorShaped("log-correction has a constant term")
-    leads = []
+    leads, corrections = [], []
     for b, B in enumerate(tau_series):
         if B.constant_term():
             raise NotMirrorShaped("tau relation has a constant term")
@@ -569,58 +673,116 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
         vexp = [Fraction(x, d) for x, d in zip(le, src.denoms)]
         if vexp[r + b] != 1 or any(vexp[r + c] for c in range(sdim) if c != b):
             raise NotMirrorShaped("tau relation not triangular in extended variables")
-        leads.append(vexp)
+        leads.append(vexp[:r])
+        corrections.append(PuiseuxSeries(
+            src, B.order - Fraction(src.weight(le), src.lcm),
+            {tuple(map(operator.sub, e, le)): c for e, c in B.terms.items() if e != le}))
 
-    def base_monomial(exps: Mapping[str, Fraction], coef=1):
-        return PuiseuxSeries.monomial(tgt, order, exps, coef)
-
-    # starting point: Y_a = q_a; Y_{r+b} = tau_b * prod q_a^{-v_{b,a}}
-    Y = []
-    for a in range(r):
-        Y.append(base_monomial({q_names[a]: Fraction(1)}))
+    start = [tgt.scaled({q_names[a]: 1}) for a in range(r)]
     for b in range(sdim):
-        exps = {tau_names[b]: Fraction(1)}
-        for a in range(r):
-            if leads[b][a]:
-                exps[q_names[a]] = -leads[b][a]
-        Y.append(base_monomial(exps))
+        exps = {tau_names[b]: 1}
+        exps.update((q_names[a], -v) for a, v in enumerate(leads[b]) if v)
+        start.append(tgt.scaled(exps))
+    w0 = [Fraction(tgt.weight(e), tgt.lcm) for e in start]
+    need = order - min(w0)          # U_i to this order gives Y_i to `order`
+    H = list(log_corrections) + corrections
+    euler = [[(c, _euler(h, c)) for c in range(rp) if any(e[c] for e in h.terms)]
+             for h in H]
 
-    names = src.names
-    passes = int(math.ceil(order)) * max([1] + list(q_denoms)) + 3
-    for _ in range(passes):
-        images = dict(zip(names, Y))
-        newY = []
-        for a in range(r):
-            A = log_corrections[a]
-            if A.is_zero():
-                newY.append(base_monomial({q_names[a]: Fraction(1)}))
+    def ladder_at(U, p) -> PowerLadder:
+        images = {}
+        for name, e0, w, u in zip(src.names, start, w0, U):
+            x = series_exp(u)
+            images[name] = PuiseuxSeries(
+                tgt, p + w, {tuple(map(operator.add, e, e0)): c for e, c in x.terms.items()})
+        return PowerLadder(images)
+
+    def times_L(x, sign):
+        # L x for sign 1, L^{-1} x for sign -1
+        out = list(x)
+        for b, vb in enumerate(leads):
+            for a, v in enumerate(vb):
+                if v:
+                    out[r + b] = out[r + b] + x[a].scale(sign * v)
+        return out
+
+    def residual(ladder, U, p):
+        """F(U) to order p, and the series 1 + C_b(Y)."""
+        F, units = times_L(U, 1), []
+        for i, h in enumerate(H):
+            hy = substitute(h, ladder, p)
+            if i >= r:
+                v = hy.valuation()
+                if v is not None and v <= 0:
+                    raise InversionNotConverged(
+                        f"tau relation {i - r + 1} has a term of weight {v} <= 0")
+                units.append(hy + 1)
+                hy = series_log(units[-1])
+            F[i] = F[i] + hy
+        return F, units
+
+    def newton_step(ladder, F, units, p, mu):
+        """delta with (L + D) delta = -F to order p, F of valuation mu."""
+        D = []
+        for i, entries in enumerate(euler):
+            if i >= r and entries:
+                inv = series_pow(units[i - r].truncate(p - mu), -1)
+            for c, dh in entries:
+                d = substitute(dh, ladder, p - mu)
+                if i >= r:
+                    d = d * inv
+                if d.terms:
+                    if d.valuation() <= 0:
+                        raise InversionNotConverged(
+                            f"Jacobian has a term of weight {d.valuation()} <= 0")
+                    D.append((i, c, d))
+        # every pass raises the valuation of t by at least that of D, so
+        # t vanishes at order p after finitely many passes
+        t = times_L([-f.truncate(p) for f in F], -1)
+        delta = t
+        while True:
+            Dt = [PuiseuxSeries.zero(tgt, p)] * rp
+            for i, c, d in D:
+                if t[c].terms:
+                    Dt[i] = Dt[i] + d._product(t[c], p)
+            t = times_L([-x for x in Dt], -1)
+            if not any(x.terms for x in t):
+                return delta
+            delta = [a + b for a, b in zip(delta, t)]
+
+    U = [PuiseuxSeries.zero(tgt, need)] * rp
+    work = p = need
+    last_mu = None
+    while True:
+        # U is read as a polynomial, known to any order
+        U = [u.truncate(p) for u in U]
+        ladder = ladder_at(U, p)
+        F, units = residual(ladder, U, p)
+        reached = min(f.order for f in F)
+        F = [f.truncate(reached) for f in F]
+        if not any(f.terms for f in F):
+            if reached >= need:
+                return [ladder.images[n].truncate(order) for n in src.names]
+            if p < work:
+                p = min(work, 2 * p)
                 continue
-            corr = substitute(A, images, order)
-            newY.append(base_monomial({q_names[a]: Fraction(1)}) * series_exp(-corr))
-        for b in range(sdim):
-            B = tau_series[b]
-            lead_mono = PuiseuxSeries.monomial(
-                src, B.order, dict((names[i], leads[b][i]) for i in range(rp) if leads[b][i]))
-            C = B - lead_mono
-            rhs = base_monomial({tau_names[b]: Fraction(1)})
-            if not C.is_zero():
-                rhs = rhs - substitute(C, images, order)
-            for i in range(rp):
-                if i == r + b or not leads[b][i]:
-                    continue
-                rhs = rhs * series_pow(Y[i], -leads[b][i])
-            newY.append(rhs)
-        converged = all(a.terms == b.terms for a, b in zip(Y, newY))
-        Y = newY
-        if converged:
-            break
-    else:
-        raise InversionNotConverged(f"no fixed point within {passes} passes")
-    short = [y.order for y in Y if y.order < order]
-    if short:
-        raise InversionNotConverged(
-            f"inverse reaches order {min(short)}, below the requested {order}")
-    return Y
+            if work > need:
+                raise InversionNotConverged(
+                    f"inverse reaches order {reached + min(w0)}, below the "
+                    f"requested {order}")
+            work = p = work + need - reached
+            continue
+        mu = min(f.valuation() for f in F if f.terms)
+        if mu <= 0:
+            raise InversionNotConverged(f"residual has a term of weight {mu} <= 0")
+        if last_mu is not None and mu <= last_mu:
+            raise InversionNotConverged(
+                f"a Newton step left the residual at weight {mu}")
+        last_mu = mu
+        s = min(2 * mu, reached)
+        delta = newton_step(ladder, F, units, s, mu)
+        U = [u + d for u, d in zip(U, delta)]
+        p = min(work, 2 * s)
 
 
 # -- numeric evaluation ------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbimirror.exact import (DependentGeneratorsError, EmptyMatrixError,
-                              RankDeficientError, cone_coefficients,
+                              RankDeficientError, SmithFactor,
+                              cone_coefficients,
                               cone_index, det, integer_solve,
                               lattice_generates, primitive_vector, rank,
                               smith_normal_form, snf_kernel_basis,
@@ -78,6 +79,32 @@ def test_integer_solve_roundtrip(A, x):
 def test_integer_solve_unsolvable():
     assert integer_solve([[2]], [1]) is None
     assert integer_solve([[1, 0], [1, 0]], [0, 1]) is None
+
+
+square = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square, st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+                        min_size=1, max_size=6))
+def test_one_factor_solves_every_right_hand_side(A, bs):
+    # one factorization serves every b; for nonsingular A the integral
+    # solution exists exactly when the rational one is integral
+    if det(A) == 0:
+        return
+    factor = SmithFactor(A)
+    for b in bs:
+        b = b[:len(A)]
+        want = solve_unique(A, b)
+        got = factor.solve(b)
+        if all(x.denominator == 1 for x in want):
+            assert got == want
+        else:
+            assert got is None
+        assert got == integer_solve(A, b)
+    assert factor.kernel_basis() == snf_kernel_basis(A) == []
 
 
 def test_solve_unique():

@@ -1,8 +1,10 @@
 """Mirror theorems: normalization, mirror maps, potentials, disc counts."""
 
 import itertools
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +13,17 @@ import orbimirror.mirror
 from orbimirror.extended import build_extended, keff_enumerate
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
-from orbimirror.fan import basic_box_class, basic_ray_class, compute_box
+from orbimirror.fan import (basic_box_class, basic_ray_class, compute_box,
+                            fan_from_json)
 from orbimirror.mirror import (GaugeUnsolvableError, NotFanoError,
                                NotGorensteinError, check_normalization,
                                extract_open_gw, hori_vafa, i_function,
                                lf_superpotential, mirror_map,
                                open_closed_bridge)
-from orbimirror.series import PuiseuxSeries, substitute
+from orbimirror.series import (PuiseuxSeries, multivar_invert, series_exp,
+                               substitute)
+
+FANS = Path(__file__).resolve().parent.parent / "fans"
 
 
 @pytest.mark.parametrize("fan,order", [
@@ -266,3 +272,63 @@ def test_lf_consistency_with_hv():
     prod = y1 * series_exp(A1_of_Y)
     q = PuiseuxSeries.monomial(prod.roster, prod.order, {"q1": 1})
     assert prod == q.truncate(prod.order)
+
+
+def _round_trip(mm, Y, order):
+    """Y_a exp(A_a(Y)) - q_a and B_b(Y) - tau_b, substituted at `order`."""
+    images = dict(zip(mm.y_roster.names, Y))
+    out = []
+    for a, A in enumerate(mm.log_corrections):
+        prod = Y[a] * series_exp(substitute(A, images, order))
+        out.append(prod - PuiseuxSeries.monomial(prod.roster, prod.order,
+                                                 {mm.q_names[a]: 1}))
+    for b, B in enumerate(mm.tau):
+        back = substitute(B, images, order)
+        out.append(back - PuiseuxSeries.monomial(back.roster, back.order,
+                                                 {mm.tau_names[b]: 1}))
+    return out
+
+
+# the benchmark's open-gw orders, order 10 for P1 and P2, and two
+# orders the one-order-per-pass fixed point could not reach in seconds
+@pytest.mark.parametrize("name, order", [
+    ("f2", 12), ("kp3", 8), ("p1", 10), ("p2", 10), ("p112", 14),
+    ("p113", 22), ("p114", 14), ("f2", 20), ("p113", 30)])
+def test_inverse_round_trips_at_requested_order(name, order):
+    ext = build_extended(fan_from_json(json.loads((FANS / f"{name}.json").read_text())))
+    mm = mirror_map(ext, order)
+    Y = mm.inverse()
+    assert all(y.order == order for y in Y)
+    # substituted back, the inverse gives q and tau exactly, as far as
+    # the substitution reaches: the tau relation's y1^{-1/n} lowers it
+    # by 1/n on P(1,...,1,n)
+    diffs = _round_trip(mm, Y, order)
+    assert all(d.is_zero() for d in diffs)
+    assert [d.order for d in diffs] == [order] * len(mm.q_names) + \
+        [order - F(1, mm.q_denoms[0])] * len(mm.tau_names)
+    # the inverse of the same map to one order more agrees with Y and
+    # round-trips exactly to the requested order
+    Y_hi = multivar_invert(mm.log_corrections, mm.tau, mm.q_names,
+                           mm.tau_names, mm.q_denoms, order + 1)
+    assert [y.truncate(order) for y in Y_hi] == Y
+    for d in _round_trip(mm, Y_hi, order):
+        assert d.is_zero() and d.order == order
+
+
+def test_newton_inversion_doubles_the_order(monkeypatch):
+    # F2 to order 20: the residual is substituted once per Newton step,
+    # at orders 19 (the starting point), 4, 8, 16, 19 and 19 (the final
+    # check), where a fixed point gains one order per pass
+    mm = mirror_map(build_extended(f2_fan()), 20)
+    A1 = mm.log_corrections[0]
+    real = orbimirror.series.substitute
+    residuals = []
+
+    def counting(s, images, order=None):
+        if s is A1:
+            residuals.append(order)
+        return real(s, images, order)
+
+    monkeypatch.setattr(orbimirror.series, "substitute", counting)
+    mm.inverse()
+    assert len(residuals) <= 8

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbimirror import series
 from orbimirror.series import (BadConstantTerm, BranchCutViolation,
-                               InversionNotConverged, PuiseuxSeries,
-                               RosterMismatch, ZeroLinearTerm, _rational_root,
-                               eval_complex, lagrange_invert, make_roster,
-                               multivar_invert, series_compose, series_exp,
-                               series_from_json, series_log, series_pow,
-                               series_to_json, substitute)
+                               InversionNotConverged, PowerLadder,
+                               PuiseuxSeries, RosterMismatch, ZeroLinearTerm,
+                               _rational_root, eval_complex, lagrange_invert,
+                               make_roster, multivar_invert, series_compose,
+                               series_exp, series_from_json, series_log,
+                               series_pow, series_to_json, substitute)
 
 R1 = make_roster(["t"])
 
@@ -120,6 +121,22 @@ def test_lagrange_invert_sin_like():
     assert f.coefficient({"t": 5}) == F(3, 640)
 
 
+def test_lagrange_invert_raises_when_composition_disagrees(monkeypatch):
+    # the inverse is found without series_compose and checked with it, so
+    # a wrong composition shows as a failed check, not as a wrong answer
+    g = PuiseuxSeries(R1, 9, {(1,): F(1), (3,): F(-1, 24), (5,): F(1, 1920)})
+    real = series.series_compose
+
+    def perturbed(outer, inner):
+        out = real(outer, inner)
+        return out + PuiseuxSeries.monomial(out.roster, out.order, {"t": 5}, F(1, 7))
+
+    assert lagrange_invert(g, 9).coefficient({"t": 3}) == F(1, 24)
+    monkeypatch.setattr(series, "series_compose", perturbed)
+    with pytest.raises(InversionNotConverged, match="differs from t"):
+        lagrange_invert(g, 9)
+
+
 def test_lagrange_invert_requires_linear_term():
     with pytest.raises(ZeroLinearTerm):
         lagrange_invert(uni({2: 1}), 8)
@@ -179,25 +196,93 @@ def test_multivar_invert_simple():
     assert prod == q.truncate(prod.order)
 
 
-def test_multivar_invert_order_loss_raises():
-    # A_1 = y1^{1/5} y2^{-1/7}: every pass takes a fifth root of Y_1 and
-    # shifts by a negative power of q2, so the order of Y_1 shrinks to
-    # 1/35 and the iteration settles on Y_1 = 0 + O(1/35)
-    ry = make_roster(["y1", "y2"], [5, 7])
-    A1 = PuiseuxSeries(ry, 3, {(1, -1): F(1)})
-    A2 = PuiseuxSeries.zero(ry, 3)
-    with pytest.raises(InversionNotConverged, match="below the requested"):
-        multivar_invert([A1, A2], [], ["q1", "q2"], [], [5, 7], 3)
+def _kahler_round_trip(As, Y, names, order):
+    """Y_a exp(A_a(Y)) - q_a for every a, substituted at `order`."""
+    images = dict(zip(names, Y))
+    out = []
+    for a, A in enumerate(As):
+        prod = Y[a] * series_exp(substitute(A, images, order))
+        out.append(prod - PuiseuxSeries.monomial(prod.roster, prod.order,
+                                                 {f"q{a + 1}": 1}))
+    return out
 
 
-def test_multivar_invert_cycle_raises():
-    # A_1 = y1^{1/7} y2^{2/7}: the seventh root of Y_1 loses order, Y_1
-    # drops to zero, restarts from q1 and the iterates cycle
-    ry = make_roster(["y1", "y2"], [7, 7])
-    A1 = PuiseuxSeries(ry, 2, {(1, 2): F(1)})
-    A2 = PuiseuxSeries.zero(ry, 2)
-    with pytest.raises(InversionNotConverged, match="no fixed point"):
-        multivar_invert([A1, A2], [], ["q1", "q2"], [], [7, 7], 2)
+@pytest.mark.parametrize("denoms, exps, order", [
+    # A_1 = y1^{1/5} y2^{-1/7}: a fifth root and a negative q2-shift; the
+    # one-order-per-pass fixed point lost order on every pass and raised
+    ([5, 7], (1, -1), 3),
+    # A_1 = y1^{1/7} y2^{2/7}: the fixed point cycled and raised
+    ([7, 7], (1, 2), 2),
+], ids=["fifth-root-map", "seventh-root-map"])
+def test_multivar_invert_root_maps_round_trip(denoms, exps, order):
+    ry = make_roster(["y1", "y2"], denoms)
+    As = [PuiseuxSeries(ry, order, {exps: F(1)}), PuiseuxSeries.zero(ry, order)]
+    Y = multivar_invert(As, [], ["q1", "q2"], [], denoms, order)
+    assert [y.order for y in Y] == [order, order]
+    # Y_1 = q1 exp(-U) with U = x + x^2/5 + ..., x = q1^{1/5} q2^{-1/7}
+    # (resp. q1^{1/7} q2^{2/7}), the first terms of the exact inverse
+    x = tuple(F(e, d) for e, d in zip(exps, denoms))
+    assert Y[0].coefficient({"q1": 1 + x[0], "q2": x[1]}) == -1
+    assert Y[1].terms == {(0, denoms[1]): 1}
+    # the fractional root of Y_1 loses order in the substitution, so the
+    # round trip to `order` is made with the inverse to one order more,
+    # which agrees with Y to `order`
+    Y_hi = multivar_invert(As, [], ["q1", "q2"], [], denoms, order + 1)
+    assert [y.truncate(order) for y in Y_hi] == Y
+    for d in _kahler_round_trip(As, Y_hi, ["y1", "y2"], order):
+        assert d.is_zero() and d.order == order
+
+
+def test_multivar_invert_negative_power_of_series_image():
+    # A_2 holds y1^{-1} y2^2 and Y_1 is not a monomial: series_pow(Y_1, -1)
+    # loses order in every substitution, so the working order must rise
+    # above the requested one (the fixed point raised ZeroDivisionError)
+    ry = make_roster(["y1", "y2"])
+    order = 6
+    As = [PuiseuxSeries(ry, order, {(1, 0): F(1), (0, 1): F(-2)}),
+          PuiseuxSeries(ry, order, {(-1, 2): F(1), (1, 0): F(3)})]
+    Y = multivar_invert(As, [], ["q1", "q2"], [], [1, 1], order)
+    assert [y.order for y in Y] == [order, order]
+    Y_hi = multivar_invert(As, [], ["q1", "q2"], [], [1, 1], order + 2)
+    assert [y.truncate(order) for y in Y_hi] == Y
+    for d in _kahler_round_trip(As, Y_hi, ["y1", "y2"], order):
+        assert d.is_zero() and d.order == order
+
+
+def test_multivar_invert_raises_on_weightless_correction():
+    # A_1 = y2/y1 is q2/q1 at the starting point, of weight 0: U_1 would
+    # need a constant term, and no Newton step can remove it
+    ry = make_roster(["y1", "y2"])
+    As = [PuiseuxSeries(ry, 4, {(-1, 1): F(1)}), PuiseuxSeries.zero(ry, 4)]
+    with pytest.raises(InversionNotConverged, match="weight 0 <= 0"):
+        multivar_invert(As, [], ["q1", "q2"], [], [1, 1], 4)
+
+
+def test_power_ladder_matches_series_pow():
+    # every rung, built as a product of the rung below, has the terms and
+    # the order of series_pow, on both sides of zero and off-step requests
+    rq = make_roster(["q", "u"], [2, 1], [False, True])
+    Y = PuiseuxSeries(rq, 6, {(2, 0): F(1), (3, 1): F(-2), (4, 0): F(3, 4),
+                              (6, 2): F(1, 5)})
+    ladder = PowerLadder({"y": Y})
+    for p in [F(1), F(3), F(-2), F(7, 2), F(1, 2), F(-5, 2), F(6)]:
+        step = F(1) if p.denominator == 1 else F(1, 2)
+        got = ladder.power("y", p, step)
+        want = series_pow(Y, p)
+        assert got.order == want.order and got.terms == want.terms
+
+
+def test_shared_ladder_substitution_is_unchanged():
+    ry = make_roster(["y1", "y2"], [2, 1])
+    rq = make_roster(["q", "u"], [2, 1], [False, True])
+    images = {"y1": PuiseuxSeries(rq, 7, {(2, 0): F(1), (4, 1): F(-1, 3)}),
+              "y2": PuiseuxSeries(rq, 7, {(1, 1): F(1), (3, 3): F(1, 6)})}
+    sources = [PuiseuxSeries(ry, 7, {(-1, 1): F(1), (-3, 3): F(1, 24)}),
+               PuiseuxSeries(ry, 7, {(2, 0): F(2), (4, 2): F(-1)}),
+               PuiseuxSeries(ry, 7, {(1, 3): F(5)})]
+    ladder = PowerLadder(images)
+    for s in sources:
+        assert substitute(s, ladder, 6) == substitute(s, images, 6)
 
 
 def test_eval_complex_and_branch():
@@ -295,8 +380,31 @@ def test_product_matches_reference(data):
     roster, (o1, t1), (o2, t2) = data
     a, b = PuiseuxSeries(roster, o1, t1), PuiseuxSeries(roster, o2, t2)
     p = a * b
-    assert p.order == min(o1, o2)
-    assert p.terms == ref_mul(a.terms, b.terms, roster.denoms, min(o1, o2))
+    # each factor's missing terms reach the product at its order plus the
+    # valuation of the other factor, which lowers the order when negative
+    order = min(o1, o2)
+    for o, other in ((o1, b), (o2, a)):
+        if other.terms:
+            order = min(order, o + min(ref_weight(e, roster.denoms)
+                                       for e in other.terms))
+    assert p.order == order
+    assert p.terms == ref_mul(a.terms, b.terms, roster.denoms, order)
+
+
+def test_product_order_with_negative_valuation():
+    # (y^-1 + 1 + O(y^5)) (1 + y + ... + y^5 + O(y^5)): the unknown y^6
+    # term of the second factor meets y^-1 at y^5, so the product is
+    # known to y^4 only; its true y^5 coefficient is 2, not 1
+    a = uni({-1: 1, 0: 1}, order=5)
+    b = uni({k: 1 for k in range(6)}, order=5)
+    p = a * b
+    assert p.order == 4
+    assert p.coefficient({"t": 5}) == 0
+    assert all(p.coefficient({"t": k}) == 2 for k in range(5))
+    # agrees with the product of a longer second factor
+    longer = a * uni({k: 1 for k in range(11)}, order=10)
+    assert longer.truncate(4) == p
+    assert (b * a).order == 4
 
 
 @settings(max_examples=100, deadline=None)
