@@ -4,7 +4,8 @@
 Prints the disc invariants n_{1,l} with l twisted-sector insertions for
 P(1,1,2) (closed form (-1)^j / 2^{2j} at l = 2j+1) and for the n = 3
 member of the family, plus the exceptional generating function of the
-Hirzebruch surface F_2.
+Hirzebruch surface F_2. Every table is computed to the order that
+`--order` gives.
 """
 
 import argparse
@@ -45,8 +46,8 @@ def main() -> None:
     ap.add_argument("--order", type=int, default=14)
     args = ap.parse_args()
     family_table(2, args.order)
-    family_table(3, max(args.order, 17))
-    f2_table(min(args.order, 9))
+    family_table(3, args.order)
+    f2_table(args.order)
 
 
 if __name__ == "__main__":

@@ -201,7 +201,7 @@ def solve_unique(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Opti
 
 
 def det(A: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free elimination on a Fraction copy."""
+    """Determinant by Gaussian elimination over Fractions, on a copy."""
     n = len(A)
     M = [[Fraction(x) for x in row] for row in A]
     sign = 1

@@ -1,20 +1,21 @@
-"""Stacky fans, Box elements, labeled polytopes and disc classes.
+"""Stacky fans, Box elements, wall curve classes and basic disc classes.
 
 A stacky fan is a complete simplicial fan together with a lattice
 vector b_j = c_j v_j on each ray (v_j primitive, c_j >= 1). The Box of
 a cone collects the twisted sectors nu = sum t_k b_{i_k} with
-t_k in [0,1) and nu integral; the age of nu is sum t_k.
+t_k in [0,1) and nu integral; the age of nu is sum t_k. A basic disc
+class names one ray or one twisted sector; the X-bar construction
+closes it up by adjoining the ray at minus its boundary vector.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exact import (DependentGeneratorsError, Vec, cone_coefficients,
                     cone_index, det, primitive_vector, solve_unique)
@@ -29,22 +30,6 @@ class IncompleteFanError(ValueError):
 
 
 class NonBasicClassError(ValueError):
-    pass
-
-
-class PointNotInteriorError(ValueError):
-    pass
-
-
-class UnboundedPolytopeError(ValueError):
-    pass
-
-
-class NonSimpleVertexError(ValueError):
-    pass
-
-
-class InvalidDiscDataError(ValueError):
     pass
 
 
@@ -341,94 +326,16 @@ def minimal_containing_cone(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
     raise IncompleteFanError(f"no cone contains {tuple(v)}")
 
 
-# -- labeled polytopes ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LabeledPolytope:
-    """P = {u : <u, b_j> >= lambda_j}; b_j carries the facet label."""
-
-    normals: tuple[Vec, ...]
-    offsets: tuple[Fraction, ...]
-
-    @staticmethod
-    def make(normals, offsets) -> "LabeledPolytope":
-        return LabeledPolytope(tuple(tuple(int(x) for x in b) for b in normals),
-                               tuple(Fraction(l) for l in offsets))
-
-
-def polytope_to_fan(P: LabeledPolytope) -> StackyFan:
-    """Normal fan of a simple bounded polytope, with labels."""
-    n = len(P.normals[0])
-    m = len(P.normals)
-    cones = []
-    if n == 1:
-        if m != 2 or P.normals[0][0] * P.normals[1][0] >= 0:
-            raise UnboundedPolytopeError("1-d polytope needs two opposite facets")
-        lo = Fraction(P.offsets[0], P.normals[0][0])
-        hi = Fraction(P.offsets[1], P.normals[1][0])
-        if (P.normals[0][0] > 0 and lo >= hi) or (P.normals[0][0] < 0 and hi >= lo):
-            raise UnboundedPolytopeError("empty or degenerate interval")
-        cones = [(0,), (1,)]
-        return StackyFan.make(1, P.normals, cones)
-    for s in itertools.combinations(range(m), n):
-        A = [[Fraction(P.normals[j][i]) for i in range(n)] for j in s]
-        try:
-            u = solve_unique(A, [P.offsets[j] for j in s])
-        except DependentGeneratorsError:
-            continue
-        if u is None:
-            continue
-        ok = True
-        for j in range(m):
-            if j in s:
-                continue
-            val = sum(Fraction(P.normals[j][i]) * u[i] for i in range(n)) - P.offsets[j]
-            if val < 0:
-                ok = False
-                break
-            if val == 0:
-                raise NonSimpleVertexError(f"vertex {tuple(u)} lies on extra facet {j}")
-        if ok:
-            cones.append(tuple(s))
-    fan = StackyFan.make(n, P.normals, cones)
-    require_valid(fan, UnboundedPolytopeError, "normal fan is not complete: ")
-    return fan
-
-
-def fan_to_polytope(fan: StackyFan, offsets: Sequence) -> LabeledPolytope:
-    P = LabeledPolytope.make(fan.stacky_vectors, offsets)
-    # round-trip validation
-    back = polytope_to_fan(P)
-    if set(back.max_cones) != set(fan.max_cones):
-        raise InvalidFanError("offsets do not realize the fan as a normal fan")
-    return P
-
-
-def disc_area(P: LabeledPolytope, u: Sequence,
-              a: Union[int, BoxElement], allow_boundary: bool = False) -> Fraction:
-    """ell_a(u) = <u, b_a> - lambda_a, or sum t_k ell_{i_k} for a Box element."""
-    u = [Fraction(x) for x in u]
-    ells = [sum(Fraction(b[i]) * u[i] for i in range(len(u))) - l
-            for b, l in zip(P.normals, P.offsets)]
-    if any(e < 0 for e in ells) or (not allow_boundary and any(e == 0 for e in ells)):
-        raise PointNotInteriorError("point not in the interior of the polytope")
-    if isinstance(a, BoxElement):
-        return sum(t * ells[j] for j, t in zip(a.cone, a.t))
-    return ells[a]
-
-
 # -- disc classes --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DiscClass:
-    """beta = sum k_j beta_j + sum k_nu beta_nu + (sphere class d)."""
+    """beta = sum k_j beta_j + sum k_nu beta_nu."""
 
     fan: StackyFan
     ray_mult: tuple[int, ...]
     box_mult: tuple[int, ...]  # aligned with compute_box(fan)
-    sphere_c1: Fraction = Fraction(0)
 
     def boundary(self, box: Sequence[BoxElement]) -> Vec:
         n = self.fan.dim
@@ -442,8 +349,7 @@ class DiscClass:
         return tuple(out)
 
     def is_basic(self) -> bool:
-        return (self.sphere_c1 == 0 and
-                sum(self.ray_mult) + sum(self.box_mult) == 1 and
+        return (sum(self.ray_mult) + sum(self.box_mult) == 1 and
                 all(k >= 0 for k in self.ray_mult + self.box_mult))
 
 
@@ -457,17 +363,6 @@ def basic_box_class(fan: StackyFan, k: int, box: Sequence[BoxElement]) -> DiscCl
     bm = [0] * len(box)
     bm[k] = 1
     return DiscClass(fan, (0,) * fan.n_rays, tuple(bm))
-
-
-def maslov_index_cw(disc: DiscClass, box: Sequence[BoxElement]) -> Fraction:
-    """mu_CW = 2 sum k_j + 2 sum k_nu age(nu) + 2 c1(sphere part)."""
-    tw = sum(Fraction(k) * el.age for k, el in zip(disc.box_mult, box))
-    return 2 * sum(disc.ray_mult) + 2 * tw + 2 * disc.sphere_c1
-
-
-def maslov_index_desingularized(disc: DiscClass, box: Sequence[BoxElement]) -> Fraction:
-    tw = sum(Fraction(k) * el.age for k, el in zip(disc.box_mult, box))
-    return maslov_index_cw(disc, box) - 2 * tw
 
 
 # -- the X-bar construction ----------------------------------------------
@@ -518,40 +413,3 @@ def star_subdivide_xbar(fan: StackyFan, beta: DiscClass) -> XBarResult:
     note = (f"beta-bar = beta + beta_{m}; new ray {m} at {b_inf} star-subdivides "
             f"the cones containing {C}")
     return XBarResult(newfan, b0, b_inf, m, False, note)
-
-
-# -- Blaschke product boundary check --------------------------------------
-
-
-def blaschke_boundary_check(spec: dict, samples: int = 64) -> float:
-    """Max deviation of | w_j | from |a_j| over boundary sample points.
-
-    spec = {"a": [a_j], "alphas": [[alpha_{j,s}]], "z_plus": [z_i],
-            "t": [[t_{ij}] per interior point i]}; all alphas and z_plus
-    must lie strictly inside the unit disc.
-    """
-    a = [complex(x) for x in spec["a"]]
-    alphas = [[complex(x) for x in row] for row in spec["alphas"]]
-    z_plus = [complex(x) for x in spec.get("z_plus", [])]
-    t = [[Fraction(x) for x in row] for row in spec.get("t", [])]
-    for row in alphas:
-        for al in row:
-            if abs(al) >= 1:
-                raise InvalidDiscDataError(f"|alpha| = {abs(al)} >= 1")
-    for z in z_plus:
-        if abs(z) >= 1:
-            raise InvalidDiscDataError(f"|z+| = {abs(z)} >= 1")
-    worst = 0.0
-    for k in range(samples):
-        z = cmath.exp(2j * cmath.pi * (k + 0.5) / samples)
-        for j in range(len(a)):
-            w = a[j]
-            for al in alphas[j]:
-                w *= (z - al) / (1 - al.conjugate() * z)
-            for i, zi in enumerate(z_plus):
-                base = (z - zi) / (1 - zi.conjugate() * z)
-                tij = t[i][j] if i < len(t) and j < len(t[i]) else Fraction(0)
-                if tij:
-                    w *= cmath.exp(float(tij) * cmath.log(base))
-            worst = max(worst, abs(abs(w) - abs(a[j])))
-    return worst

@@ -491,5 +491,6 @@ def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeRepor
     mono = {lf.mirror.q_names[a]: delta[a] for a in range(ext.r) if delta[a]}
     open_side = S.shift(mono) if mono else S
     closed_q = substitute(closed, lf.chart_images, order)
-    match = closed_q.terms == open_side.truncate(closed_q.order).terms
+    common = min(closed_q.order, open_side.order)
+    match = closed_q.truncate(common).terms == open_side.truncate(common).terms
     return BridgeReport(xbar, tuple(delta), closed, statement, True, match)

@@ -288,10 +288,14 @@ class PuiseuxSeries:
     __rmul__ = __mul__
 
     def shift(self, exponents: Mapping[str, Fraction]) -> "PuiseuxSeries":
-        """Multiply by a monomial (exponent shift)."""
-        mono = PuiseuxSeries.monomial(self.roster, self.order, exponents)
-        (me,) = mono.terms.keys()
-        return PuiseuxSeries(self.roster, self.order,
+        """Multiply by a monomial (exponent shift).
+
+        A monomial of weight w moves every term, and the truncation
+        order, by w: O(o) becomes O(o + w).
+        """
+        me = self.roster.scaled(exponents)
+        order = self.order + Fraction(self.roster.weight(me), self.roster.lcm)
+        return PuiseuxSeries(self.roster, order,
                              {tuple(a + b for a, b in zip(e, me)): c
                               for e, c in self.terms.items()})
 

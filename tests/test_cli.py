@@ -20,6 +20,7 @@ F2 = str(FANS / "f2.json")
 P2 = str(FANS / "p2.json")
 P113 = str(FANS / "p113.json")
 P1_3_5 = str(FANS / "p1_3_5.json")
+P114 = str(FANS / "p114.json")
 
 
 def run(capsys, *argv):
@@ -123,6 +124,28 @@ def test_open_gw_p112(capsys):
     hit = [e for e in data["entries"]
            if e["ray"] == 3 and e["tau_exp"] == [3]]
     assert hit and hit[0]["invariant"] == "-1/4"
+
+
+@pytest.mark.parametrize("fan,index,infinity", [
+    (P112, 2, ["0", "-1"]),
+    (P113, 3, ["0", "0", "-1"]),
+    (P114, 4, ["0", "0", "0", "-1"]),
+    (P1_3_5, 0, ["4"]),
+])
+def test_xbar_reuses_the_opposite_ray(fan, index, infinity, capsys):
+    # minus the first age <= 1 sector is already a ray of each fan
+    code, out = run(capsys, "xbar", fan, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["replaced_ray"] is True
+    assert data["new_ray_index"] == index
+    assert data["infinity_vector"] == infinity
+
+
+def test_xbar_smooth_fan_exits_1(capsys):
+    assert main(["xbar", P2, "--format", "json"]) == 1
+    assert ("fan has no twisted sector of age at most one"
+            in capsys.readouterr().err)
 
 
 def test_crc_pair_passes(capsys):

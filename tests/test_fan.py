@@ -1,4 +1,4 @@
-"""Stacky fans: validation, Box elements, walls, polytopes, subdivisions."""
+"""Stacky fans: validation, Box elements, walls, the X-bar subdivision."""
 
 import json
 import math
@@ -11,16 +11,10 @@ from hypothesis import strategies as st
 
 from orbimirror.exact import cone_index
 from orbimirror.extended import build_extended
-from orbimirror.fan import (DiscClass, IncompleteFanError,
-                            InvalidDiscDataError, InvalidFanError,
-                            LabeledPolytope, NonBasicClassError,
-                            NonSimpleVertexError,
-                            PointNotInteriorError, StackyFan, basic_box_class,
-                            basic_ray_class, blaschke_boundary_check,
-                            compute_box, disc_area, fan_from_json,
-                            fan_to_json, fan_to_polytope, is_gorenstein,
-                            maslov_index_cw, maslov_index_desingularized,
-                            polytope_to_fan, primitive_collections,
+from orbimirror.fan import (DiscClass, IncompleteFanError, InvalidFanError,
+                            NonBasicClassError, StackyFan, basic_box_class,
+                            basic_ray_class, compute_box, fan_from_json,
+                            fan_to_json, is_gorenstein, primitive_collections,
                             star_subdivide_xbar, validate_fan,
                             wall_curve_classes)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
@@ -248,46 +242,6 @@ def test_primitive_collections():
     assert sorted(primitive_collections(f2_fan())) == [(0, 1), (2, 3)]
 
 
-def test_polytope_roundtrip():
-    fan = p2_fan()
-    P = fan_to_polytope(fan, [-1, -1, -1])
-    back = polytope_to_fan(P)
-    assert set(back.max_cones) == set(fan.max_cones)
-    assert back.stacky_vectors == fan.stacky_vectors
-
-
-def test_polytope_non_simple():
-    # square pyramid apex: four facets meeting in one vertex (dim 3)
-    P = LabeledPolytope.make(
-        [(0, 0, 1), (1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1)],
-        [0, -1, -1, -1, -1])
-    with pytest.raises(NonSimpleVertexError):
-        polytope_to_fan(P)
-
-
-def test_disc_area():
-    fan = wpn_fan(2)
-    P = fan_to_polytope(fan, [-1, -1, -1])
-    box = compute_box(fan)
-    u = (F(0), F(0))
-    areas = [disc_area(P, u, j) for j in range(3)]
-    assert all(a > 0 for a in areas)
-    nu_area = disc_area(P, u, box[0])
-    assert nu_area == F(1, 2) * areas[0] + F(1, 2) * areas[1]
-    with pytest.raises(PointNotInteriorError):
-        disc_area(P, (10, 10), 0)
-
-
-def test_maslov_indices():
-    fan = wpn_fan(2)
-    box = compute_box(fan)
-    beta_ray = basic_ray_class(fan, 0, box)
-    assert maslov_index_cw(beta_ray, box) == 2
-    beta_box = basic_box_class(fan, 0, box)
-    assert maslov_index_cw(beta_box, box) == 2  # age one sector
-    assert maslov_index_desingularized(beta_box, box) == 0
-
-
 def test_xbar_replaces_opposite_ray():
     fan = wpn_fan(2)
     box = compute_box(fan)
@@ -312,14 +266,14 @@ def test_xbar_star_subdivides():
 def test_xbar_requires_basic():
     fan = p2_fan()
     box = compute_box(fan)
-    beta = DiscClass(fan, (1, 1, 0), (), F(0))
+    beta = DiscClass(fan, (1, 1, 0), ())
     with pytest.raises(NonBasicClassError):
         star_subdivide_xbar(fan, beta)
 
 
 def test_xbar_requires_complete():
     fan = StackyFan.make(2, ((1, 0), (0, 1)), ((0, 1),))
-    beta = DiscClass(fan, (1, 0), (), F(0))
+    beta = DiscClass(fan, (1, 0), ())
     with pytest.raises(IncompleteFanError):
         star_subdivide_xbar(fan, beta)
 
@@ -335,13 +289,3 @@ def test_fan_json_labels():
             "max_cones": [[0], [1]], "labels": [3, 5]}
     fan = fan_from_json(data)
     assert fan.stacky_vectors == ((3,), (-5,))
-
-
-def test_blaschke_boundary():
-    # single Blaschke factor: |w| = |a| on the whole boundary circle
-    dev = blaschke_boundary_check({"a": [2.0], "alphas": [[0.3 + 0.1j]],
-                                   "z_plus": [], "t": []})
-    assert dev < 1e-12
-    with pytest.raises(InvalidDiscDataError):
-        blaschke_boundary_check({"a": [1.0], "alphas": [[1.5]],
-                                 "z_plus": [], "t": []})

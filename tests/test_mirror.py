@@ -215,6 +215,16 @@ def test_open_gw_f2():
     assert tab.entries == expected
 
 
+def test_open_gw_f2_generating_orders():
+    # rays 1 and 3 carry the shifts q1^{-1} q2^{-2} and q2^{-1}: a
+    # coefficient known to O(6) gives a generating series known only to
+    # O(3) and O(5)
+    ext = build_extended(f2_fan())
+    tab = extract_open_gw(lf_superpotential(ext, 6), ext)
+    assert {j: s.order for j, s in tab.generating.items()} == {
+        0: 6, 1: 3, 2: 6, 3: 5}
+
+
 def test_open_gw_p112_closed_form():
     # n with l twisted insertions is (-1)^j / 4^j at l = 2j + 1
     fan = wpn_fan(2)

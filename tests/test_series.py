@@ -144,6 +144,21 @@ def test_lagrange_invert_requires_linear_term():
         lagrange_invert(uni({0: 1, 1: 1}), 8)
 
 
+@pytest.mark.parametrize("exps,order", [
+    ({"q": F(-3, 2)}, F(5, 2)),          # negative weight lowers the order
+    ({"q": F(1, 2), "u": 1}, F(11, 2)),  # positive weight raises it
+])
+def test_shift_moves_order_by_weight(exps, order):
+    rq = make_roster(["q", "u"], [2, 1])
+    s = PuiseuxSeries(rq, 4, {(2, 0): F(1), (0, 3): F(-2), (8, 0): F(5)})
+    got = s.shift(exps)
+    assert got.order == order
+    # every term moves with the order, so none falls off or is invented
+    me = rq.scaled(exps)
+    assert got.terms == {tuple(a + b for a, b in zip(e, me)): c
+                         for e, c in s.terms.items()}
+
+
 def test_substitute_negative_monomial_shift():
     # Regression: a negative-weight monomial image must not erase
     # contributions computed at high intermediate weight. With
