@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import cone_coefficients, det, integer_solve, solve_unique
+from .exact import (DependentGeneratorsError, SmithFactor, cone_coefficients,
+                    integer_solve)
 from .extended import ExtendedFanData, build_extended
 from .families import wpn_index
 from .fan import StackyFan
@@ -208,17 +209,10 @@ def glue_charts(pair: ResolutionPair) -> ChartGluing:
             raise BasisMismatch("orbifold class is not integral in the "
                                 "resolution basis")
         M.append(tuple(int(x) for x in sol))
-    dM = det(M)
-    if dM == 0:
+    try:
+        u_of_y = tuple(map(tuple, SmithFactor(M).inverse()))
+    except DependentGeneratorsError:
         raise BasisMismatch("glued classes are linearly dependent")
-    # invert M over Q
-    inv = []
-    for b in range(r):
-        rhs = [Fraction(1) if a == b else Fraction(0) for a in range(r)]
-        col = solve_unique([[Fraction(M[a][c]) for c in range(r)]
-                            for a in range(r)], rhs)
-        inv.append(col)
-    u_of_y = tuple(tuple(inv[a][b] for a in range(r)) for b in range(r))
     n = pair_wpn_index(pair)
     eta = None
     if n is not None:

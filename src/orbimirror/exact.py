@@ -2,8 +2,11 @@
 
 Everything in this module works over arbitrary-precision integers and
 `fractions.Fraction`; no floating point. The central tool is the Smith
-normal form, which gives saturated kernel bases of integer matrices and
-integral solvability tests.
+normal form U A V = S, which gives saturated kernel bases of integer
+matrices, integral solvability tests and rational inverses
+A^{-1} = V S^{-1} U. Read for the generators B of a simplicial cone, it
+also gives the cone's Box group: Z^n / B Z^n is isomorphic to the
+product of the Z/d_i on the diagonal of S.
 """
 
 from __future__ import annotations
@@ -153,6 +156,16 @@ class SmithFactor:
                     return None
                 y[i] = ub[i] // d
         return [sum(V[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+
+    def inverse(self) -> list[list[Fraction]]:
+        """A^{-1} = V S^{-1} U over Q; every d_i divides D = d_n."""
+        n, U, S, V = self.cols, self.U, self.S, self.V
+        if self.rows != n or self.rank < n:
+            raise DependentGeneratorsError("matrix is singular or not square")
+        D = S[n - 1][n - 1]
+        VS = [[V[i][k] * (D // S[k][k]) for k in range(n)] for i in range(n)]
+        return [[Fraction(sum(VS[i][k] * U[k][j] for k in range(n)), D)
+                 for j in range(n)] for i in range(n)]
 
 
 def snf_kernel_basis(A: Sequence[Sequence[int]]) -> list[Vec]:

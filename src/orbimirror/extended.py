@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .exact import (SmithFactor, Vec, coordinates, det, lattice_generates,
-                    snf_kernel_basis, solve_unique)
+                    snf_kernel_basis)
 from .fan import (BoxElement, InvalidFanError, StackyFan, require_valid,
                   wall_curve_classes)
 
@@ -78,15 +78,15 @@ class ExtendedFanData:
         vectors = self.all_vectors()
         out = []
         for sigma in self.fan.max_cones:
-            Bsig = [[Fraction(vectors[j][i]) for j in sigma] for i in range(n)]
+            inv = SmithFactor([[vectors[j][i] for j in sigma]
+                               for i in range(n)]).inverse()
             units = []
             for j in range(self.m_prime):
                 if j in sigma:
                     continue
-                rhs = [Fraction(-vectors[j][i]) for i in range(n)]
                 w = [Fraction(0)] * self.m_prime
-                for idx, val in zip(sigma, solve_unique(Bsig, rhs)):
-                    w[idx] = val
+                for idx, row in zip(sigma, inv):
+                    w[idx] = -sum(a * x for a, x in zip(row, vectors[j]))
                 w[j] = Fraction(1)
                 delta = coordinates(self.basis, w)
                 if delta is None:

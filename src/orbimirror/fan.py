@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import (DependentGeneratorsError, Vec, cone_coefficients,
-                    cone_index, det, primitive_vector, solve_unique)
+from .exact import (DependentGeneratorsError, SmithFactor, Vec,
+                    cone_coefficients, cone_index, det, primitive_vector,
+                    solve_unique)
 
 
 class InvalidFanError(ValueError):
@@ -71,15 +72,26 @@ class StackyFan:
         return compute_box(self)
 
 
+def _json_int(x, what: str) -> int:
+    """x if it is a JSON integer; a float or bool would be truncated."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def fan_from_json(data: dict) -> StackyFan:
-    dim = int(data["dim"])
-    vecs = [list(map(int, v)) for v in data["stacky_vectors"]]
+    dim = _json_int(data["dim"], "dim")
+    vecs = [[_json_int(x, "stacky vector entry") for x in v]
+            for v in data["stacky_vectors"]]
+    cones = [[_json_int(i, "cone index") for i in c] for c in data["max_cones"]]
     if "labels" in data:
-        labels = [int(c) for c in data["labels"]]
+        labels = [_json_int(c, "label") for c in data["labels"]]
         if len(labels) != len(vecs):
             raise ValueError("labels length mismatch")
+        if any(c < 1 for c in labels):
+            raise ValueError(f"labels must be at least 1, got {labels}")
         vecs = [[c * x for x in v] for c, v in zip(labels, vecs)]
-    return StackyFan.make(dim, vecs, data["max_cones"])
+    return StackyFan.make(dim, vecs, cones)
 
 
 def fan_to_json(fan: StackyFan) -> dict:
@@ -203,35 +215,32 @@ class BoxElement:
 
 
 def _box_of_cone(fan: StackyFan, cone: Sequence[int]) -> dict[Vec, BoxElement]:
-    """All Box elements (including those of faces) of a full-dim cone."""
-    from .exact import smith_normal_form
+    """All Box elements (including those of faces) of a full-dim cone.
 
+    With B the generator matrix and U B V = S its Smith form, U carries
+    N / B N onto the group of y in prod Z/d_i, and the representative
+    x = U^{-1} y has coordinates t = B^{-1} x = V S^{-1} y on the
+    generators. So t_j = frac(sum_i V[j][i] y_i / d_i), computed in
+    integers over D = d_n, which every d_i divides.
+    """
     n = fan.dim
     gens = fan.cone_generators(cone)
-    B = [[gens[j][i] for j in range(n)] for i in range(n)]  # columns = gens
-    U, S, V = smith_normal_form(B)
-    diag = [S[i][i] for i in range(n)]
-    # invert U over Q to get group representatives x = U^{-1} y
-    Uinv_cols = []
-    for j in range(n):
-        rhs = [Fraction(1 if i == j else 0) for i in range(n)]
-        Uinv_cols.append(solve_unique([[Fraction(U[i][k]) for k in range(n)]
-                                       for i in range(n)], rhs))
+    factor = SmithFactor([[gens[j][i] for j in range(n)] for i in range(n)])
+    diag = [factor.S[i][i] for i in range(n)]
+    D = diag[-1]
+    VS = [[factor.V[j][i] * (D // diag[i]) for i in range(n)] for j in range(n)]
     out: dict[Vec, BoxElement] = {}
     for y in itertools.product(*[range(d) for d in diag]):
-        x = [sum(Uinv_cols[j][i] * y[j] for j in range(n)) for i in range(n)]
-        t = solve_unique([[Fraction(B[i][j]) for j in range(n)] for i in range(n)],
-                         [Fraction(xi) for xi in x])
-        tf = [ti - math.floor(ti) for ti in t]
-        if all(ti == 0 for ti in tf):
+        num = [sum(VS[j][i] * y[i] for i in range(n)) % D for j in range(n)]
+        if not any(num):
             continue
         nu = []
         for i in range(n):
-            val = sum(tf[j] * gens[j][i] for j in range(n))
+            val = Fraction(sum(num[j] * gens[j][i] for j in range(n)), D)
             assert val.denominator == 1
             nu.append(int(val))
-        support = tuple(cone[j] for j in range(n) if tf[j])
-        ts = tuple(tf[j] for j in range(n) if tf[j])
+        support = tuple(cone[j] for j in range(n) if num[j])
+        ts = tuple(Fraction(num[j], D) for j in range(n) if num[j])
         out[tuple(nu)] = BoxElement(tuple(nu), support, ts, sum(ts))
     return out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Vec, coordinates, solve_unique
+from .exact import SmithFactor, Vec, coordinates
 from .extended import ExtendedFanData, KEffElement, keff_enumerate
 from .families import wpn_index
 from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
@@ -275,16 +275,9 @@ def _gauge_exponents(ext: ExtendedFanData, gauge: Sequence[int]) -> dict[int, li
     free = [j for j in range(ext.m_prime) if j not in gauge]
     if len(free) != ext.r_prime:
         raise GaugeUnsolvableError("gauge cone must have dim(fan) rays")
-    out: dict[int, list[Fraction]] = {}
-    M = [[Fraction(ext.basis[a][j]) for j in free] for a in range(ext.r_prime)]
-    for a in range(ext.r_prime):
-        rhs = [Fraction(1) if b == a else Fraction(0) for b in range(ext.r_prime)]
-        col = solve_unique(M, rhs)
-        if col is None:
-            raise GaugeUnsolvableError("gauge constraints are inconsistent")
-        for jj, j in enumerate(free):
-            out.setdefault(j, [Fraction(0)] * ext.r_prime)[a] = col[jj]
-    return out
+    inv = SmithFactor([[ext.basis[a][j] for j in free]
+                       for a in range(ext.r_prime)]).inverse()
+    return dict(zip(free, inv))
 
 
 def hori_vafa(ext: ExtendedFanData, gauge: Optional[Sequence[int]] = None,

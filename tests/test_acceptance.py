@@ -152,9 +152,10 @@ def test_criterion_5_specialization():
               "tau2 = 0 (exactly in closed form, <= 1e-12 sampled)", ok)
 
 
-def brute_force_parallelepiped_count(gens) -> int:
-    """Count lattice points of {sum t_i g_i : 0 <= t_i < 1} by scanning
-    the integer bounding box and testing membership with the adjugate."""
+def brute_force_parallelepiped_points(gens) -> dict:
+    """The lattice points x of {sum t_i g_i : 0 <= t_i < 1}, each with its
+    t = adj(B) x / det(B), found by scanning the integer bounding box and
+    testing membership with the adjugate."""
     n = len(gens)
     d = det(gens)
     assert d != 0
@@ -178,7 +179,8 @@ def brute_force_parallelepiped_count(gens) -> int:
     S = pts @ A.T
     sign = 1 if d > 0 else -1
     inside = ((sign * S >= 0) & (sign * S < abs(d))).all(axis=1)
-    return int(inside.sum())
+    return {tuple(int(x) for x in p): tuple(F(int(s), int(d)) for s in row)
+            for p, row in zip(pts[inside], S[inside])}
 
 
 def test_criterion_6_box_size_equals_index():
@@ -192,16 +194,22 @@ def test_criterion_6_box_size_equals_index():
             continue
         fan = StackyFan.make(n, gens, (tuple(range(n)),))
         box = _box_of_cone(fan, tuple(range(n)))
-        oracle = brute_force_parallelepiped_count(gens)
+        oracle = brute_force_parallelepiped_points(gens)
         index = abs(det(gens))
-        # the package omits the identity element
-        if len(box) + 1 != index or oracle != index:
-            report(6, "|Box| = |det| on random simplicial cones", False,
+        # the package omits the identity element and keeps the nonzero t
+        # with the rays that carry them
+        want = {x: (tuple(j for j in range(n) if t[j]), tuple(tj for tj in t if tj))
+                for x, t in oracle.items() if any(t)}
+        got = {nu: (el.cone, el.t) for nu, el in box.items()}
+        if len(box) + 1 != index or len(oracle) != index or got != want:
+            report(6, "Box = lattice points of the parallelepiped on random "
+                      "simplicial cones", False,
                    f"gens {gens}: box {len(box) + 1}, det {index}, "
-                   f"oracle {oracle}")
+                   f"oracle {len(oracle)}, same points {got == want}")
         checked += 1
-    report(6, "|Box| = |det| on 200 random simplicial cones "
-              "(dim <= 4, entries <= 5) vs brute-force oracle", True)
+    report(6, "Box = lattice points of the parallelepiped, with their t, on "
+              "200 random simplicial cones (dim <= 4, entries <= 5) vs "
+              "brute-force oracle; |Box| = |det|", True)
 
 
 def roundtrip_exact(fan, order) -> bool:

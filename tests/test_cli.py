@@ -54,6 +54,26 @@ def test_missing_schema_key_exits_1(tmp_path, capsys):
     assert run(capsys, "validate", str(bad))[0] == 1
 
 
+@pytest.mark.parametrize("extra", [
+    {"stacky_vectors": [[1.9, 0], [-1, 2.5], [0, -1]]},
+    {"max_cones": [[0, 1.0], [0, 2], [1, 2]]},
+    {"dim": True},
+    {"labels": [1, 0, 1]},
+    {"labels": [1, -1, 1]},
+])
+def test_non_integer_or_nonpositive_fan_data_exits_1(extra, tmp_path, capsys):
+    # int() would read 1.9 as 1 (P(1,1,2) from a malformed file), and a
+    # label of -1 would flip its ray into a fan that fails validation
+    # with exit 2, as if the input were a valid but incomplete fan
+    data = {"dim": 2, "stacky_vectors": [[1, 0], [-1, 2], [0, -1]],
+            "max_cones": [[0, 1], [0, 2], [1, 2]], **extra}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for cmd in ("validate", "box"):
+        assert main([cmd, str(bad)]) == 1
+        assert "invalid fan data" in capsys.readouterr().err
+
+
 def test_bad_order_exits_1(capsys):
     assert run(capsys, "open-gw", P112, "--order", "0")[0] == 1
 
@@ -261,17 +281,14 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(target.read_text())["gorenstein"] is True
 
 
-DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+RECORDED = json.loads((FANS.parent / "perfbench" / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("key", [
-    "open-gw p112 --order 14", "open-gw p113 --order 22",
-    "open-gw p114 --order 14", "open-gw f2 --order 12",
-    "open-gw kp3 --order 8", "mirror-map p1_3_5 --order 3",
-])
+@pytest.mark.parametrize("key", sorted(RECORDED))
 def test_exact_output_matches_recorded_digest(key, tmp_path, capsys):
-    # the exact series outputs are pinned byte for byte by the SHA-256 of
-    # their canonical JSON form, as recorded for the benchmark
+    # every exact output recorded for the benchmark (the series of the
+    # disc workloads and validate, box and check on each bundled fan) is
+    # pinned byte for byte by the SHA-256 of its canonical JSON form
     cmd, fan, *rest = key.split()
     out = tmp_path / "out.json"
     argv = [cmd, str(FANS / f"{fan}.json"), *rest, "--format", "json",
@@ -279,8 +296,7 @@ def test_exact_output_matches_recorded_digest(key, tmp_path, capsys):
     assert main(argv) == 0
     payload = json.loads(out.read_text())
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    want = json.loads(DIGESTS.read_text())[key]
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED[key]
 
 
 def test_p1_3_5_open_gw_fails_on_tied_tau_relation(capsys):

@@ -92,9 +92,16 @@ square = st.integers(1, 3).flatmap(
 def test_one_factor_solves_every_right_hand_side(A, bs):
     # one factorization serves every b; for nonsingular A the integral
     # solution exists exactly when the rational one is integral
-    if det(A) == 0:
-        return
     factor = SmithFactor(A)
+    if det(A) == 0:
+        with pytest.raises(DependentGeneratorsError):
+            factor.inverse()
+        return
+    n = len(A)
+    inv = factor.inverse()
+    assert mat_mul(A, inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        assert [row[k] for row in inv] == solve_unique(A, [int(i == k) for i in range(n)])
     for b in bs:
         b = b[:len(A)]
         want = solve_unique(A, b)
@@ -105,6 +112,12 @@ def test_one_factor_solves_every_right_hand_side(A, bs):
             assert got is None
         assert got == integer_solve(A, b)
     assert factor.kernel_basis() == snf_kernel_basis(A) == []
+
+
+def test_inverse_of_singular_or_non_square_matrix_raises():
+    for A in ([[1, 2], [2, 4]], [[0]], [[1, 0, 0], [0, 1, 0]], [[1], [0]]):
+        with pytest.raises(DependentGeneratorsError):
+            SmithFactor(A).inverse()
 
 
 def test_solve_unique():
