@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -73,29 +74,25 @@ class ExtendedFanData:
     @cached_property
     def cone_units(self) -> tuple[tuple[EnumerationUnit, ...], ...]:
         """The enumeration units of each max cone, in `fan.max_cones`
-        order, one per free index; every unit has positive weight."""
-        n = self.dim
-        vectors = self.all_vectors()
+        order, one per free index; every unit has positive weight.
+
+        The free indices of sigma are the r' indices outside it. With
+        B the r' x r' matrix basis[a][k] over the free k, the unit of
+        the i-th free index has delta = row i of B^-1, so that
+        <D_k, u> = (delta B)_k is 1 at that index and 0 at the others.
+        """
         out = []
         for sigma in self.fan.max_cones:
-            inv = SmithFactor([[vectors[j][i] for j in sigma]
-                               for i in range(n)]).inverse()
+            free = [j for j in range(self.m_prime) if j not in sigma]
+            inv = SmithFactor([[d[k] for k in free] for d in self.basis]).inverse()
             units = []
-            for j in range(self.m_prime):
-                if j in sigma:
-                    continue
-                w = [Fraction(0)] * self.m_prime
-                for idx, row in zip(sigma, inv):
-                    w[idx] = -sum(a * x for a, x in zip(row, vectors[j]))
-                w[j] = Fraction(1)
-                delta = coordinates(self.basis, w)
-                if delta is None:
-                    raise BasisShapeInfeasibleError("pairing vector outside the kernel")
+            for j, delta in zip(free, inv):
+                w = tuple(self.pairing(k, delta) for k in range(self.m_prime))
                 omega = sum(delta)
                 if omega <= 0:
                     raise EnumerationUnboundedError(
                         f"direction {j} of cone {sigma} has nonpositive weight {omega}")
-                units.append(EnumerationUnit(tuple(w), tuple(delta), omega, sum(w)))
+                units.append(EnumerationUnit(w, tuple(delta), omega, sum(w)))
             out.append(tuple(units))
         return tuple(out)
 
@@ -244,52 +241,60 @@ def keff_enumerate(ext: ExtendedFanData, bound,
     surfaces F_3 and F_4 have them) is enumerated in full up to the
     weight bound and each class is kept only if c <= max_c. Either way
     the result is exactly K_eff with weight <= bound and c <= max_c.
+
+    Every unit is scaled to integer numerators over one common
+    denominator L (the basis is integral, so L clears the pairings
+    too), so the recursion, the deduplication and the sector
+    and z-weight of a class run in integers; the `Fraction`s of a class
+    are built only when it is new. With W_j = L <D_j, d>, the sector is
+    sum_j ((-W_j) mod L) v_j / L and the z-weight sum_j ceil(W_j / L).
     """
-    bound = Fraction(bound)
-    n = ext.dim
+    cone_units = ext.cone_units
+    L = math.lcm(*(x.denominator for units in cone_units for u in units
+                   for x in u.delta))
+    w_cap = math.floor(Fraction(bound) * L)
+    c_cap = math.inf if max_c is None else math.floor(Fraction(max_c) * L)
+    n, m_prime = ext.dim, ext.m_prime
     vectors = ext.all_vectors()
-    seen: dict[tuple, KEffElement] = {}
-    box_by_nu = {el.nu: el for el in ext.box}
+    columns = [[d[j] for d in ext.basis] for j in range(m_prime)]
+    box_nus = {el.nu for el in ext.box}
     zero = (0,) * n
-    for units in ext.cone_units:
-        prune = max_c is not None and all(u.c >= 0 for u in units)
-        c_limit = max_c if prune else math.inf
+    seen: dict[tuple[int, ...], KEffElement] = {}
 
-        def rec(idx: int, w_acc, delta_acc, weight_acc, c_acc):
-            if weight_acc > bound:
-                return
-            if idx == len(units):
-                if delta_acc in seen or (max_c is not None and c_acc > max_c):
-                    return
-                w = tuple(w_acc)
-                # membership: fractional/negative pairings only on sigma
-                nu_vec = [Fraction(0)] * n
-                for jj in range(ext.m_prime):
-                    fneg = (-w[jj]) - math.floor(-w[jj])  # {-<D_j,d>}
-                    if fneg:
-                        for i in range(n):
-                            nu_vec[i] += fneg * vectors[jj][i]
-                nu = []
-                for x in nu_vec:
-                    assert x.denominator == 1
-                    nu.append(int(x))
-                nu = tuple(nu)
-                if nu != zero and nu not in box_by_nu:
-                    raise InvalidFanError(f"sector {nu} of class {delta_acc} "
-                                          "is not a Box element")
-                zw = sum(math.ceil(x) for x in w)
-                seen[delta_acc] = KEffElement(delta_acc, w, nu, zw, weight_acc)
-                return
-            u = units[idx]
-            k = 0
-            while (weight_acc + k * u.weight <= bound
-                   and c_acc + k * u.c <= c_limit):
-                rec(idx + 1,
-                    [a + k * b for a, b in zip(w_acc, u.pairings)],
-                    tuple(a + k * b for a, b in zip(delta_acc, u.delta)),
-                    weight_acc + k * u.weight, c_acc + k * u.c)
-                k += 1
+    def add_class(delta: tuple[int, ...], weight: int) -> None:
+        pair = [sum(map(operator.mul, delta, col)) for col in columns]
+        nu = []
+        for i in range(n):
+            s = sum((-p) % L * v[i] for p, v in zip(pair, vectors))
+            assert s % L == 0
+            nu.append(s // L)
+        nu = tuple(nu)
+        if nu != zero and nu not in box_nus:
+            raise InvalidFanError(f"sector {nu} of class "
+                                  f"{tuple(Fraction(x, L) for x in delta)} "
+                                  "is not a Box element")
+        seen[delta] = KEffElement(
+            tuple(Fraction(x, L) for x in delta),
+            tuple(Fraction(p, L) for p in pair), nu,
+            -sum((-p) // L for p in pair), Fraction(weight, L))
 
-        rec(0, [Fraction(0)] * ext.m_prime,
-            (Fraction(0),) * ext.r_prime, Fraction(0), Fraction(0))
-    return sorted(seen.values(), key=lambda el: (el.weight, el.delta))
+    for units in cone_units:
+        steps = [(tuple(int(x * L) for x in u.delta), int(u.weight * L),
+                  int(u.c * L)) for u in units]
+        last = len(steps)
+        c_limit = c_cap if all(u.c >= 0 for u in units) else math.inf
+
+        def rec(idx: int, delta: tuple[int, ...], weight: int, c: int) -> None:
+            if idx == last:
+                if c <= c_cap and delta not in seen:
+                    add_class(delta, weight)
+                return
+            step, w_step, c_step = steps[idx]
+            while weight <= w_cap and c <= c_limit:
+                rec(idx + 1, delta, weight, c)
+                delta = tuple(map(operator.add, delta, step))
+                weight += w_step
+                c += c_step
+
+        rec(0, (0,) * ext.r_prime, 0, 0)
+    return [seen[d] for d in sorted(seen, key=lambda d: (sum(d), d))]

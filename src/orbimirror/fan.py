@@ -81,6 +81,8 @@ def _json_int(x, what: str) -> int:
 
 def fan_from_json(data: dict) -> StackyFan:
     dim = _json_int(data["dim"], "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     vecs = [[_json_int(x, "stacky vector entry") for x in v]
             for v in data["stacky_vectors"]]
     cones = [[_json_int(i, "cone index") for i in c] for c in data["max_cones"]]

@@ -8,7 +8,8 @@ so it is stored as one polynomial P_delta in pbar, an exact series of
 the `series` kernel, and the z-power of each term follows from its
 pbar-degree. Nothing reads below z^-2 (the mirror map reads 1/z, the
 open-closed bridge 1/z^2), so P_delta is only computed for the classes
-with D_delta >= -2. Since -D_delta = sum_j ceil <D_j, delta> >= c(delta)
+with D_delta >= -2, and only to the pbar-degree min(n, D_delta + 2)
+that reaches z^-2. Since -D_delta = sum_j ceil <D_j, delta> >= c(delta)
 = sum_j <D_j, delta>, those classes have c(delta) <= 2, and only the
 classes with c(delta) <= 2 are enumerated.
 """
@@ -53,46 +54,85 @@ class NotFanoError(ValueError):
 _ZMIN = -2
 
 
+def _pairing_factor(p: Fraction, n: int, cache: dict
+                    ) -> tuple[Fraction, int, tuple[Fraction, ...]]:
+    """The I-function factor of one index j of pairing p = <D_j, delta>,
+    at z = 1, as (scalar, bare, slog).
+
+    The factor is prod (Dbar_j + a) over a = p mod 1 with p < a <= 0,
+    divided by the same product over 0 < a <= p. Each (Dbar_j + a) with
+    a != 0 is a exp(log(1 + Dbar_j/a)) and each with a = 0 is a bare
+    Dbar_j, so the factor is scalar Dbar_j^bare exp(sum_i slog[i] Dbar_j^i),
+    with slog[1..n] (nilpotency truncates at Dbar_j^n; slog[0] = 0).
+    F(p) is trivial on (-1, 0], F(p) = F(p - 1) / (Dbar_j + p) for p > 0
+    and F(p) = F(p + 1) (Dbar_j + p + 1) for p <= -1; `cache` holds
+    every F it computes, keyed by p.
+    """
+    chain = []
+    q = p
+    while q not in cache and not -1 < q <= 0:
+        chain.append(q)
+        q = q - 1 if q > 0 else q + 1
+    scalar, bare, slog = cache.get(q) or (Fraction(1), 0, (Fraction(0),) * (n + 1))
+    for q in reversed(chain):
+        a, sign = (q, -1) if q > 0 else (q + 1, 1)
+        if a == 0:
+            bare += 1
+        else:
+            scalar = scalar * a if sign > 0 else scalar / a
+            # log(1 + x/a) = sum_i (-1)^(i+1) x^i / (i a^i)
+            step, power = list(slog), Fraction(sign)
+            for i in range(1, n + 1):
+                power /= a
+                step[i] += power / i if i % 2 else -power / i
+            slog = tuple(step)
+        cache[q] = (scalar, bare, slog)
+    return scalar, bare, slog
+
+
 def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
-                   dbar_pows: Sequence[Sequence[PuiseuxSeries]]) -> PuiseuxSeries:
-    """P_delta, the class-delta coefficient of the I-function at z = 1.
+                   dbar_pows: Sequence[Sequence[PuiseuxSeries]],
+                   factors: dict) -> dict[tuple[int, ...], Fraction]:
+    """P_delta, the class-delta coefficient of the I-function at z = 1,
+    up to the pbar-degree t = min(n, D_delta - _ZMIN) that reaches
+    z^_ZMIN.
 
     Each factor (Dbar_j + c z) has degree 1 in (z, pbar), so the
     coefficient is z^{D_delta} P_delta(pbar/z) with D_delta the number
-    of numerator minus denominator factors, -sum_j ceil <D_j, delta>.
-    At z = 1 a factor with c != 0 is c exp(log(1 + Dbar_j/c)), whose
-    logarithm nilpotency truncates at pbar-degree n; a factor with c = 0
-    is a bare Dbar_j. `dbar_pows[j][i]` is Dbar_j^i.
+    of numerator minus denominator factors, -sum_j ceil <D_j, delta>,
+    and the pbar-degree-i part of P_delta carries z^{D_delta - i}.
+    P_delta is the product over j of the pairing factors
+    (`_pairing_factor`, memoised in `factors`); Dbar_j vanishes on an
+    extended index j, which contributes its scalar only.
+    `dbar_pows[j][i]` is Dbar_j^i.
     """
     n = ext.dim
+    t = min(n, -kel.zweight - _ZMIN)
     roster = dbar_pows[0][0].roster
     scalar = Fraction(1)
-    bare = PuiseuxSeries.constant(roster, n, 1)
-    S = PuiseuxSeries.zero(roster, n)
+    bare = []
+    S: dict[tuple[int, ...], Fraction] = {}
     for j, p in enumerate(kel.pairings):
-        if p == 0:
+        if not p:
             continue
-        if p < 0:
-            ks = range(math.ceil(p), 0)
-            sign = 1
-        else:
-            ks = range(0, math.ceil(p))
-            sign = -1
-        slog = [Fraction(0)] * (n + 1)   # i -> coefficient of Dbar_j^i
-        for k in ks:
-            c = p - k
-            if c == 0:
-                assert j < ext.m, "vanishing factor on an extended index"
-                bare = bare * dbar_pows[j][1]
-                continue
-            scalar = scalar * c if sign > 0 else scalar / c
-            if j < ext.m:
-                for i in range(1, n + 1):
-                    slog[i] += sign * Fraction((-1) ** (i + 1), i) / c ** i
-        for i in range(1, n + 1):
+        f_scalar, f_bare, slog = _pairing_factor(p, n, factors)
+        scalar *= f_scalar
+        if j >= ext.m:
+            assert not f_bare, "vanishing factor on an extended index"
+            continue
+        bare += [j] * f_bare
+        for i in range(1, t + 1):
             if slog[i]:
-                S = S + dbar_pows[j][i].scale(slog[i])
-    return (series_exp(S) * bare).scale(scalar)
+                for e, c in dbar_pows[j][i].terms.items():
+                    S[e] = S.get(e, 0) + slog[i] * c
+    if len(bare) > t:
+        return {}
+    P = PuiseuxSeries.constant(roster, t, scalar)
+    for j in bare:
+        P = P * dbar_pows[j][1]
+    if S:
+        P = P * series_exp(PuiseuxSeries(roster, t, S))
+    return P.terms
 
 
 @dataclass
@@ -106,8 +146,9 @@ class ISeries:
     and `coeffs[delta]` maps pexp to the coefficient of pbar^pexp in
     P_delta, that is of z^{D_delta - |pexp|} pbar^pexp. Every z-power
     of the class is at most D_delta, so only the classes with
-    D_delta >= _ZMIN are stored; the others contribute nothing that is
-    read.
+    D_delta >= _ZMIN are stored, and each P_delta only to the
+    pbar-degree D_delta - _ZMIN; the rest contributes nothing that is
+    read, and `coefficient` reads 0 for every z-power below _ZMIN.
     """
 
     ext: ExtendedFanData
@@ -137,11 +178,11 @@ def i_function(ext: ExtendedFanData, order) -> ISeries:
         for _ in range(n):
             pows.append(pows[-1] * dbar)
         dbar_pows.append(pows)
-    coeffs, degrees = {}, {}
+    coeffs, degrees, factors = {}, {}, {}
     for kel in elements:
         degree = -kel.zweight            # D_delta
         if degree >= _ZMIN:
-            coeffs[kel.delta] = _i_coefficient(ext, kel, dbar_pows).terms
+            coeffs[kel.delta] = _i_coefficient(ext, kel, dbar_pows, factors)
             degrees[kel.delta] = degree
     return ISeries(ext, order, elements, coeffs, degrees)
 

@@ -60,11 +60,14 @@ def test_missing_schema_key_exits_1(tmp_path, capsys):
     {"dim": True},
     {"labels": [1, 0, 1]},
     {"labels": [1, -1, 1]},
+    {"dim": 0},
+    {"dim": -1},
 ])
 def test_non_integer_or_nonpositive_fan_data_exits_1(extra, tmp_path, capsys):
     # int() would read 1.9 as 1 (P(1,1,2) from a malformed file), and a
     # label of -1 would flip its ray into a fan that fails validation
-    # with exit 2, as if the input were a valid but incomplete fan
+    # with exit 2, as if the input were a valid but incomplete fan; a
+    # dim of 0 or below would fail validation the same way
     data = {"dim": 2, "stacky_vectors": [[1, 0], [-1, 2], [0, -1]],
             "max_cones": [[0, 1], [0, 2], [1, 2]], **extra}
     bad = tmp_path / "bad.json"

@@ -255,6 +255,36 @@ def test_keff_prune_is_the_full_set_cut_at_c_2(make, bounds):
         assert _chart_denoms(ext, F(bound)) == dens
 
 
+@pytest.mark.parametrize("make,bounds", [c[1:] for c in _PRUNE_CASES],
+                         ids=[c[0] for c in _PRUNE_CASES])
+def test_keff_and_unit_invariants(make, bounds):
+    # every field the enumeration computes in integers, recomputed here
+    # in Fractions from the class's delta
+    ext = build_extended(make())
+    vectors = ext.all_vectors()
+    n = ext.dim
+
+    def combo(coefs):
+        return tuple(sum((c * v[i] for c, v in zip(coefs, vectors)), F(0))
+                     for i in range(n))
+
+    for el in keff_enumerate(ext, max(bounds)):
+        pairings = tuple(ext.pairing(j, el.delta) for j in range(ext.m_prime))
+        assert el.pairings == pairings
+        assert el.weight == sum(el.delta)
+        assert el.zweight == sum(math.ceil(p) for p in pairings)
+        assert el.nu == combo([-p - math.floor(-p) for p in pairings])
+    for sigma, units in zip(ext.fan.max_cones, ext.cone_units):
+        free = [j for j in range(ext.m_prime) if j not in sigma]
+        assert len(units) == len(free)
+        for j, u in zip(free, units):
+            assert [u.pairings[k] for k in free] == [int(k == j) for k in free]
+            assert u.pairings == tuple(ext.pairing(k, u.delta)
+                                       for k in range(ext.m_prime))
+            assert combo(u.pairings) == (0,) * n
+            assert (u.weight, u.c) == (sum(u.delta), sum(u.pairings))
+
+
 @pytest.mark.parametrize("k,c,delta", [(3, -1, (2, 2)), (4, -2, (1, 2))])
 def test_non_fano_hirzebruch_units_take_the_fallback(k, c, delta):
     # the unit d_1 has c = 2 - k < 0 and the unit d_2 has c = 2. The class

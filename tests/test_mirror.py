@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbimirror.crc import wpn_g_series
 import orbimirror.mirror
@@ -16,7 +18,8 @@ from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
 from orbimirror.fan import (basic_box_class, basic_ray_class, compute_box,
                             fan_from_json)
 from orbimirror.mirror import (GaugeUnsolvableError, NotFanoError,
-                               NotGorensteinError, check_normalization,
+                               NotGorensteinError, _pairing_factor,
+                               check_normalization,
                                extract_open_gw, hori_vafa, i_function,
                                lf_superpotential, mirror_map,
                                open_closed_bridge)
@@ -90,6 +93,8 @@ def _oracle_product(ext, kel):
 
 @pytest.mark.parametrize("fan,order", [
     (wpn_fan(2), 8), (wpn_fan(3), 10), (f2_fan(), 6), (kp_bundle_fan(3), 5),
+    # n = 4 truncation, and fractional pairings on extended indices
+    (wpn_fan(4), 8), (p1_orbifold(3, 5), 3),
 ])
 def test_i_function_matches_product_oracle(fan, order):
     ext = build_extended(fan)
@@ -107,6 +112,55 @@ def test_i_function_matches_product_oracle(fan, order):
             for pe in monomials:
                 assert iseries.coefficient(kel.delta, z, pe) == \
                     want.get((z, pe), 0), (kel.delta, z, pe)
+
+
+def _series_mul(x, y, deg):
+    out = [F(0)] * (deg + 1)
+    for i, a in enumerate(x[:deg + 1]):
+        for j, b in enumerate(y[:deg + 1 - i]):
+            out[i + j] += a * b
+    return out
+
+
+def _gamma_ratio_reference(p, n):
+    """prod (x + a) over a = p mod 1 with p < a <= 0, divided by the same
+    product over 0 < a <= p, as a power series in x; returned as
+    (scalar, bare, log) with the series = scalar x^bare exp(sum_i
+    log[i] x^i) up to x^(bare + n), read off the expanded product."""
+    deg = n + 1
+    prod = [F(1)] + [F(0)] * deg
+    a = p + 1
+    while a <= 0:
+        prod = _series_mul(prod, [a, F(1)], deg)
+        a += 1
+    a = p
+    while a > 0:
+        # 1/(x + a) = sum_i (-x)^i / a^(i + 1)
+        prod = _series_mul(prod, [F(-1) ** i / a ** (i + 1)
+                                  for i in range(deg + 1)], deg)
+        a -= 1
+    bare = next(i for i, c in enumerate(prod) if c)
+    scalar = prod[bare]
+    u = [F(0)] + [c / scalar for c in prod[bare + 1:bare + n + 1]]
+    log, power = [F(0)] * (n + 1), [F(1)] + [F(0)] * n
+    for k in range(1, n + 1):
+        power = _series_mul(power, u, n)
+        log = [x + F((-1) ** (k + 1), k) * c for x, c in zip(log, power)]
+    return scalar, bare, tuple(log)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 6)),
+                min_size=1, max_size=6),
+       st.integers(1, 4))
+@example([(-3, 1), (0, 1), (5, 1), (-40, 1)], 4)  # integers: bare factors
+@example([(-1, 2), (-5, 6), (0, 3)], 3)           # (-1, 0]: trivial
+def test_pairing_factor_matches_gamma_ratio_product(pairs, n):
+    # one cache across the draws, so later pairings reuse earlier chains
+    cache = {}
+    for a, b in pairs:
+        p = F(a, b)
+        assert _pairing_factor(p, n, cache) == _gamma_ratio_reference(p, n), p
 
 
 def test_bridge_computes_i_function_once(monkeypatch):
