@@ -208,7 +208,7 @@ def glue_charts(pair: ResolutionPair) -> ChartGluing:
         if sol is None:
             raise BasisMismatch("orbifold class is not integral in the "
                                 "resolution basis")
-        M.append(tuple(int(x) for x in sol))
+        M.append(tuple(sol))
     try:
         u_of_y = tuple(map(tuple, SmithFactor(M).inverse()))
     except DependentGeneratorsError:

@@ -1,16 +1,29 @@
 """Exact integer and rational linear algebra.
 
 Everything in this module works over arbitrary-precision integers and
-`fractions.Fraction`; no floating point. The central tool is the Smith
-normal form U A V = S, which gives saturated kernel bases of integer
-matrices, integral solvability tests and rational inverses
-A^{-1} = V S^{-1} U. Read for the generators B of a simplicial cone, it
-also gives the cone's Box group: Z^n / B Z^n is isomorphic to the
-product of the Z/d_i on the diagonal of S.
+`fractions.Fraction`; no floating point. The one elimination is the
+Smith normal form U A V = S of an integer matrix (`smith_normal_form`,
+kept by `SmithFactor`); every determinant, rank, kernel, solve, inverse
+and cone test reads it:
+
+- det A = eps d_1 ... d_n (0 when rank < n), where eps = det U det V is
+  tracked while factoring: it flips on each swap of two distinct rows
+  or columns and on each negated row.
+- With D the largest nonzero d_i and VS = V diag(D/d_i) in integers,
+  x = VS (U b) / D solves A x = b with the coordinates of V^-1 x past
+  the rank set to 0, and A^-1 = VS U / D. A rational b is first scaled
+  by the lcm of its denominators. V is unimodular, so A x = b has an
+  integral solution iff this x is integral.
+- The columns of V past the rank are a saturated kernel basis, and for
+  the generators B of a simplicial cone Z^n / B Z^n is the product of
+  the Z/d_i (the cone's Box group).
+
+A non-integral entry raises ValueError instead of being truncated.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,8 +47,19 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _integer(x) -> int:
+    """x as an int; ValueError unless x is an integer."""
+    if type(x) is int:
+        return x
+    q = Fraction(x)
+    if q.denominator != 1:
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return q.numerator
+
+
 def smith_normal_form(A: Sequence[Sequence[int]]):
-    """Return (U, S, V) with U*A*V = S diagonal, U and V unimodular.
+    """Return (U, S, V, eps) with U*A*V = S diagonal, U and V unimodular
+    and eps = det U * det V.
 
     Diagonal entries of S are nonnegative and each divides the next.
     """
@@ -43,21 +67,28 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     if rows == 0 or len(A[0]) == 0:
         raise EmptyMatrixError("matrix has no entries")
     cols = len(A[0])
-    S = [list(map(int, row)) for row in A]
+    S = [[_integer(x) for x in row] for row in A]
     if any(len(row) != cols for row in S):
         raise ValueError("ragged matrix")
     U = _identity(rows)
     V = _identity(cols)
+    eps = 1
 
     def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
+        nonlocal eps
+        if i != j:
+            S[i], S[j] = S[j], S[i]
+            U[i], U[j] = U[j], U[i]
+            eps = -eps
 
     def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        nonlocal eps
+        if i != j:
+            for row in S:
+                row[i], row[j] = row[j], row[i]
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+            eps = -eps
 
     def add_row(dst, src, k):
         # row_dst += k * row_src
@@ -117,8 +148,9 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
             if S[t][t] < 0:
                 S[t] = [-a for a in S[t]]
                 U[t] = [-a for a in U[t]]
+                eps = -eps
             t += 1
-    return U, S, V
+    return U, S, V, eps
 
 
 def rank(A: Sequence[Sequence[int]]) -> int:
@@ -127,12 +159,23 @@ def rank(A: Sequence[Sequence[int]]) -> int:
 
 class SmithFactor:
     """U A V = S for one integer matrix A, computed once and reused by
-    every kernel basis and integral solve of A."""
+    its determinant and by every kernel basis, solve and inverse of A."""
 
     def __init__(self, A: Sequence[Sequence[int]]):
-        self.U, self.S, self.V = smith_normal_form(A)
-        self.rows, self.cols = len(A), len(A[0])
-        self.rank = sum(1 for i in range(min(self.rows, self.cols)) if self.S[i][i])
+        self.U, S, self.V, self.eps = smith_normal_form(A)
+        self.rows, self.cols = len(S), len(S[0])
+        self.diag = [S[i][i] for i in range(min(self.rows, self.cols))]
+        # the nonzero d_i come first, each dividing the next
+        self.rank = r = sum(1 for d in self.diag if d)
+        self.D = D = self.diag[r - 1] if r else 1
+        self.VS = [[row[k] * (D // self.diag[k]) for k in range(r)] for row in self.V]
+
+    @property
+    def det(self) -> int:
+        """eps d_1 ... d_n, which is 0 when A is singular."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of a non-square matrix")
+        return self.eps * math.prod(self.diag)
 
     def kernel_basis(self) -> list[Vec]:
         """Saturated integral basis of ker(A); see snf_kernel_basis."""
@@ -141,31 +184,26 @@ class SmithFactor:
         V, cols = self.V, self.cols
         return [tuple(V[i][j] for i in range(cols)) for j in range(self.rank, cols)]
 
-    def solve(self, b: Sequence[int]) -> Optional[list[int]]:
-        """One integral solution x of A x = b, or None if none exists."""
-        U, S, V, rows, cols = self.U, self.S, self.V, self.rows, self.cols
-        ub = [sum(U[i][k] * b[k] for k in range(rows)) for i in range(rows)]
-        y = [0] * cols
-        for i in range(rows):
-            d = S[i][i] if i < cols else 0
-            if d == 0:
-                if ub[i]:
-                    return None
-            else:
-                if ub[i] % d:
-                    return None
-                y[i] = ub[i] // d
-        return [sum(V[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+    def solve(self, b: Sequence) -> Optional[list[Fraction]]:
+        """The rational x with A x = b whose coordinates V^-1 x past the
+        rank are 0, or None if A x = b is inconsistent."""
+        if len(b) != self.rows:
+            raise ValueError("right-hand side length mismatch")
+        den = math.lcm(*(Fraction(x).denominator for x in b))
+        b = [int(x * den) for x in b]
+        ub = [sum(u * x for u, x in zip(row, b)) for row in self.U]
+        if any(ub[self.rank:]):
+            return None
+        q = self.D * den
+        return [Fraction(sum(v * y for v, y in zip(row, ub)), q) for row in self.VS]
 
     def inverse(self) -> list[list[Fraction]]:
-        """A^{-1} = V S^{-1} U over Q; every d_i divides D = d_n."""
-        n, U, S, V = self.cols, self.U, self.S, self.V
+        """A^{-1} = V S^{-1} U = VS U / D over Q."""
+        n, U, D = self.cols, self.U, self.D
         if self.rows != n or self.rank < n:
             raise DependentGeneratorsError("matrix is singular or not square")
-        D = S[n - 1][n - 1]
-        VS = [[V[i][k] * (D // S[k][k]) for k in range(n)] for i in range(n)]
-        return [[Fraction(sum(VS[i][k] * U[k][j] for k in range(n)), D)
-                 for j in range(n)] for i in range(n)]
+        return [[Fraction(sum(row[k] * U[k][j] for k in range(n)), D)
+                 for j in range(n)] for row in self.VS]
 
 
 def snf_kernel_basis(A: Sequence[Sequence[int]]) -> list[Vec]:
@@ -178,61 +216,35 @@ def snf_kernel_basis(A: Sequence[Sequence[int]]) -> list[Vec]:
     return SmithFactor(A).kernel_basis()
 
 
+def integral(x: Optional[Sequence[Fraction]]) -> Optional[list[int]]:
+    """x as ints when every entry is an integer, else None. For
+    x = SmithFactor(A).solve(b) it is None exactly when A x = b has no
+    integral solution."""
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    return [c.numerator for c in x]
+
+
 def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[int]]:
     """One integral solution x of A x = b, or None if none exists."""
-    return SmithFactor(A).solve(b)
+    return integral(SmithFactor(A).solve(b))
 
 
-def solve_unique(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def solve_unique(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
     """Solve A x = b when the columns of A are independent.
 
     Returns None if the system is inconsistent; raises
     DependentGeneratorsError if the columns are dependent.
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = [[Fraction(A[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if M[i][c]), None)
-        if p is None:
-            raise DependentGeneratorsError("generators are linearly dependent")
-        M[r], M[p] = M[p], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [a * inv for a in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * bb for a, bb in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, rows):
-        if M[i][cols]:
-            return None
-    return [M[i][cols] for i in range(cols)]
+    factor = SmithFactor(A)
+    if factor.rank < factor.cols:
+        raise DependentGeneratorsError("generators are linearly dependent")
+    return factor.solve(b)
 
 
-def det(A: Sequence[Sequence]) -> Fraction:
-    """Determinant by Gaussian elimination over Fractions, on a copy."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if M[i][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            M[c], M[p] = M[p], M[c]
-            sign = -sign
-        d *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return sign * d
+def det(A: Sequence[Sequence[int]]) -> int:
+    """eps d_1 ... d_n from the Smith form of the square matrix A."""
+    return SmithFactor(A).det
 
 
 def coordinates(vectors: Sequence[Sequence], w: Sequence) -> Optional[list[Fraction]]:
@@ -261,26 +273,20 @@ def cone_index(generators: Sequence[Sequence[int]]) -> int:
     n = len(generators)
     if n == 0 or any(len(g) != n for g in generators):
         raise DependentGeneratorsError("need n generators in Z^n")
-    d = det([[g[i] for i in range(n)] for g in generators])
+    d = det(generators)
     if d == 0:
         raise DependentGeneratorsError("generators are linearly dependent")
-    return abs(int(d))
+    return abs(d)
 
 
 def primitive_vector(v: Sequence[int]) -> Vec:
-    from math import gcd
-
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(x // g for x in v)
 
 
 def lattice_generates(vectors: Sequence[Sequence[int]], n: int) -> bool:
-    """True iff the given vectors generate Z^n over Z."""
-    A = [[v[i] for v in vectors] for i in range(n)]
-    _, S, _ = smith_normal_form(A)
-    diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
-    return len([d for d in diag if d]) == n and all(d == 1 for d in diag if d)
+    """True iff the given vectors generate Z^n over Z: rank n, every d_i 1."""
+    factor = SmithFactor([[v[i] for v in vectors] for i in range(n)])
+    return factor.rank == n and factor.D == 1

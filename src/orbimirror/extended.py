@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import (SmithFactor, Vec, coordinates, det, lattice_generates,
+from .exact import (SmithFactor, Vec, coordinates, integral, lattice_generates,
                     snf_kernel_basis)
 from .fan import (BoxElement, InvalidFanError, StackyFan, require_valid,
                   wall_curve_classes)
@@ -98,13 +98,9 @@ class ExtendedFanData:
 
 
 def _scale_primitive(w: Sequence[Fraction]) -> Vec:
-    den = 1
-    for x in w:
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in w))
     ints = [int(x * den) for x in w]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -118,19 +114,21 @@ def _nef_base_basis(kernel: list[Vec], walls: list[Vec]) -> list[Vec]:
     are the r-subsets of the distinct primitive wall classes, each ordered
     by (c1, lex); at most one of them qualifies. For r > 2, where the
     subsets grow as C(|walls|, r), the one candidate is the SNF kernel
-    basis in its own order.
+    basis in its own order. One Smith factor of the kernel solves for
+    every wall and candidate, and one of each candidate for every wall.
     """
     r = len(kernel)
-    wcoords = {w: coordinates(kernel, w) for w in walls}
+    on_kernel = SmithFactor(list(zip(*kernel)))
+    wcoords = {w: on_kernel.solve(w) for w in walls}
     if None in wcoords.values():
         raise BasisShapeInfeasibleError("wall class not in the kernel lattice span")
     candidates = [kernel] if r > 2 else [
         sorted(s, key=lambda v: (sum(v), v))
         for s in itertools.combinations(sorted(wcoords), r)]
     for cand in candidates:
-        ccoords = [coordinates(kernel, v) for v in cand]
-        if abs(det(ccoords)) == 1 and all(min(coordinates(ccoords, wc)) >= 0
-                                          for wc in wcoords.values()):
+        on_cand = SmithFactor(list(zip(*map(on_kernel.solve, cand))))
+        if abs(on_cand.det) == 1 and all(min(on_cand.solve(wc)) >= 0
+                                         for wc in wcoords.values()):
             return [tuple(v) for v in cand]
     raise BasisShapeInfeasibleError(
         f"no nef unimodular basis of kernel rank {r} among the candidates")
@@ -157,7 +155,7 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
     basis: list[Vec] = [tuple(list(d) + [0] * len(extra)) for d in base_basis]
     # extension vectors: nu_k = sum c_j b_j (integrally), d = e_{m+k} - c
     for k, el in enumerate(extra):
-        c = base.solve(list(el.nu))
+        c = integral(base.solve(el.nu))
         if c is None:
             raise BasisShapeInfeasibleError(
                 f"Box element {el.nu} is not an integer combination of the rays")
@@ -185,7 +183,7 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
     if saturation:
         chosen = SmithFactor([[basis[a][j] for a in range(r_prime)]
                               for j in range(m_prime)])
-        if any(chosen.solve(list(kv)) is None for kv in saturation):
+        if any(integral(chosen.solve(kv)) is None for kv in saturation):
             raise BasisShapeInfeasibleError("chosen basis does not saturate the kernel")
     # t-expansions of the extras over the base rays
     t_extra = []

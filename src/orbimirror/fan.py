@@ -223,27 +223,23 @@ def _box_of_cone(fan: StackyFan, cone: Sequence[int]) -> dict[Vec, BoxElement]:
     N / B N onto the group of y in prod Z/d_i, and the representative
     x = U^{-1} y has coordinates t = B^{-1} x = V S^{-1} y on the
     generators. So t_j = frac(sum_i V[j][i] y_i / d_i), computed in
-    integers over D = d_n, which every d_i divides.
+    integers as (VS y)_j / D over D = d_n, which every d_i divides.
     """
     n = fan.dim
     gens = fan.cone_generators(cone)
     factor = SmithFactor([[gens[j][i] for j in range(n)] for i in range(n)])
-    diag = [factor.S[i][i] for i in range(n)]
-    D = diag[-1]
-    VS = [[factor.V[j][i] * (D // diag[i]) for i in range(n)] for j in range(n)]
+    D, VS = factor.D, factor.VS
     out: dict[Vec, BoxElement] = {}
-    for y in itertools.product(*[range(d) for d in diag]):
+    for y in itertools.product(*[range(d) for d in factor.diag]):
         num = [sum(VS[j][i] * y[i] for i in range(n)) % D for j in range(n)]
         if not any(num):
             continue
-        nu = []
-        for i in range(n):
-            val = Fraction(sum(num[j] * gens[j][i] for j in range(n)), D)
-            assert val.denominator == 1
-            nu.append(int(val))
+        x = [sum(num[j] * gens[j][i] for j in range(n)) for i in range(n)]
+        assert all(xi % D == 0 for xi in x)
+        nu = tuple(xi // D for xi in x)
         support = tuple(cone[j] for j in range(n) if num[j])
         ts = tuple(Fraction(num[j], D) for j in range(n) if num[j])
-        out[tuple(nu)] = BoxElement(tuple(nu), support, ts, sum(ts))
+        out[nu] = BoxElement(nu, support, ts, sum(ts))
     return out
 
 
@@ -297,9 +293,8 @@ def wall_curve_classes(fan: StackyFan) -> list[WallCurve]:
         if e0 > e1:
             e0, e1 = e1, e0
         idx = sorted(f) + [e1]
-        A = [[Fraction(fan.stacky_vectors[j][i]) for j in idx] for i in range(n)]
-        b = [Fraction(-fan.stacky_vectors[e0][i]) for i in range(n)]
-        sol = solve_unique(A, b)
+        A = [[fan.stacky_vectors[j][i] for j in idx] for i in range(n)]
+        sol = solve_unique(A, [-x for x in fan.stacky_vectors[e0]])
         rel = [Fraction(0)] * m
         rel[e0] = Fraction(1)
         for j, v in zip(idx, sol):

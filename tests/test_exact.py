@@ -1,5 +1,6 @@
 """Exact linear algebra: Smith normal form, kernels, cones."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from orbimirror.exact import (DependentGeneratorsError, EmptyMatrixError,
                               RankDeficientError, SmithFactor,
-                              cone_coefficients,
-                              cone_index, det, integer_solve,
+                              cone_coefficients, cone_index, coordinates,
+                              det, integer_solve, integral,
                               lattice_generates, primitive_vector, rank,
                               smith_normal_form, snf_kernel_basis,
                               solve_unique)
@@ -29,9 +30,10 @@ def mat_mul(A, B):
 @settings(max_examples=200, deadline=None)
 @given(matrices)
 def test_snf_decomposition(A):
-    U, S, V = smith_normal_form(A)
+    U, S, V, eps = smith_normal_form(A)
     assert mat_mul(mat_mul(U, A), V) == S
     assert abs(det(U)) == 1 and abs(det(V)) == 1
+    assert eps == leibniz_det(U) * leibniz_det(V)
     diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
     for i in range(len(S)):
         for j in range(len(S[0])):
@@ -46,6 +48,17 @@ def test_snf_decomposition(A):
 def test_snf_empty():
     with pytest.raises(EmptyMatrixError):
         smith_normal_form([])
+
+
+def test_non_integral_entries_raise():
+    # a non-integral entry used to be truncated: S = [[0]] for [[1/2]],
+    # and [1] "solved" (3/2) x = 1
+    with pytest.raises(ValueError):
+        smith_normal_form([[Fraction(1, 2)]])
+    with pytest.raises(ValueError):
+        integer_solve([[Fraction(3, 2)]], [1])
+    U, S, V, eps = smith_normal_form([[Fraction(2)]])
+    assert (U, S, V, eps) == ([[1]], [[2]], [[1]], 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -105,7 +118,8 @@ def test_one_factor_solves_every_right_hand_side(A, bs):
     for b in bs:
         b = b[:len(A)]
         want = solve_unique(A, b)
-        got = factor.solve(b)
+        assert factor.solve(b) == want
+        got = integral(want)
         if all(x.denominator == 1 for x in want):
             assert got == want
         else:
@@ -132,7 +146,6 @@ def test_solve_unique():
 
 
 def leibniz_det(A):
-    import itertools
     n = len(A)
     total = Fraction(0)
     for perm in itertools.permutations(range(n)):
@@ -146,6 +159,47 @@ def leibniz_det(A):
             p *= A[i][perm[i]]
         total += sign * p
     return total
+
+
+def minor_rank(A):
+    """Rank over Q as the size of the largest nonzero minor."""
+    rows, cols = len(A), len(A[0])
+    for k in range(min(rows, cols), 0, -1):
+        for I in itertools.combinations(range(rows), k):
+            for J in itertools.combinations(range(cols), k):
+                if leibniz_det([[A[i][j] for j in J] for i in I]):
+                    return k
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices, st.sampled_from(("as drawn", "column sum", "row sum")),
+       st.lists(st.fractions(-5, 5, max_denominator=4), min_size=4, max_size=4),
+       st.booleans(), st.booleans())
+def test_solves_against_minor_ranks(A, dependence, v, integer, in_image):
+    # rank-deficient inputs on purpose: the last column or row becomes
+    # the sum of the others; b is A v or v itself, integral or rational
+    rows, cols = len(A), len(A[0])
+    if dependence == "column sum" and cols > 1:
+        A = [row[:-1] + [sum(row[:-1])] for row in A]
+    if dependence == "row sum" and rows > 1:
+        A = A[:-1] + [[sum(col) for col in zip(*A[:-1])]]
+    if integer:
+        v = [int(x) for x in v]
+    b = [sum(a * x for a, x in zip(row, v)) for row in A] if in_image else v[:rows]
+    r = minor_rank(A)
+    consistent = minor_rank([row + [c] for row, c in zip(A, b)]) == r
+    x = SmithFactor(A).solve(b)
+    assert (x is None) == (not consistent)
+    if x is not None:
+        assert [sum(a * c for a, c in zip(row, x)) for row in A] == b
+    if r < cols:
+        with pytest.raises(DependentGeneratorsError):
+            solve_unique(A, b)
+        with pytest.raises(DependentGeneratorsError):
+            coordinates(list(zip(*A)), b)
+    else:
+        assert solve_unique(A, b) == coordinates(list(zip(*A)), b) == x
 
 
 @settings(max_examples=100, deadline=None)
