@@ -32,7 +32,7 @@ from .exact import (DependentGeneratorsError, SmithFactor, cone_coefficients,
                     integer_solve)
 from .extended import ExtendedFanData, build_extended
 from .families import wpn_index
-from .fan import StackyFan
+from .fan import StackyFan, require_valid
 from .series import (PuiseuxSeries, lagrange_invert, make_roster,
                      series_compose)
 
@@ -112,8 +112,11 @@ def _cone_contains(fan: StackyFan, cone: Sequence[int], v) -> bool:
 
 def verify_crepant(pair: ResolutionPair) -> CrepancyReport:
     """Check that the resolution fan refines the orbifold fan and that
-    every new ray is an age-one twisted sector of the orbifold."""
+    every new ray is an age-one twisted sector of the orbifold. Raises
+    InvalidFanError unless both fans are valid."""
     X, Y = pair.orbifold, pair.resolution
+    require_valid(X)
+    require_valid(Y)
     issues = []
     refinement = True
     for cone in Y.max_cones:

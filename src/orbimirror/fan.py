@@ -11,7 +11,6 @@ closes it up by adjoining the ray at minus its boundary vector.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,15 +48,6 @@ class StackyFan:
     @property
     def n_rays(self) -> int:
         return len(self.stacky_vectors)
-
-    def labels(self) -> tuple[int, ...]:
-        out = []
-        for v in self.stacky_vectors:
-            g = 0
-            for x in v:
-                g = math.gcd(g, x)
-            out.append(g)
-        return tuple(out)
 
     def cone_generators(self, cone: Sequence[int]) -> list[Vec]:
         return [self.stacky_vectors[i] for i in cone]

@@ -307,7 +307,6 @@ class PotentialTerm:
 class Potential:
     gauge: tuple[int, ...]
     terms: tuple[PotentialTerm, ...]
-    label: str = ""
 
 
 def _gauge_exponents(ext: ExtendedFanData, gauge: Sequence[int]) -> dict[int, list[Fraction]]:
@@ -342,7 +341,7 @@ def hori_vafa(ext: ExtendedFanData, gauge: Optional[Sequence[int]] = None,
                 roster, order,
                 {names[a]: expo[j][a] for a in range(ext.r_prime) if expo[j][a]})
         terms.append(PotentialTerm(vectors[j], j, j >= ext.m, coef))
-    return Potential(gauge, tuple(terms), label="hori-vafa")
+    return Potential(gauge, tuple(terms))
 
 
 def _theorem_status(ext: ExtendedFanData) -> str:
@@ -380,7 +379,7 @@ def lf_superpotential(ext: ExtendedFanData, order=10,
     for t in hv.terms:
         coef = substitute(t.coefficient, ladder, order)
         terms.append(PotentialTerm(t.vector, t.ray_index, t.is_extended, coef))
-    pot = Potential(hv.gauge, tuple(terms), label="lagrangian-floer")
+    pot = Potential(hv.gauge, tuple(terms))
     return LFResult(pot, mm, images, _theorem_status(ext))
 
 

@@ -15,6 +15,14 @@ which is exact because W(e) is an integer. Coefficients are
 `fractions.Fraction`; all operations are exact up to the declared
 truncation order.
 
+The kernel writes each step once. exp, log, rational powers and
+composition are one power sum a_0 + a_1 u + a_2 u^2 + ... of a series u,
+with the coefficients of exp, of log(1 + u), the binomial ones, or
+those of the outer series (`_power_sum`). Multiplying by a monomial
+moves every term and the truncation order by its weight (`_shift`).
+A rational power of a monomial scales its stored exponent vector and
+must stay integral (`_power_of`).
+
 Substitution takes the powers of its images from a `PowerLadder`, which
 builds each power once as the product of the one below it and can be
 shared by several substitutions at the same images. The inverse of a
@@ -31,7 +39,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from itertools import accumulate, count, takewhile
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class RosterMismatch(ValueError):
@@ -97,7 +106,7 @@ class Roster:
 
     def cap(self, order: Fraction) -> int:
         """Largest integer weight kept by truncation at `order`."""
-        return math.floor(order * self.lcm)
+        return order.numerator * self.lcm // order.denominator
 
     def scaled(self, exponents: Mapping[str, Fraction]) -> tuple[int, ...]:
         """Scaled exponent vector of the monomial with these exponents."""
@@ -293,35 +302,80 @@ class PuiseuxSeries:
         A monomial of weight w moves every term, and the truncation
         order, by w: O(o) becomes O(o + w).
         """
-        me = self.roster.scaled(exponents)
-        order = self.order + Fraction(self.roster.weight(me), self.roster.lcm)
-        return PuiseuxSeries(self.roster, order,
-                             {tuple(a + b for a, b in zip(e, me)): c
-                              for e, c in self.terms.items()})
+        return _shift(self, self.roster.scaled(exponents))
+
+
+def _shift(s: PuiseuxSeries, me: tuple[int, ...], factor=1) -> PuiseuxSeries:
+    """factor * y^me * s for a scaled exponent vector me of weight w:
+    every term moves by me, and O(o) becomes O(o + w)."""
+    roster, add = s.roster, operator.add
+    order = s.order + Fraction(roster.weight(me), roster.lcm)
+    if factor == 1:
+        terms = {tuple(map(add, e, me)): c for e, c in s.terms.items()}
+    else:
+        terms = {tuple(map(add, e, me)): c * factor for e, c in s.terms.items()}
+    return PuiseuxSeries(roster, order, terms)
+
+
+def _unit_tail(s: PuiseuxSeries, le: tuple[int, ...], lc: Fraction) -> PuiseuxSeries:
+    """u with s = lc*y^le*(1 + u), for lc*y^le the unique lowest term of
+    s: u has positive valuation and is known to the order of s less the
+    weight of le."""
+    u = _shift(s, tuple(-x for x in le), 1 / lc)
+    del u.terms[(0,) * len(le)]     # the lowest term, now exactly 1
+    return u
+
+
+def _power_of(e: tuple[int, ...], p: Fraction) -> tuple[int, ...]:
+    """The scaled exponent vector of (y^e)^p, that is e*p, which must be
+    integral: the power may not pass the roster's denominators."""
+    out = []
+    for x in e:
+        x, rem = divmod(x * p.numerator, p.denominator)
+        if rem:
+            raise ValueError("power pushes exponent beyond denominator bound")
+        out.append(x)
+    return tuple(out)
 
 
 # -- transcendental operations ----------------------------------------
+
+
+def _power_sum(coefs: Iterable[Fraction], u: PuiseuxSeries) -> PuiseuxSeries:
+    """a_0 + a_1*u + a_2*u^2 + ... to the order of u, for the a_k in `coefs`.
+
+    The sum stops when the coefficients run out or when u^k vanishes.
+    The lowest-weight part of u^k is that of u to the k-th power, which
+    is not 0, so u^k vanishes just when u = 0 or k*v(u) passes the order;
+    the next coefficient is drawn only after that test. u^k is built as
+    1*u*...*u with the 1 at the order of u, so that a u of negative
+    valuation lowers the order of each power as `__mul__` does.
+    """
+    roster, order = u.roster, u.order
+    coefs = iter(coefs)
+    out = {(0,) * len(roster.names): next(coefs, 0)}
+    if u.terms:
+        vw, cap = min(map(roster.weight, u.terms)), roster.cap(order)
+        p, k = None, 1
+        while k * vw <= cap and (a := next(coefs, None)) is not None:
+            p = (PuiseuxSeries.constant(roster, u.order, 1) if p is None else p) * u
+            if a:
+                order = min(order, p.order)
+                for e, c in p.terms.items():
+                    if a != 1:
+                        c = c * a
+                    out[e] = out[e] + c if e in out else c
+            k += 1
+    return PuiseuxSeries(roster, order, out)
 
 
 def series_exp(s: PuiseuxSeries) -> PuiseuxSeries:
     if s.constant_term():
         raise BadConstantTerm("exp requires zero constant term")
     v = s.valuation()
-    one = PuiseuxSeries.constant(s.roster, s.order, 1)
-    if v is None:
-        return one
-    if v <= 0:
+    if v is not None and v <= 0:
         raise BadConstantTerm("exp requires positive valuation")
-    out = one
-    p = one
-    k = 1
-    while k * v <= s.order:
-        p = p * s
-        if p.is_zero():
-            break
-        out = out + p.scale(Fraction(1, math.factorial(k)))
-        k += 1
-    return out
+    return _power_sum((Fraction(1, math.factorial(k)) for k in count()), s)
 
 
 def series_log(s: PuiseuxSeries) -> PuiseuxSeries:
@@ -329,20 +383,9 @@ def series_log(s: PuiseuxSeries) -> PuiseuxSeries:
         raise BadConstantTerm("log requires constant term 1")
     u = s - 1
     v = u.valuation()
-    out = PuiseuxSeries.zero(s.roster, s.order)
-    if v is None:
-        return out
-    if v <= 0:
+    if v is not None and v <= 0:
         raise BadConstantTerm("log requires 1 + positive-valuation tail")
-    p = PuiseuxSeries.constant(s.roster, s.order, 1)
-    k = 1
-    while k * v <= s.order:
-        p = p * u
-        if p.is_zero():
-            break
-        out = out + p.scale(Fraction((-1) ** (k + 1), k))
-        k += 1
-    return out
+    return _power_sum((Fraction((-1) ** (k + 1), k) if k else 0 for k in count()), u)
 
 
 def _rational_root(c: Fraction, e: Fraction) -> Fraction:
@@ -381,56 +424,24 @@ def series_pow(s: PuiseuxSeries, e) -> PuiseuxSeries:
         if e > 0:
             return s
         raise ZeroDivisionError("0 to a nonpositive power")
-    v = s.valuation()
     lead = s._lowest_terms()
     if len(lead) != 1:
         raise ValueError("leading term not unique; cannot take rational power")
     (le, lc) = lead[0]
     c0 = _rational_root(lc, e)
-    roster = s.roster
-    me = []
-    for i, x in enumerate(le):
-        p = Fraction(x, roster.denoms[i]) * e
-        scaled = p * roster.denoms[i]
-        if scaled.denominator != 1:
-            raise ValueError("power pushes exponent beyond denominator bound")
-        if roster.formal[i] and (p < 0 or p.denominator != 1):
-            raise ValueError("power not admissible on a formal variable")
-        me.append(int(scaled))
-    me = tuple(me)
+    me = _power_of(le, e)
+    if any(f and x < 0 for f, x in zip(s.roster.formal, me)):
+        raise ValueError("power not admissible on a formal variable")
     if len(s.terms) == 1:
-        return PuiseuxSeries(roster, s.order, {me: c0})
-    w0 = v * e
-    # truncation bookkeeping: u-terms of s/lead are valid up to weight
-    # s.order - v, so the result is valid up to w0 + (s.order - v);
-    # for e > 1 this exceeds s.order, because every product of e terms
-    # of s with one factor in the unknown tail lands above that bound
-    res_order = w0 + (s.order - v)
-    u_order = s.order - v
-    u_terms = {}
-    for e2, c in s.terms.items():
-        u_terms[tuple(a - b for a, b in zip(e2, le))] = c / lc
-    u = PuiseuxSeries(roster, u_order, u_terms) - 1
-    uv = u.valuation()
-    if uv is None or uv <= 0:
-        raise ValueError("tail of leading-term factorization not positive")
-    out = PuiseuxSeries.constant(roster, u_order, 1)
-    p = PuiseuxSeries.constant(roster, u_order, 1)
-    coef = Fraction(1)
-    k = 0
-    while (k + 1) * uv <= u_order:
-        coef = coef * (e - k) / (k + 1)
-        if not coef:
-            break
-        k += 1
-        p = p * u
-        if p.is_zero():
-            break
-        out = out + p.scale(coef)
-    result = {}
-    for e2, c in out.terms.items():
-        result[tuple(a + b for a, b in zip(e2, me))] = c * c0
-    return PuiseuxSeries(roster, res_order, result)
+        return PuiseuxSeries(s.roster, s.order, {me: c0})
+    # s**e = c0*y^me*(1 + u)**e; (1 + u)**e is known to the order of u,
+    # s.order - v, so the result is known to v*e + (s.order - v), which
+    # for e > 1 exceeds s.order: every product of e terms of s with one
+    # factor in the unknown tail lands above that bound. The binomial
+    # coefficients stop at the first zero, so an integer e stops early.
+    binomials = takewhile(bool, accumulate(
+        count(), lambda c, k: c * (e - k) / (k + 1), initial=Fraction(1)))
+    return _shift(_power_sum(binomials, _unit_tail(s, le, lc)), me, c0)
 
 
 def series_compose(outer: PuiseuxSeries, inner: PuiseuxSeries) -> PuiseuxSeries:
@@ -439,33 +450,16 @@ def series_compose(outer: PuiseuxSeries, inner: PuiseuxSeries) -> PuiseuxSeries:
         raise ValueError("outer series must be univariate")
     if inner.constant_term():
         raise NonzeroConstantInner("inner series must have zero constant term")
-    iv = inner.valuation()
-    out = PuiseuxSeries.zero(inner.roster, inner.order)
-    if not outer.terms:
-        return out
     d = outer.roster.denoms[0]
-    exps = []
+    coefs = {}
     for (e,), c in outer.terms.items():
         if e % d:
             raise ValueError("composition requires integer outer exponents")
         if e < 0:
             raise ValueError("composition requires nonnegative outer exponents")
-        exps.append((e // d, c))
-    exps.sort()
-    # Horner over descending exponents
-    k_prev = None
-    acc = PuiseuxSeries.zero(inner.roster, inner.order)
-    for k, c in sorted(exps, reverse=True):
-        if k_prev is not None:
-            for _ in range(k_prev - k):
-                acc = acc * inner
-        acc = acc + c
-        k_prev = k
-    for _ in range(k_prev):
-        if iv is not None and acc.is_zero():
-            break
-        acc = acc * inner
-    return acc
+        coefs[e // d] = c
+    return _power_sum((coefs.get(k, 0) for k in range(max(coefs, default=-1) + 1)),
+                      inner)
 
 
 def lagrange_invert(s: PuiseuxSeries, order: int,
@@ -579,12 +573,7 @@ def substitute(s: PuiseuxSeries,
             if len(img.terms) == 1:
                 ((ie, ic),) = img.terms.items()
                 coef *= _rational_root(ic, p)
-                for j, xe in enumerate(ie):
-                    scaled = Fraction(xe) * p
-                    if scaled.denominator != 1:
-                        raise ValueError(
-                            "substitution exponent exceeds denominator bound")
-                    shift_e[j] += int(scaled)
+                shift_e = list(map(operator.add, shift_e, _power_of(ie, p)))
             else:
                 factors.append(ladder.power(names[i], p, steps[i]))
         if factors:
@@ -678,28 +667,22 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
         if vexp[r + b] != 1 or any(vexp[r + c] for c in range(sdim) if c != b):
             raise NotMirrorShaped("tau relation not triangular in extended variables")
         leads.append(vexp[:r])
-        corrections.append(PuiseuxSeries(
-            src, B.order - Fraction(src.weight(le), src.lcm),
-            {tuple(map(operator.sub, e, le)): c for e, c in B.terms.items() if e != le}))
+        corrections.append(_unit_tail(B, le, lc))
 
     start = [tgt.scaled({q_names[a]: 1}) for a in range(r)]
     for b in range(sdim):
         exps = {tau_names[b]: 1}
         exps.update((q_names[a], -v) for a, v in enumerate(leads[b]) if v)
         start.append(tgt.scaled(exps))
-    w0 = [Fraction(tgt.weight(e), tgt.lcm) for e in start]
-    need = order - min(w0)          # U_i to this order gives Y_i to `order`
+    w0 = min(Fraction(tgt.weight(e), tgt.lcm) for e in start)
+    need = order - w0               # U_i to this order gives Y_i to `order`
     H = list(log_corrections) + corrections
     euler = [[(c, _euler(h, c)) for c in range(rp) if any(e[c] for e in h.terms)]
              for h in H]
 
-    def ladder_at(U, p) -> PowerLadder:
-        images = {}
-        for name, e0, w, u in zip(src.names, start, w0, U):
-            x = series_exp(u)
-            images[name] = PuiseuxSeries(
-                tgt, p + w, {tuple(map(operator.add, e, e0)): c for e, c in x.terms.items()})
-        return PowerLadder(images)
+    def ladder_at(U) -> PowerLadder:
+        return PowerLadder({name: _shift(series_exp(u), e0)
+                            for name, e0, u in zip(src.names, start, U)})
 
     def times_L(x, sign):
         # L x for sign 1, L^{-1} x for sign -1
@@ -760,7 +743,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
     while True:
         # U is read as a polynomial, known to any order
         U = [u.truncate(p) for u in U]
-        ladder = ladder_at(U, p)
+        ladder = ladder_at(U)
         F, units = residual(ladder, U, p)
         reached = min(f.order for f in F)
         F = [f.truncate(reached) for f in F]
@@ -772,7 +755,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
                 continue
             if work > need:
                 raise InversionNotConverged(
-                    f"inverse reaches order {reached + min(w0)}, below the "
+                    f"inverse reaches order {reached + w0}, below the "
                     f"requested {order}")
             work = p = work + need - reached
             continue
@@ -857,11 +840,7 @@ def series_from_json(data: dict) -> PuiseuxSeries:
     order = Fraction(data["order"])
     terms = {}
     for t in data["terms"]:
-        e = []
-        for x, d in zip(t["exp"], denoms):
-            scaled = Fraction(x) * d
-            if scaled.denominator != 1:
-                raise ValueError("exponent incompatible with declared denominator")
-            e.append(int(scaled))
-        terms[tuple(e)] = Fraction(t["coef"])
+        if len(t["exp"]) != len(names):
+            raise ValueError(f"term exponents {t['exp']} do not match variables {names}")
+        terms[roster.scaled(dict(zip(names, t["exp"])))] = Fraction(t["coef"])
     return PuiseuxSeries(roster, order, terms)

@@ -237,6 +237,18 @@ def test_non_crepant_resolution_exits_2(cmd, tmp_path, capsys):
     assert json.loads(out)["crepancy"]["crepant"] is False
 
 
+@pytest.mark.parametrize("cmd", ["crc", "specialize"])
+def test_invalid_resolution_fan_exits_1(cmd, tmp_path, capsys):
+    # F2 without its last cone: two of its walls lie in one max cone only
+    data = json.loads(Path(F2).read_text())
+    data["max_cones"] = data["max_cones"][:-1]
+    res = tmp_path / "f2_open.json"
+    res.write_text(json.dumps(data))
+    assert run(capsys, "validate", str(res))[0] == 2
+    assert main([cmd, P112, "--resolution", str(res)]) == 1
+    assert "lies in 1 max cones" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_crc_wpn_family_n5_n6(n, tmp_path, capsys):
     paths = []

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbimirror import series
@@ -49,11 +49,25 @@ def test_exp_log_inverse():
         series_exp(uni({0: 1, 1: 1}))
 
 
+@st.composite
+def positive_series(draw):
+    """A series of positive valuation in 1-3 variables with mixed
+    denominators, some of them formal."""
+    formal = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    denoms = [1 if f else draw(st.sampled_from([1, 2, 3])) for f in formal]
+    roster = make_roster([f"y{i}" for i in range(len(formal))], denoms, formal)
+    exps = st.tuples(*[st.integers(0 if f else -3, 6) for f in formal])
+    terms = draw(st.dictionaries(exps, coef, max_size=4))
+    order = draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
+    return PuiseuxSeries(roster, order, {e: c for e, c in terms.items()
+                                         if roster.weight(e) > 0})
+
+
 @settings(max_examples=60, deadline=None)
-@given(uni_series)
-def test_exp_log_roundtrip(terms):
-    s = uni(terms, order=10)
-    assert series_log(series_exp(s)) == s
+@given(uni_series.map(lambda terms: uni(terms, order=10)) | positive_series())
+def test_exp_log_roundtrip(s):
+    back = series_log(series_exp(s))
+    assert back.terms == s.terms and back.order == s.order
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,6 +89,38 @@ def test_pow_rational():
     inv = series_pow(s, -1)
     one = PuiseuxSeries.constant(rq, inv.order, 1)
     assert (inv * s).truncate(inv.order - 1) == one.truncate(inv.order - 1)
+
+
+sixths = st.sampled_from([F(1, 2), F(-1, 3), F(2, 3), F(3, 2), F(-1), F(2),
+                          F(1, 6), F(-5, 6)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(7, 16), coef, max_size=5), sixths, sixths)
+def test_pow_adds_exponents(tail, a, b):
+    # s = q^3 + ... in halves of q, so its powers by sixths keep the lattice
+    rq = make_roster(["q"], [2])
+    s = PuiseuxSeries(rq, 8, {(6,): F(1), **{(k,): c for k, c in tail.items()}})
+    pa, pb, pab = series_pow(s, a), series_pow(s, b), series_pow(s, a + b)
+    # s**e is known to v*e + (order - v), here 3e + 5; a monomial's power
+    # is exact and keeps the order
+    assert pab.order == (3 * (a + b) + 5 if len(s.terms) > 1 else 8)
+    prod = pa * pb
+    common = min(prod.order, pab.order)
+    assert prod.truncate(common).terms == pab.truncate(common).terms
+
+
+def test_powers_off_the_exponent_lattice_raise():
+    rq = make_roster(["q", "u"], [1, 1], [False, True])
+    with pytest.raises(ValueError, match="denominator bound"):
+        series_pow(PuiseuxSeries(rq, 6, {(1, 0): F(1), (2, 0): F(1)}), F(1, 2))
+    with pytest.raises(ValueError, match="not admissible on a formal variable"):
+        series_pow(PuiseuxSeries(rq, 6, {(0, 1): F(1), (1, 1): F(1)}), -1)
+    # y^{1/2} at y = q would be q^{1/2}, off the target's integer lattice
+    ry = make_roster(["y"], [2])
+    with pytest.raises(ValueError, match="denominator bound"):
+        substitute(PuiseuxSeries(ry, 6, {(1,): F(1)}),
+                   {"y": PuiseuxSeries.monomial(rq, 6, {"q": 1})})
 
 
 @pytest.mark.parametrize("c, e, root", [
@@ -318,6 +364,13 @@ def test_json_roundtrip():
     assert back.order == s.order
 
 
+@pytest.mark.parametrize("exp", [["1"], ["1", "1", "7"]])
+def test_json_rejects_exponent_lists_of_the_wrong_length(exp):
+    data = {"vars": ["a", "b"], "order": "5", "terms": [{"exp": exp, "coef": "1"}]}
+    with pytest.raises(ValueError, match="do not match variables"):
+        series_from_json(data)
+
+
 # -- integer-weight truncation against a Fraction reference ---------------
 #
 # The reference computes weights as sums of Fractions e_i/d_i and shares
@@ -365,6 +418,26 @@ def roster_and_terms(draw, count=1):
     roster = make_roster(names, denoms)
     return (roster, *[(draw(orders), draw(series_data(len(denoms))))
                       for _ in range(count)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(0, 6), coef, max_size=4), roster_and_terms())
+@example({0: F(1), 2: F(1), 3: F(2)},
+         (make_roster(["y0", "y1"], [1, 2]), (F(4), {(-1, 0): F(1), (1, 1): F(-1, 2)})))
+def test_compose_matches_power_sum(outer, data):
+    # outer exponents with gaps; inner of any valuation, the negative
+    # ones lowering the order of each power
+    roster, (order, terms) = data
+    f = PuiseuxSeries(roster, order, {e: c for e, c in terms.items() if any(e)})
+    g = uni(outer, order=6)
+    want = PuiseuxSeries.zero(roster, f.order)
+    p = PuiseuxSeries.constant(roster, f.order, 1)
+    for k in range(max((e for (e,) in g.terms), default=-1) + 1):
+        if k:
+            p = p * f
+        want = want + p * g.coefficient({"t": k})
+    got = series_compose(g, f)
+    assert got.terms == want.terms and got.order == want.order
 
 
 @settings(max_examples=150, deadline=None)
