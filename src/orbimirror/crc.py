@@ -26,10 +26,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .exact import (DependentGeneratorsError, SmithFactor, cone_coefficients,
-                    integer_solve)
+from .exact import DependentGeneratorsError, SmithFactor, integral
 from .extended import ExtendedFanData, build_extended
 from .families import wpn_index
 from .fan import StackyFan, require_valid
@@ -105,11 +104,6 @@ class ResolutionPair:
         return cls(orbifold, resolution, tuple(corr), new)
 
 
-def _cone_contains(fan: StackyFan, cone: Sequence[int], v) -> bool:
-    gens = [fan.stacky_vectors[i] for i in cone]
-    return cone_coefficients(gens, v) is not None
-
-
 def verify_crepant(pair: ResolutionPair) -> CrepancyReport:
     """Check that the resolution fan refines the orbifold fan and that
     every new ray is an age-one twisted sector of the orbifold. Raises
@@ -119,14 +113,18 @@ def verify_crepant(pair: ResolutionPair) -> CrepancyReport:
     require_valid(Y)
     issues = []
     refinement = True
+    # one Smith factor per orbifold max cone solves for every vector
+    hosts = [SmithFactor([[X.stacky_vectors[j][i] for j in c]
+                          for i in range(X.dim)]) for c in X.max_cones]
+
+    def inside(host: SmithFactor, v) -> bool:
+        x = host.solve(v)
+        return x is not None and min(x) >= 0
+
     for cone in Y.max_cones:
-        interior = tuple(sum(Y.stacky_vectors[i][k] for i in cone)
-                         for k in range(Y.dim))
-        host = next((c for c in X.max_cones
-                     if all(_cone_contains(X, c, Y.stacky_vectors[i])
-                            for i in cone)
-                     and _cone_contains(X, c, interior)), None)
-        if host is None:
+        vs = [Y.stacky_vectors[i] for i in cone]
+        vs.append(tuple(map(sum, zip(*vs))))   # an interior point
+        if not any(all(inside(h, v) for v in vs) for h in hosts):
             refinement = False
             issues.append(f"resolution cone {cone} not contained in any "
                           "orbifold cone")
@@ -203,11 +201,10 @@ def glue_charts(pair: ResolutionPair) -> ChartGluing:
     if ext_x.r_prime != ext_y.r_prime:
         raise BasisMismatch("chart dimensions differ")
     mapped = _extended_in_resolution(pair, ext_x)
-    r = ext_y.r_prime
+    on_y = SmithFactor(list(zip(*ext_y.basis)))
     M = []
     for row in mapped:
-        sol = integer_solve([[ext_y.basis[b][j] for b in range(r)]
-                             for j in range(len(row))], row)
+        sol = integral(on_y.solve(row))
         if sol is None:
             raise BasisMismatch("orbifold class is not integral in the "
                                 "resolution basis")

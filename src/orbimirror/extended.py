@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import (SmithFactor, Vec, coordinates, integral, lattice_generates,
+from .exact import (SmithFactor, Vec, integral, lattice_generates,
                     snf_kernel_basis)
 from .fan import (BoxElement, InvalidFanError, StackyFan, require_valid,
                   wall_curve_classes)
@@ -53,7 +53,7 @@ class ExtendedFanData:
     extra: tuple[BoxElement, ...]        # age <= 1, in ray order m+1..m'
     basis: tuple[Vec, ...]               # d_1..d_{r'}, integer entries, length m'
     t_extra: tuple[tuple[Fraction, ...], ...]  # extras expanded over base rays
-    dtilde: tuple[tuple[Fraction, ...], ...]   # a > r: push-forward in d_1..d_r
+    dtilde: tuple[tuple[Fraction, ...], ...]   # a > r: push-forward in d_1..d_r, in [0, 1)^r
     m: int
     m_prime: int
     r: int
@@ -135,6 +135,19 @@ def _nef_base_basis(kernel: list[Vec], walls: list[Vec]) -> list[Vec]:
 
 
 def build_extended(fan: StackyFan) -> ExtendedFanData:
+    """The extended stacky fan of `fan`: its age <= 1 Box elements adjoined
+    as extra vectors, with a basis of the extended kernel lattice.
+
+    The first r basis vectors are the nef base basis d_1..d_r, padded
+    with zeros. The vector of the k-th extra nu_k is
+    e_{m+k} - c_k + sum_a z_a d_a, where c_k is one integral solution of
+    sum_j c_kj b_j = nu_k and z is chosen exactly: with t_k the
+    expansion of nu_k over the rays of its minimal cone, t_k - c_k is a
+    rational relation among the rays, s_k are its coordinates in
+    d_1..d_r (one Smith factor of the nef basis solves for every extra)
+    and z = -floor(s_k). The push-forward of the vector to the base
+    kernel is then dtilde_k = s_k - floor(s_k), which lies in [0, 1)^r.
+    """
     require_valid(fan)
     n = fan.dim
     m = fan.n_rays
@@ -147,31 +160,31 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
             "stacky vectors and age<=1 Box elements do not generate the lattice")
     r = m - n
     r_prime = m_prime - n
-    base_matrix = [[fan.stacky_vectors[j][i] for j in range(m)] for i in range(n)]
-    base = SmithFactor(base_matrix)
-    kernel = base.kernel_basis() if r > 0 else []
+    base = SmithFactor([[fan.stacky_vectors[j][i] for j in range(m)]
+                        for i in range(n)])
     walls = [_scale_primitive(w.relation) for w in wall_curve_classes(fan)]
-    base_basis = _nef_base_basis(list(kernel), walls) if r > 0 else []
-    basis: list[Vec] = [tuple(list(d) + [0] * len(extra)) for d in base_basis]
-    # extension vectors: nu_k = sum c_j b_j (integrally), d = e_{m+k} - c
+    base_basis = _nef_base_basis(base.kernel_basis(), walls)
+    on_nef = SmithFactor(list(zip(*base_basis)))
+    basis: list[Vec] = [tuple(d) + (0,) * len(extra) for d in base_basis]
+    t_extra = []
+    dtilde = []
     for k, el in enumerate(extra):
         c = integral(base.solve(el.nu))
         if c is None:
             raise BasisShapeInfeasibleError(
                 f"Box element {el.nu} is not an integer combination of the rays")
-        d = [-x for x in c] + [0] * len(extra)
+        t = [Fraction(0)] * m
+        for j, tj in zip(el.cone, el.t):
+            t[j] = tj
+        # t - c is a rational relation, so it lies in the span of d_1..d_r
+        s = on_nef.solve([tj - cj for tj, cj in zip(t, c)])
+        z = [-math.floor(x) for x in s]
+        d = [sum(za * b[j] for za, b in zip(z, base_basis)) - c[j]
+             for j in range(m)] + [0] * len(extra)
         d[m + k] = 1
-        # canonical representative modulo the base basis
-        best = None
-        shifts = itertools.product(range(-6, 7), repeat=r) if r else [()]
-        for z in shifts:
-            cand = list(d)
-            for a, za in enumerate(z):
-                cand = [x + za * y for x, y in zip(cand, basis[a])]
-            key = (sum(1 for x in cand if x < 0), tuple(cand))
-            if best is None or key < best:
-                best = key
-        basis.append(best[1])
+        basis.append(tuple(d))
+        t_extra.append(tuple(t))
+        dtilde.append(tuple(x + za for x, za in zip(s, z)))
     # every basis vector must be a relation
     for d in basis:
         for i in range(n):
@@ -185,30 +198,6 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
                               for j in range(m_prime)])
         if any(integral(chosen.solve(kv)) is None for kv in saturation):
             raise BasisShapeInfeasibleError("chosen basis does not saturate the kernel")
-    # t-expansions of the extras over the base rays
-    t_extra = []
-    for el in extra:
-        row = [Fraction(0)] * m
-        for j, t in zip(el.cone, el.t):
-            row[j] = t
-        t_extra.append(tuple(row))
-    # push-forwards of the extended basis vectors to the base kernel
-    dtilde = []
-    for a in range(r, r_prime):
-        v = [Fraction(basis[a][j]) for j in range(m)]
-        for k in range(len(extra)):
-            coef = basis[a][m + k]
-            if coef:
-                v = [x + coef * t for x, t in zip(v, t_extra[k])]
-        if r == 0:
-            if any(v):
-                raise BasisShapeInfeasibleError("push-forward outside base kernel")
-            dtilde.append(())
-        else:
-            coords = coordinates([b[:m] for b in basis[:r]], v)
-            if coords is None:
-                raise BasisShapeInfeasibleError("push-forward outside base kernel")
-            dtilde.append(tuple(coords))
     return ExtendedFanData(fan, box, extra, tuple(basis), tuple(t_extra),
                            tuple(dtilde), m, m_prime, r, r_prime)
 

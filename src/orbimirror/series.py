@@ -98,6 +98,8 @@ class Roster:
         object.__setattr__(self, "scale", tuple(lcm // d for d in self.denoms))
 
     def index(self, name: str) -> int:
+        if name not in self.names:
+            raise ValueError(f"variable {name!r} is not in the roster {self.names}")
         return self.names.index(name)
 
     def weight(self, e: tuple[int, ...]) -> int:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbimirror.exact import snf_kernel_basis
+from orbimirror.exact import coordinates, integer_solve, snf_kernel_basis
 from orbimirror.extended import (BasisShapeInfeasibleError,
                                  LatticeNotGeneratedError, _nef_base_basis,
                                  _scale_primitive, build_extended,
@@ -146,6 +147,51 @@ def test_dtilde_pushforward():
     assert d2 == (F(1, 2),)
 
 
+def _assert_extended_form(ext):
+    """The form that `build_extended` documents, recomputed with
+    `integer_solve` and `coordinates`: d_1..d_r vanish on the extras; the
+    vector of the k-th extra is e_{m+k} - c_k plus an integer combination
+    of d_1..d_r; its push-forward has coordinates dtilde_k in [0, 1)^r."""
+    m, r = ext.m, ext.r
+    nef = [d[:m] for d in ext.basis[:r]]
+    assert all(not any(d[m:]) for d in ext.basis[:r])
+    assert len(ext.dtilde) == len(ext.extra) == ext.r_prime - r
+    rays = ext.fan.stacky_vectors
+    for k, (el, d, dt) in enumerate(zip(ext.extra, ext.basis[r:], ext.dtilde)):
+        assert d[m:] == tuple(int(i == k) for i in range(len(ext.extra)))
+        c = integer_solve([[v[i] for v in rays] for i in range(ext.dim)], el.nu)
+        z = coordinates(nef, [x + y for x, y in zip(d[:m], c)])
+        assert all(x.denominator == 1 for x in z)
+        push = [x + t for x, t in zip(d[:m], ext.t_extra[k])]
+        assert tuple(coordinates(nef, push)) == dt
+        assert all(0 <= x < 1 for x in dt)
+
+
+def test_extended_classes_need_no_search_window():
+    # r = 1 and 40 extras; for many of them the base part of the class
+    # with dtilde in [0, 1) lies more than 6 nef-basis steps from -c_k
+    fan = StackyFan.make(2, ((2, -6), (3, 9), (-3, 2)), ((0, 1), (1, 2), (2, 0)))
+    ext = build_extended(fan)
+    assert (ext.r, len(ext.extra)) == (1, 40)
+    _assert_extended_form(ext)
+    assert ext.dtilde[:3] == ((F(3, 14),), (F(19, 33),), (F(31, 33),))
+    assert ext.basis[ext.r][:3] == (7, 3, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_fan_rays(max_rays=5), st.lists(st.integers(1, 3), min_size=5,
+                                               max_size=5))
+def test_every_extended_class_has_the_documented_form(rays, labels):
+    vecs = [(a * x, a * y) for a, (x, y) in zip(labels, rays)]
+    k = len(rays)
+    fan = StackyFan.make(2, vecs, [(i, (i + 1) % k) for i in range(k)])
+    try:
+        ext = build_extended(fan)
+    except (BasisShapeInfeasibleError, LatticeNotGeneratedError):
+        return
+    _assert_extended_form(ext)
+
+
 def test_lattice_not_generated():
     # terminal quotient fan: all rays lie in the index-two sublattice of
     # even coordinate sum and every Box element has age 3/2, so nothing
@@ -268,6 +314,7 @@ def test_keff_and_unit_invariants(make, bounds):
         return tuple(sum((c * v[i] for c, v in zip(coefs, vectors)), F(0))
                      for i in range(n))
 
+    _assert_extended_form(ext)
     for el in keff_enumerate(ext, max(bounds)):
         pairings = tuple(ext.pairing(j, el.delta) for j in range(ext.m_prime))
         assert el.pairings == pairings

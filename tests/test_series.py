@@ -205,6 +205,11 @@ def test_shift_moves_order_by_weight(exps, order):
                          for e, c in s.terms.items()}
 
 
+def test_shift_by_a_variable_outside_the_roster_names_both():
+    with pytest.raises(ValueError, match=r"'z' is not in the roster \('t',\)"):
+        uni({1: 1}).shift({"z": 1})
+
+
 def test_substitute_negative_monomial_shift():
     # Regression: a negative-weight monomial image must not erase
     # contributions computed at high intermediate weight. With
