@@ -241,15 +241,16 @@ def wpn_g_series(n: int, order: int) -> PuiseuxSeries:
     if n < 2:
         raise UnsupportedN("family requires n >= 2")
     r = make_roster(["x"])
-    terms = {}
-    k = 0
+    # the k-th product is a/n^k with a = prod_{i<k} -(1 + i n), so the
+    # term of x^{kn+1} is a^n over n^{kn} (kn+1)!
+    parts = {}
+    a, k = 1, 0
     while k * n + 1 <= order:
-        p = Fraction(1)
-        for i in range(k):
-            p *= Fraction(-1, n) - i
-        terms[(k * n + 1,)] = p ** n / math.factorial(k * n + 1)
+        parts[(k * n + 1,)] = (a ** n, n ** (k * n) * math.factorial(k * n + 1))
+        a *= -(1 + k * n)
         k += 1
-    return PuiseuxSeries(r, order, terms)
+    den = math.lcm(*(d for _, d in parts.values()))
+    return PuiseuxSeries(r, order, {e: x * (den // d) for e, (x, d) in parts.items()}, den)
 
 
 def wpn_f_series(n: int, order: int) -> PuiseuxSeries:

@@ -80,19 +80,25 @@ class ExtendedFanData:
         B the r' x r' matrix basis[a][k] over the free k, the unit of
         the i-th free index has delta = row i of B^-1, so that
         <D_k, u> = (delta B)_k is 1 at that index and 0 at the others.
+        The weight is tested first, and the pairings are computed in
+        integers over the denominator L of delta, as in `keff_enumerate`.
         """
+        columns = [[d[k] for d in self.basis] for k in range(self.m_prime)]
         out = []
         for sigma in self.fan.max_cones:
             free = [j for j in range(self.m_prime) if j not in sigma]
             inv = SmithFactor([[d[k] for k in free] for d in self.basis]).inverse()
             units = []
             for j, delta in zip(free, inv):
-                w = tuple(self.pairing(k, delta) for k in range(self.m_prime))
-                omega = sum(delta)
+                L = math.lcm(*(x.denominator for x in delta))
+                ints = [x.numerator * (L // x.denominator) for x in delta]
+                omega = Fraction(sum(ints), L)
                 if omega <= 0:
                     raise EnumerationUnboundedError(
                         f"direction {j} of cone {sigma} has nonpositive weight {omega}")
-                units.append(EnumerationUnit(w, tuple(delta), omega, sum(w)))
+                w = [sum(map(operator.mul, ints, col)) for col in columns]
+                units.append(EnumerationUnit(tuple(Fraction(x, L) for x in w),
+                                             tuple(delta), omega, Fraction(sum(w), L)))
             out.append(tuple(units))
         return tuple(out)
 

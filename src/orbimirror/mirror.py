@@ -26,8 +26,8 @@ from .extended import ExtendedFanData, KEffElement, keff_enumerate
 from .families import wpn_index
 from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
                   star_subdivide_xbar, wall_curve_classes)
-from .series import (PowerLadder, PuiseuxSeries, Roster, make_roster,
-                     multivar_invert, series_exp, substitute)
+from .series import (PowerLadder, PuiseuxSeries, Roster, linear_combination,
+                     make_roster, multivar_invert, series_exp, substitute)
 
 
 class MirrorShapeViolation(ValueError):
@@ -111,7 +111,7 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
     roster = dbar_pows[0][0].roster
     scalar = Fraction(1)
     bare = []
-    S: dict[tuple[int, ...], Fraction] = {}
+    logs = []               # (slog coefficient, power of Dbar_j)
     for j, p in enumerate(kel.pairings):
         if not p:
             continue
@@ -121,17 +121,14 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
             assert not f_bare, "vanishing factor on an extended index"
             continue
         bare += [j] * f_bare
-        for i in range(1, t + 1):
-            if slog[i]:
-                for e, c in dbar_pows[j][i].terms.items():
-                    S[e] = S.get(e, 0) + slog[i] * c
+        logs += [(slog[i], dbar_pows[j][i]) for i in range(1, t + 1) if slog[i]]
     if len(bare) > t:
         return {}
     P = PuiseuxSeries.constant(roster, t, scalar)
     for j in bare:
         P = P * dbar_pows[j][1]
-    if S:
-        P = P * series_exp(PuiseuxSeries(roster, t, S))
+    if logs:
+        P = P * series_exp(linear_combination(roster, t, logs))
     return P.terms
 
 
@@ -172,8 +169,8 @@ def i_function(ext: ExtendedFanData, order) -> ISeries:
     dbar_pows = []
     for j in range(ext.m):
         dbar = PuiseuxSeries(roster, n, {
-            tuple(int(a == b) for b in range(r)): Fraction(ext.basis[a][j])
-            for a in range(r)})
+            tuple(int(a == b) for b in range(r)): ext.basis[a][j]
+            for a in range(r)}, 1)
         pows = [PuiseuxSeries.constant(roster, n, 1)]
         for _ in range(n):
             pows.append(pows[-1] * dbar)

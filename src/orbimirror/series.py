@@ -11,9 +11,12 @@ Weights are computed in integers. A roster with denominators d_i has
 L = lcm(d_i), and a stored (scaled) exponent vector e, which stands for
 the exponents e_i/d_i, has the integer weight W(e) = sum e_i * (L/d_i),
 that is L times its true weight. A term is kept when W(e) <= floor(N*L),
-which is exact because W(e) is an integer. Coefficients are
-`fractions.Fraction`; all operations are exact up to the declared
-truncation order.
+which is exact because W(e) is an integer. Coefficients are integer
+numerators over one positive denominator, as in FLINT's `fmpq_poly`,
+kept canonical: the gcd of the denominator and the numerators is 1.
+Every operation runs in integers and reduces once; `Fraction`s appear
+only at the boundaries (`terms`, `coefficient`, JSON). All operations
+are exact up to the declared truncation order.
 
 The kernel writes each step once. exp, log, rational powers and
 composition are one power sum a_0 + a_1 u + a_2 u^2 + ... of a series u,
@@ -136,30 +139,40 @@ class PuiseuxSeries:
     """Truncated sparse Puiseux series with exact rational coefficients.
 
     Exponents are stored as integers scaled by the per-variable
-    denominator; the public API speaks in Fractions.
+    denominator; the public API speaks in Fractions. The coefficient at
+    the scaled exponent vector e is num[e]/den, in canonical form.
     """
 
-    __slots__ = ("roster", "order", "terms")
+    __slots__ = ("roster", "order", "num", "den")
 
-    def __init__(self, roster: Roster, order, terms: Mapping[tuple[int, ...], Fraction]):
-        self.roster = roster
-        self.order = Fraction(order)
-        cap = roster.cap(self.order)
-        weight = roster.weight
+    def __init__(self, roster: Roster, order, terms: Mapping[tuple[int, ...], Fraction],
+                 den: Optional[int] = None):
+        """`terms` maps scaled exponent vectors to rationals or, when
+        `den` is given, to integer numerators over den > 0; the terms of
+        weight above `order` are dropped."""
+        if den is None:
+            terms = {e: Fraction(c) for e, c in terms.items()}
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        order = Fraction(order)
+        cap, weight = roster.cap(order), roster.weight
         formal = [i for i, f in enumerate(roster.formal) if f]
-        clean = {}
-        for e, c in terms.items():
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if not c:
-                continue
-            if weight(e) > cap:
-                continue
-            for i in formal:
-                if e[i] < 0:
-                    raise ValueError("negative exponent on formal variable")
-            clean[tuple(e)] = c
-        self.terms = clean
+        num = {}
+        for e, n in terms.items():
+            if n and weight(e) <= cap:
+                for i in formal:
+                    if e[i] < 0:
+                        raise ValueError("negative exponent on formal variable")
+                num[tuple(e)] = n
+        self._reduce(roster, order, num, den)
+
+    def _reduce(self, roster: Roster, order: Fraction, num: dict, den: int) -> None:
+        """Set the fields to num/den with the zeros dropped and the gcd of
+        den and the numerators divided out."""
+        g = math.gcd(den, *num.values())
+        if g != 1 or 0 in num.values():
+            num = {e: n // g for e, n in num.items() if n}
+        self.roster, self.order, self.num, self.den = roster, order, num, den // g
 
     # -- construction -------------------------------------------------
 
@@ -178,22 +191,31 @@ class PuiseuxSeries:
 
     # -- inspection ---------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as reduced Fractions, keyed by scaled exponents."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.num.items()}
+
+    def _coef(self, e: tuple[int, ...]) -> Fraction:
+        return Fraction(self.num.get(e, 0), self.den)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.roster.names), Fraction(0))
+        return self._coef((0,) * len(self.roster.names))
 
     def valuation(self) -> Optional[Fraction]:
-        if not self.terms:
+        if not self.num:
             return None
-        return Fraction(min(map(self.roster.weight, self.terms)), self.roster.lcm)
+        return Fraction(min(map(self.roster.weight, self.num)), self.roster.lcm)
 
     def _lowest_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         weight = self.roster.weight
-        weights = {e: weight(e) for e in self.terms}
+        weights = {e: weight(e) for e in self.num}
         vw = min(weights.values(), default=None)
-        return [(e, c) for e, c in self.terms.items() if weights[e] == vw]
+        return [(e, self._coef(e)) for e in self.num if weights[e] == vw]
 
     def coefficient(self, exponents: Mapping[str, Fraction]) -> Fraction:
         e = [0] * len(self.roster.names)
@@ -203,7 +225,7 @@ class PuiseuxSeries:
             if scaled.denominator != 1:
                 return Fraction(0)
             e[i] = int(scaled)
-        return self.terms.get(tuple(e), Fraction(0))
+        return self._coef(tuple(e))
 
     def sorted_terms(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
         weight, denoms = self.roster.weight, self.roster.denoms
@@ -216,14 +238,14 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         return (self.roster == other.roster and self.order == other.order
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
     def __repr__(self) -> str:
         parts = []
         for e, c in self.sorted_terms()[:8]:
             mono = "*".join(f"{v}^{p}" for v, p in zip(self.roster.names, e) if p)
             parts.append(f"{c}{'*' + mono if mono else ''}")
-        tail = " + ..." if len(self.terms) > 8 else ""
+        tail = " + ..." if len(self.num) > 8 else ""
         return f"<series O({self.order}): {' + '.join(parts) or '0'}{tail}>"
 
     # -- arithmetic ---------------------------------------------------
@@ -234,54 +256,54 @@ class PuiseuxSeries:
         return min(self.order, other.order)
 
     def truncate(self, order) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.roster, order, self.terms)
+        return PuiseuxSeries(self.roster, order, self.num, self.den)
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction)):
             other = PuiseuxSeries.constant(self.roster, self.order, other)
         order = self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
-        return PuiseuxSeries(self.roster, order, t)
+        return _collect(self.roster, order, ((self.num, self.den, 1),
+                                             (other.num, other.den, sign)))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.roster, self.order, {e: -c for e, c in self.terms.items()})
+        return _make(self.roster, self.order, {e: -n for e, n in self.num.items()},
+                     self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PuiseuxSeries.constant(self.roster, self.order, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, k) -> "PuiseuxSeries":
         k = Fraction(k)
-        return PuiseuxSeries(self.roster, self.order,
-                             {e: c * k for e, c in self.terms.items()})
+        a = k.numerator
+        return _make(self.roster, self.order, {e: n * a for e, n in self.num.items()},
+                     self.den * k.denominator)
 
     def _product(self, other: "PuiseuxSeries", order) -> "PuiseuxSeries":
         """self * other kept up to weight `order`, which the caller
         vouches the product is known to."""
         weight = self.roster.weight
         cap = self.roster.cap(order)
-        right = [(e2, c2, weight(e2)) for e2, c2 in other.terms.items()]
+        right = sorted(((weight(e2), e2, n2) for e2, n2 in other.num.items()),
+                       key=operator.itemgetter(0))
         add = operator.add
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for e1, n1 in self.num.items():
             room = cap - weight(e1)
-            for e2, c2, w2 in right:
+            for w2, e2, n2 in right:
                 if w2 > room:
-                    continue
+                    break
                 e = tuple(map(add, e1, e2))
-                if e in out:
-                    out[e] += c1 * c2
-                else:
-                    out[e] = c1 * c2
-        return PuiseuxSeries(self.roster, order, out)
+                out[e] = get(e, 0) + n1 * n2
+        return _make(self.roster, order, out, self.den * other.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -291,7 +313,7 @@ class PuiseuxSeries:
         # so a factor of negative valuation lowers the order
         weight, lcm = self.roster.weight, self.roster.lcm
         for s, t in ((self, other), (other, self)):
-            v = min(map(weight, t.terms), default=0)
+            v = min(map(weight, t.num), default=0)
             if v < 0:
                 order = min(order, s.order + Fraction(v, lcm))
         return self._product(other, order)
@@ -307,25 +329,60 @@ class PuiseuxSeries:
         return _shift(self, self.roster.scaled(exponents))
 
 
+def _make(roster: Roster, order: Fraction, num: dict, den: int) -> PuiseuxSeries:
+    """num/den at `order`, for num within the order and admissible on the
+    formal variables."""
+    s = object.__new__(PuiseuxSeries)
+    s._reduce(roster, order, num, den)
+    return s
+
+
+def _collect(roster: Roster, order: Fraction,
+             parts: Iterable[tuple[Mapping[tuple[int, ...], int], int, int]]
+             ) -> PuiseuxSeries:
+    """The sum of k*num/den over the (num, den, k) in `parts`, kept to
+    `order`: one pass in integers over the lcm of the denominators."""
+    parts = list(parts)
+    den = math.lcm(*(d for _, d, _ in parts))
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for num, d, k in parts:
+        k *= den // d
+        for e, n in num.items():
+            out[e] = get(e, 0) + n * k
+    return PuiseuxSeries(roster, order, out, den)
+
+
+def linear_combination(roster: Roster, order,
+                       pairs: Iterable[tuple[Fraction, PuiseuxSeries]]) -> PuiseuxSeries:
+    """sum c*s over the (c, s) in `pairs`, kept to `order`."""
+    return _collect(roster, Fraction(order),
+                    ((s.num, s.den * c.denominator, c.numerator) for c, s in pairs))
+
+
 def _shift(s: PuiseuxSeries, me: tuple[int, ...], factor=1) -> PuiseuxSeries:
     """factor * y^me * s for a scaled exponent vector me of weight w:
     every term moves by me, and O(o) becomes O(o + w)."""
     roster, add = s.roster, operator.add
     order = s.order + Fraction(roster.weight(me), roster.lcm)
-    if factor == 1:
-        terms = {tuple(map(add, e, me)): c for e, c in s.terms.items()}
-    else:
-        terms = {tuple(map(add, e, me)): c * factor for e, c in s.terms.items()}
-    return PuiseuxSeries(roster, order, terms)
+    factor = Fraction(factor)
+    a = factor.numerator
+    return PuiseuxSeries(roster, order,
+                         {tuple(map(add, e, me)): n * a for e, n in s.num.items()},
+                         s.den * factor.denominator)
 
 
-def _unit_tail(s: PuiseuxSeries, le: tuple[int, ...], lc: Fraction) -> PuiseuxSeries:
+def _unit_tail(s: PuiseuxSeries, le: tuple[int, ...]) -> PuiseuxSeries:
     """u with s = lc*y^le*(1 + u), for lc*y^le the unique lowest term of
     s: u has positive valuation and is known to the order of s less the
-    weight of le."""
-    u = _shift(s, tuple(-x for x in le), 1 / lc)
-    del u.terms[(0,) * len(le)]     # the lowest term, now exactly 1
-    return u
+    weight of le. Its numerators are those of s, over the numerator of
+    the lowest term."""
+    lead = s.num[le]
+    sign = 1 if lead > 0 else -1
+    order = s.order - Fraction(s.roster.weight(le), s.roster.lcm)
+    return PuiseuxSeries(s.roster, order,
+                         {tuple(x - y for x, y in zip(e, le)): n * sign
+                          for e, n in s.num.items() if e != le}, abs(lead))
 
 
 def _power_of(e: tuple[int, ...], p: Fraction) -> tuple[int, ...]:
@@ -355,20 +412,19 @@ def _power_sum(coefs: Iterable[Fraction], u: PuiseuxSeries) -> PuiseuxSeries:
     """
     roster, order = u.roster, u.order
     coefs = iter(coefs)
-    out = {(0,) * len(roster.names): next(coefs, 0)}
-    if u.terms:
-        vw, cap = min(map(roster.weight, u.terms)), roster.cap(order)
+    a = Fraction(next(coefs, 0))
+    parts = [({(0,) * len(roster.names): a.numerator}, a.denominator, 1)]
+    if u.num:
+        vw, cap = min(map(roster.weight, u.num)), roster.cap(order)
         p, k = None, 1
         while k * vw <= cap and (a := next(coefs, None)) is not None:
             p = (PuiseuxSeries.constant(roster, u.order, 1) if p is None else p) * u
             if a:
+                a = Fraction(a)
                 order = min(order, p.order)
-                for e, c in p.terms.items():
-                    if a != 1:
-                        c = c * a
-                    out[e] = out[e] + c if e in out else c
+                parts.append((p.num, p.den * a.denominator, a.numerator))
             k += 1
-    return PuiseuxSeries(roster, order, out)
+    return _collect(roster, order, parts)
 
 
 def series_exp(s: PuiseuxSeries) -> PuiseuxSeries:
@@ -434,7 +490,7 @@ def series_pow(s: PuiseuxSeries, e) -> PuiseuxSeries:
     me = _power_of(le, e)
     if any(f and x < 0 for f, x in zip(s.roster.formal, me)):
         raise ValueError("power not admissible on a formal variable")
-    if len(s.terms) == 1:
+    if len(s.num) == 1:
         return PuiseuxSeries(s.roster, s.order, {me: c0})
     # s**e = c0*y^me*(1 + u)**e; (1 + u)**e is known to the order of u,
     # s.order - v, so the result is known to v*e + (s.order - v), which
@@ -443,7 +499,7 @@ def series_pow(s: PuiseuxSeries, e) -> PuiseuxSeries:
     # coefficients stop at the first zero, so an integer e stops early.
     binomials = takewhile(bool, accumulate(
         count(), lambda c, k: c * (e - k) / (k + 1), initial=Fraction(1)))
-    return _shift(_power_sum(binomials, _unit_tail(s, le, lc)), me, c0)
+    return _shift(_power_sum(binomials, _unit_tail(s, le)), me, c0)
 
 
 def series_compose(outer: PuiseuxSeries, inner: PuiseuxSeries) -> PuiseuxSeries:
@@ -553,29 +609,30 @@ def substitute(s: PuiseuxSeries,
     tgt = imgs[0].roster
     order = Fraction(order) if order is not None else min(i.order for i in imgs)
     nt = len(tgt.names)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    add = operator.add
+    parts = []
     res_order = order
     # every power of y_i is a multiple of the gcd of its exponents in s
-    steps = [Fraction(math.gcd(*(e[i] for e in s.terms)), d)
+    steps = [Fraction(math.gcd(*(e[i] for e in s.num)), d)
              for i, d in enumerate(denoms)]
 
-    for e, c in s.terms.items():
+    for e, n in s.num.items():
         # Monomial images are exact; collect them into a single exponent
         # shift applied after the series factors are multiplied out, so
         # that a negative-weight monomial cannot push otherwise-retained
         # terms past the truncation bound mid-product.
-        shift_e = [0] * nt
-        coef = Fraction(c)
+        shift_e = (0,) * nt
+        coef = Fraction(n, s.den)
         factors: list[PuiseuxSeries] = []
         for i, x in enumerate(e):
             if not x:
                 continue
             img = imgs[i]
             p = Fraction(x, denoms[i])
-            if len(img.terms) == 1:
-                ((ie, ic),) = img.terms.items()
-                coef *= _rational_root(ic, p)
-                shift_e = list(map(operator.add, shift_e, _power_of(ie, p)))
+            if len(img.num) == 1:
+                ((ie, ic),) = img.num.items()
+                coef *= _rational_root(Fraction(ic, img.den), p)
+                shift_e = tuple(map(add, shift_e, _power_of(ie, p)))
             else:
                 factors.append(ladder.power(names[i], p, steps[i]))
         if factors:
@@ -586,20 +643,19 @@ def substitute(s: PuiseuxSeries,
             # weight of the summed exponent vector
             shift_w = Fraction(tgt.weight(shift_e), tgt.lcm)
             res_order = min(res_order, term.order + shift_w)
-            for te, tc in term.terms.items():
-                ne = tuple(a + b for a, b in zip(te, shift_e))
-                acc[ne] = acc.get(ne, Fraction(0)) + tc * coef
+            num = term.num
+            if any(shift_e):
+                num = {tuple(map(add, te, shift_e)): tn for te, tn in num.items()}
+            parts.append((num, term.den * coef.denominator, coef.numerator))
         else:
-            ne = tuple(shift_e)
-            acc[ne] = acc.get(ne, Fraction(0)) + coef
-    return PuiseuxSeries(tgt, res_order, acc)
+            parts.append(({shift_e: coef.numerator}, coef.denominator, 1))
+    return _collect(tgt, res_order, parts)
 
 
 def _euler(s: PuiseuxSeries, i: int) -> PuiseuxSeries:
     """y_i d/dy_i of s: every term times its exponent of y_i."""
-    d = s.roster.denoms[i]
-    return PuiseuxSeries(s.roster, s.order, {e: c * Fraction(e[i], d)
-                                             for e, c in s.terms.items() if e[i]})
+    return _make(s.roster, s.order, {e: n * e[i] for e, n in s.num.items() if e[i]},
+                 s.den * s.roster.denoms[i])
 
 
 def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
@@ -669,7 +725,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
         if vexp[r + b] != 1 or any(vexp[r + c] for c in range(sdim) if c != b):
             raise NotMirrorShaped("tau relation not triangular in extended variables")
         leads.append(vexp[:r])
-        corrections.append(_unit_tail(B, le, lc))
+        corrections.append(_unit_tail(B, le))
 
     start = [tgt.scaled({q_names[a]: 1}) for a in range(r)]
     for b in range(sdim):
@@ -679,7 +735,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
     w0 = min(Fraction(tgt.weight(e), tgt.lcm) for e in start)
     need = order - w0               # U_i to this order gives Y_i to `order`
     H = list(log_corrections) + corrections
-    euler = [[(c, _euler(h, c)) for c in range(rp) if any(e[c] for e in h.terms)]
+    euler = [[(c, _euler(h, c)) for c in range(rp) if any(e[c] for e in h.num)]
              for h in H]
 
     def ladder_at(U) -> PowerLadder:
@@ -720,7 +776,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
                 d = substitute(dh, ladder, p - mu)
                 if i >= r:
                     d = d * inv
-                if d.terms:
+                if d.num:
                     if d.valuation() <= 0:
                         raise InversionNotConverged(
                             f"Jacobian has a term of weight {d.valuation()} <= 0")
@@ -732,10 +788,10 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
         while True:
             Dt = [PuiseuxSeries.zero(tgt, p)] * rp
             for i, c, d in D:
-                if t[c].terms:
+                if t[c].num:
                     Dt[i] = Dt[i] + d._product(t[c], p)
             t = times_L([-x for x in Dt], -1)
-            if not any(x.terms for x in t):
+            if not any(x.num for x in t):
                 return delta
             delta = [a + b for a, b in zip(delta, t)]
 
@@ -749,7 +805,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
         F, units = residual(ladder, U, p)
         reached = min(f.order for f in F)
         F = [f.truncate(reached) for f in F]
-        if not any(f.terms for f in F):
+        if not any(f.num for f in F):
             if reached >= need:
                 return [ladder.images[n].truncate(order) for n in src.names]
             if p < work:
@@ -761,7 +817,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
                     f"requested {order}")
             work = p = work + need - reached
             continue
-        mu = min(f.valuation() for f in F if f.terms)
+        mu = min(f.valuation() for f in F if f.num)
         if mu <= 0:
             raise InversionNotConverged(f"residual has a term of weight {mu} <= 0")
         if last_mu is not None and mu <= last_mu:

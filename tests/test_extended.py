@@ -1,6 +1,7 @@
 """Extended fan data: kernel bases, pushforwards, effective classes."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from orbimirror.exact import coordinates, integer_solve, snf_kernel_basis
 from orbimirror.extended import (BasisShapeInfeasibleError,
+                                 EnumerationUnboundedError,
                                  LatticeNotGeneratedError, _nef_base_basis,
                                  _scale_primitive, build_extended,
                                  keff_enumerate)
@@ -330,6 +332,38 @@ def test_keff_and_unit_invariants(make, bounds):
                                        for k in range(ext.m_prime))
             assert combo(u.pairings) == (0,) * n
             assert (u.weight, u.c) == (sum(u.delta), sum(u.pairings))
+
+
+# sha256 of repr(ext.cone_units) of each bundled fan, as computed when the
+# pairings were Fraction sums over the basis rows; the integer pairings
+# must give the same units, field by field and type by type
+_CONE_UNIT_DIGESTS = {
+    "f2": "86a98afe9fecc0ef", "kp3": "5b6ae97f39aab10e",
+    "p1": "958b92346b3570e3", "p112": "aa9fc47d86c9b485",
+    "p113": "b7d3ad8ad13e754c", "p114": "1a44cc454916ecba",
+    "p1_3_5": "f6462de90bbcb2f5", "p2": "fc79af617e675728",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONE_UNIT_DIGESTS))
+def test_cone_units_of_the_bundled_fans_are_unchanged(name):
+    units = build_extended(_bundled(name)).cone_units
+    digest = hashlib.sha256(repr(units).encode()).hexdigest()[:16]
+    assert digest == _CONE_UNIT_DIGESTS[name]
+
+
+def test_cone_units_test_the_weight_before_the_pairings():
+    # random_fans(20, 4)[2] of perfbench/fangen.py: r' = 75, and the
+    # third cone has a unit of weight 0. Building every unit's 77
+    # pairings in Fractions before the weight test took 7.9 s on a
+    # 2-vCPU host; the weight test first and integer pairings take 0.4 s
+    fan = StackyFan.make(2, ((-3, -6), (-2, -6), (3, 0), (-6, 9), (-6, 2)),
+                         ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+    ext = build_extended(fan)
+    assert ext.r_prime == 75
+    with pytest.raises(EnumerationUnboundedError,
+                       match=r"^direction 42 of cone \(2, 3\) has nonpositive weight 0$"):
+        ext.cone_units
 
 
 @pytest.mark.parametrize("k,c,delta", [(3, -1, (2, 2)), (4, -2, (1, 2))])

@@ -1,5 +1,6 @@
 """Truncated Puiseux series: arithmetic, powers, inversion, substitution."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -549,3 +550,210 @@ def test_rosters_differing_in_denominators_do_not_mix(denoms, data):
         a * b
     with pytest.raises(RosterMismatch):
         a + b
+
+
+# -- the integer kernel against dict-of-Fraction references ---------------
+#
+# Each reference works on plain dicts of Fractions, with the truncation
+# rule of ref_truncate, and shares no code with the kernel, which stores
+# integer numerators over one denominator. The coefficients carry large
+# coprime denominators, so that the common denominator, and the content
+# reduction after a cancellation, are exercised.
+
+BIG_DENOMS = [1, 2, 9, 10007, 65537, 999983, 2 ** 31 - 1, 10007 * 65537]
+big_coef = st.builds(F, st.integers(-10 ** 12, 10 ** 12).filter(bool),
+                     st.sampled_from(BIG_DENOMS))
+
+
+def assert_canonical(s):
+    """den > 0 and coprime to the content; every value a reduced Fraction."""
+    assert s.den > 0 and all(s.num.values())
+    assert math.gcd(s.den, *s.num.values()) == 1
+    if not s.num:
+        assert s.den == 1
+    for e, c in s.terms.items():
+        assert type(c) is F and c == F(s.num[e], s.den)
+
+
+def ref_add(t1, t2, denoms, order):
+    out = dict(t1)
+    for e, c in t2.items():
+        out[e] = out.get(e, F(0)) + c
+    return ref_truncate(out, denoms, order)
+
+
+def ref_series_of(coefs, u, denoms, order):
+    """sum_k coefs[k] u^k with u of positive valuation, to `order`."""
+    zero = (0,) * len(denoms)
+    out, p = {}, {zero: F(1)}
+    for a in coefs:
+        if not p:
+            break
+        for e, c in p.items():
+            out[e] = out.get(e, F(0)) + a * c
+        p = ref_mul(p, u, denoms, order)
+    return ref_truncate(out, denoms, order)
+
+
+def ref_coefs(kind, n, e=None):
+    if kind == "exp":
+        return [F(1, math.factorial(k)) for k in range(n)]
+    if kind == "log":
+        return [F(0)] + [F((-1) ** (k + 1), k) for k in range(1, n)]
+    out, c = [], F(1)
+    for k in range(n):
+        out.append(c)
+        c = c * (e - k) / (k + 1)
+    return out
+
+
+@st.composite
+def big_series(draw, positive=False):
+    """(roster, order, terms) with big coprime denominators; with
+    `positive`, every term has weight at least 1/2."""
+    denoms = draw(denom_lists)
+    roster = make_roster([f"y{i}" for i in range(len(denoms))], denoms)
+    exps = st.tuples(*[st.integers(-2 if positive else -6, 8)] * len(denoms))
+    terms = draw(st.dictionaries(exps, big_coef, max_size=6))
+    if positive:
+        # a valuation of at least 1/2 keeps the powers below the order few
+        terms = {e: c for e, c in terms.items() if ref_weight(e, denoms) >= F(1, 2)}
+    order = draw(st.fractions(min_value=0 if positive else -2,
+                              max_value=3 if positive else 5, max_denominator=6))
+    return roster, order, terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_series(), st.data())
+def test_add_and_scale_match_fraction_reference(data, draws):
+    roster, o1, t1 = data
+    o2 = draws.draw(orders)
+    t2 = draws.draw(st.dictionaries(st.sampled_from(sorted(t1) or [(0,) * len(roster.denoms)]),
+                                    big_coef, max_size=4))
+    # some terms of t2 cancel those of t1 exactly
+    t2.update({e: -c for e, c in t1.items() if draws.draw(st.booleans())})
+    a, b = PuiseuxSeries(roster, o1, t1), PuiseuxSeries(roster, o2, t2)
+    for got, want in [(a + b, ref_add(a.terms, b.terms, roster.denoms, min(o1, o2))),
+                      (a - b, ref_add(a.terms, {e: -c for e, c in b.terms.items()},
+                                      roster.denoms, min(o1, o2)))]:
+        assert_canonical(got)
+        assert got.order == min(o1, o2) and got.terms == want
+    k = draws.draw(big_coef | st.just(F(0)))
+    got = a.scale(k)
+    assert_canonical(got)
+    assert got.order == o1
+    assert got.terms == {e: c * k for e, c in a.terms.items() if c * k}
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_series(positive=True))
+def test_exp_and_log_match_fraction_reference(data):
+    roster, order, terms = data
+    u = PuiseuxSeries(roster, order, terms)
+    n = 1 + int(order / min((ref_weight(e, roster.denoms) for e in u.terms),
+                            default=1))
+    ex = series_exp(u)
+    assert_canonical(ex)
+    assert ex.order == order
+    assert ex.terms == ref_series_of(ref_coefs("exp", n + 1), u.terms,
+                                     roster.denoms, order)
+    lg = series_log(u + 1)
+    assert_canonical(lg)
+    assert lg.order == order
+    assert lg.terms == ref_series_of(ref_coefs("log", n + 1), u.terms,
+                                     roster.denoms, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_series(positive=True), st.data())
+def test_pow_matches_fraction_reference(data, draws):
+    roster, order, terms = data
+    denoms = roster.denoms
+    # a unique lowest term lc y^le with le even, so that half-integer
+    # powers stay on the lattice; lc a square for the half-integer ones
+    le = tuple(2 * x for x in draws.draw(st.tuples(*[st.integers(-1, 2)] * len(denoms))))
+    e = draws.draw(st.sampled_from([F(2), F(3), F(-1), F(-2), F(1, 2), F(-3, 2)]))
+    r = draws.draw(big_coef)
+    lc = r * r if e.denominator == 2 else r
+    lead_w = ref_weight(le, denoms)
+    order = max(order, lead_w)
+    s = PuiseuxSeries(roster, order, {le: lc, **{
+        x: c for x, c in terms.items() if ref_weight(x, denoms) > lead_w}})
+    tail = {x: c for x, c in s.terms.items() if x != le}
+    got = series_pow(s, e)
+    assert_canonical(got)
+    # s**e = lc**e y^(e le) (1 + u)**e, u known to order - w(le)
+    u_order = order - lead_w
+    u = {tuple(a - b for a, b in zip(x, le)): c / lc for x, c in s.terms.items()
+         if x != le}
+    n = 1 + int(u_order / min((ref_weight(x, denoms) for x in u), default=1))
+    tail_series = ref_series_of(ref_coefs("binomial", n + 1, e), u, denoms, u_order)
+    c0 = abs(r) ** int(2 * e) if e.denominator == 2 else lc ** int(e)
+    me = tuple(int(x * e) for x in le)
+    if not tail:
+        # the power of a monomial is exact and keeps the order
+        assert got.order == order
+        assert got.terms == ref_truncate({me: c0}, denoms, order)
+        return
+    assert got.order == u_order + e * lead_w
+    assert got.terms == {tuple(a + b for a, b in zip(x, me)): c0 * c
+                         for x, c in tail_series.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_series(positive=True), st.data())
+def test_substitute_matches_fraction_reference(data, draws):
+    # s in two integer variables, images of positive valuation with a
+    # unique lowest term in the target roster, the result asked for at
+    # an order the images reach
+    tgt, order, _ = data
+    denoms = tgt.denoms
+    order += 1
+    exps = st.tuples(*[st.integers(0, 4)] * len(denoms))
+    images = {}
+    for name in ("a", "b"):
+        # the lead y_i^{1/d_i} has weight at most 1, so that the products
+        # of several images reach below the order
+        i = draws.draw(st.integers(0, len(denoms) - 1))
+        lead = tuple(int(k == i) for k in range(len(denoms)))
+        tail = draws.draw(st.dictionaries(exps, big_coef, max_size=3))
+        images[name] = PuiseuxSeries(tgt, order + 1, {lead: draws.draw(big_coef), **{
+            x: c for x, c in tail.items()
+            if ref_weight(x, denoms) > ref_weight(lead, denoms)}})
+    src = make_roster(["a", "b"])
+    sterms = draws.draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                        big_coef, max_size=4))
+    s = PuiseuxSeries(src, 6, sterms)
+    got = substitute(s, images, order)
+    assert_canonical(got)
+    assert got.order == order
+    want = {}
+    for (i, j), c in s.terms.items():
+        p = {(0,) * len(denoms): c}
+        for name, k in (("a", i), ("b", j)):
+            for _ in range(k):
+                p = ref_mul(p, images[name].terms, denoms, order)
+        want = ref_add(want, p, denoms, order)
+    assert got.terms == want
+
+
+def test_canonical_form_is_one_per_value():
+    r = make_roster(["q", "u"], [2, 1], [False, True])
+    e1, e2 = (1, 0), (2, 1)
+    a = PuiseuxSeries(r, 4, {e1: F(1, 3), e2: F(2, 3)})
+    b = PuiseuxSeries(r, 4, {e1: 2, e2: 4}, 6)
+    c = PuiseuxSeries(r, 4, {e1: 10 ** 30, e2: 2 * 10 ** 30}, 3 * 10 ** 30)
+    d = PuiseuxSeries(r, 4, {e1: F(1, 3 * 65537), e2: F(2, 3 * 65537)}).scale(65537)
+    for s in (a, b, c, d):
+        assert_canonical(s)
+        assert (s.num, s.den) == ({e1: 1, e2: 2}, 3)
+        assert s == a and s.terms == {e1: F(1, 3), e2: F(2, 3)}
+    # terms that all cancel leave the zero series with denominator 1
+    big = PuiseuxSeries(r, 4, {e1: F(7, 10007 * 65537), e2: F(-5, 999983)})
+    for zero in (big - big, big + big.scale(-1), big.scale(0), big.truncate(0)):
+        assert_canonical(zero)
+        assert zero.is_zero() and (zero.num, zero.den) == ({}, 1)
+        assert zero == PuiseuxSeries.zero(r, zero.order)
+    # dropping the term that held the denominator reduces the rest
+    s = PuiseuxSeries(r, 4, {e1: F(1, 2), e2: F(3, 4)})
+    assert (s.truncate(1).num, s.truncate(1).den) == ({e1: 1}, 2)
