@@ -53,17 +53,22 @@ def _load_fan(path: str) -> StackyFan:
 
 
 def _emit(payload: dict, fmt: str, out: Optional[str],
-          table: Optional[tuple[list[str], list[list]]] = None) -> None:
+          table: Optional[tuple[str, list[str]]] = None) -> None:
+    """Write the payload as JSON, or as text or CSV. With `table` =
+    (key, columns), text and CSV print one row per record of
+    payload[key], a list cell as JSON; without, one line per key."""
+    if table is not None:
+        key, header = table
+        rows = [[json.dumps(x) if isinstance(x, list) else x
+                 for x in (rec[c] for c in header)] for rec in payload[key]]
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         if table is not None:
-            header, rows = table
             w.writerow(header)
-            for row in rows:
-                w.writerow(row)
+            w.writerows(rows)
         else:
             w.writerow(["key", "value"])
             for k in sorted(payload):
@@ -72,7 +77,6 @@ def _emit(payload: dict, fmt: str, out: Optional[str],
     else:
         lines = []
         if table is not None:
-            header, rows = table
             lines.append("  ".join(header))
             for row in rows:
                 lines.append("  ".join(str(x) for x in row))
@@ -101,16 +105,12 @@ def cmd_validate(args) -> int:
 
 def cmd_box(args) -> int:
     fan = _load_fan(args.fan)
-    box = fan.box
-    rows = [[_frac_vec(el.nu), list(el.cone), [_frac(t) for t in el.t],
-             _frac(el.age), el.age <= 1] for el in box]
     payload = {"gorenstein": is_gorenstein(fan),
-               "box": [{"nu": r[0], "cone": r[1], "t": r[2], "age": r[3],
-                        "extended": r[4]} for r in rows]}
-    table = (["nu", "cone", "t", "age", "extended"],
-             [[json.dumps(r[0]), json.dumps(r[1]), json.dumps(r[2]),
-               r[3], r[4]] for r in rows])
-    _emit(payload, args.format, args.out, table)
+               "box": [{"nu": _frac_vec(el.nu), "cone": list(el.cone),
+                        "t": _frac_vec(el.t), "age": _frac(el.age),
+                        "extended": el.age <= 1} for el in fan.box]}
+    _emit(payload, args.format, args.out,
+          ("box", ["nu", "cone", "t", "age", "extended"]))
     return 0
 
 
@@ -132,10 +132,7 @@ def cmd_check(args) -> int:
         "semi_fano": all(w.c1 >= 0 for w in walls),
         "fano": all(w.c1 > 0 for w in walls),
     }
-    table = (["wall", "relation", "c1"],
-             [[json.dumps(list(w.wall)), json.dumps(_frac_vec(w.relation)),
-               _frac(w.c1)] for w in walls])
-    _emit(payload, args.format, args.out, table)
+    _emit(payload, args.format, args.out, ("walls", ["wall", "relation", "c1"]))
     return 0
 
 
@@ -151,7 +148,7 @@ def _potential_json(pot) -> dict:
 def cmd_hori_vafa(args) -> int:
     fan = _load_fan(args.fan)
     ext = build_extended(fan)
-    pot = hori_vafa(ext, args.gauge, order=args.order)
+    pot = hori_vafa(ext, order=args.order)
     _emit(_potential_json(pot), args.format, args.out)
     return 0
 
@@ -171,7 +168,7 @@ def cmd_mirror_map(args) -> int:
 def cmd_superpotential(args) -> int:
     fan = _load_fan(args.fan)
     ext = build_extended(fan)
-    lf = lf_superpotential(ext, args.order, args.gauge)
+    lf = lf_superpotential(ext, args.order)
     payload = _potential_json(lf.potential)
     payload["status"] = lf.status
     _emit(payload, args.format, args.out)
@@ -181,17 +178,13 @@ def cmd_superpotential(args) -> int:
 def cmd_open_gw(args) -> int:
     fan = _load_fan(args.fan)
     ext = build_extended(fan)
-    lf = lf_superpotential(ext, args.order, args.gauge)
-    tab = extract_open_gw(lf, ext)
-    rows = []
-    for (j, qe, te), v in sorted(tab.entries.items()):
-        rows.append([j, [_frac(x) for x in qe], list(te), _frac(v)])
+    tab = extract_open_gw(lf_superpotential(ext, args.order), ext)
     payload = {"status": tab.status,
-               "entries": [{"ray": r[0], "q_exp": r[1], "tau_exp": r[2],
-                            "invariant": r[3]} for r in rows]}
-    table = (["ray", "q_exp", "tau_exp", "invariant"],
-             [[r[0], json.dumps(r[1]), json.dumps(r[2]), r[3]] for r in rows])
-    _emit(payload, args.format, args.out, table)
+               "entries": [{"ray": j, "q_exp": _frac_vec(qe),
+                            "tau_exp": list(te), "invariant": _frac(v)}
+                           for (j, qe, te), v in sorted(tab.entries.items())]}
+    _emit(payload, args.format, args.out,
+          ("entries", ["ray", "q_exp", "tau_exp", "invariant"]))
     return 0
 
 
@@ -254,10 +247,10 @@ COMMANDS = {
     "validate": (cmd_validate, ()),
     "box": (cmd_box, ()),
     "check": (cmd_check, ()),
-    "hori-vafa": (cmd_hori_vafa, ("--order", "--gauge")),
+    "hori-vafa": (cmd_hori_vafa, ("--order",)),
     "mirror-map": (cmd_mirror_map, ("--order",)),
-    "superpotential": (cmd_superpotential, ("--order", "--gauge")),
-    "open-gw": (cmd_open_gw, ("--order", "--gauge")),
+    "superpotential": (cmd_superpotential, ("--order",)),
+    "open-gw": (cmd_open_gw, ("--order",)),
     "xbar": (cmd_xbar, ()),
     "crc": (cmd_crc, ("--order", "--resolution", "--tol", "--samples",
                       "--wpn")),
@@ -276,17 +269,9 @@ def _positive(cast):
     return parse
 
 
-def _gauge(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(sorted(int(x) for x in text.split(",")))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not like '0,2'")
-
-
 FLAGS = {
     "--order": dict(type=_positive(int), default=10,
                     help="series truncation order"),
-    "--gauge": dict(type=_gauge, help="gauge cone ray indices, e.g. 0,2"),
     "--resolution": dict(help="path to the resolution fan JSON file"),
     "--tol": dict(type=_positive(float), default=1e-10,
                   help="largest error of a passing report"),

@@ -115,8 +115,8 @@ def _walls(fan: StackyFan) -> dict[frozenset, list[tuple[int, ...]]]:
 def validate_fan(fan: StackyFan) -> FanReport:
     """Check that the fan is simplicial and complete, exactly.
 
-    For dim >= 2 the fan is complete when every wall lies in exactly two
-    maximal cones and
+    The fan is complete when every wall lies in exactly two maximal
+    cones and
       (a) at each wall the two opposite rays lie on opposite sides of
           the wall's hyperplane, and
       (b) the interior point p = sum of the generators of the first
@@ -127,7 +127,9 @@ def validate_fan(fan: StackyFan) -> FanReport:
     R^n minus 0). By (b), d(p) = 1. Hence every generic direction lies in
     exactly one cone: the cones cover R^n and their interiors are
     disjoint. A fan that folds over a wall fails (a); one that winds
-    around the origin twice, or falls into pieces, fails (b).
+    around the origin twice, or falls into pieces, fails (b). In dim 1
+    the only wall is the empty face, which every maximal cone contains,
+    so the fan is complete just when it has two cones on opposite sides.
     """
     errors = []
     n = fan.dim
@@ -164,10 +166,6 @@ def validate_fan(fan: StackyFan) -> FanReport:
 
 def _completeness_errors(fan: StackyFan) -> list[str]:
     n, vecs = fan.dim, fan.stacky_vectors
-    if n == 1:
-        ok = len(vecs) == 2 and sorted(v[0] > 0 for v in vecs) == [False, True] \
-            and sorted(fan.max_cones) == [(0,), (1,)]
-        return [] if ok else ["1-dimensional fan must consist of two opposite rays"]
     if not fan.max_cones:
         return ["fan has no maximal cones"]
     walls = _walls(fan)
@@ -270,12 +268,6 @@ def wall_curve_classes(fan: StackyFan) -> list[WallCurve]:
     n = fan.dim
     m = fan.n_rays
     out = []
-    if n == 1:
-        i, j = 0, 1
-        c = Fraction(-fan.stacky_vectors[i][0], fan.stacky_vectors[j][0])
-        rel = [Fraction(0)] * m
-        rel[i], rel[j] = Fraction(1), c
-        return [WallCurve((), tuple(rel), Fraction(1) + c)]
     for f, cs in sorted(_walls(fan).items(), key=lambda kv: tuple(sorted(kv[0]))):
         sigma, sigma2 = cs
         (e0,) = set(sigma) - f

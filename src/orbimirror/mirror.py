@@ -34,10 +34,6 @@ class MirrorShapeViolation(ValueError):
     pass
 
 
-class GaugeUnsolvableError(ValueError):
-    pass
-
-
 class BasicNotOneError(ValueError):
     pass
 
@@ -233,9 +229,9 @@ class MirrorMap:
                                self.q_denoms, self.order)
 
 
-def _chart_denoms(ext: ExtendedFanData, order: Fraction) -> list[int]:
-    """The lcm of the delta_a-denominators over K_eff up to weight `order`,
-    one per chart coordinate y_a.
+def _chart_roster(ext: ExtendedFanData, order: Fraction) -> Roster:
+    """The roster of the chart coordinates y_a, each with the lcm of the
+    delta_a-denominators over K_eff up to weight `order`.
 
     Every class is a sum, with multiplicities k >= 1, of units of one max
     cone, and each of those units has positive weight at most the
@@ -248,7 +244,21 @@ def _chart_denoms(ext: ExtendedFanData, order: Fraction) -> list[int]:
         for u in units:
             if u.weight <= order:
                 dens = [math.lcm(d, x.denominator) for d, x in zip(dens, u.delta)]
-    return dens
+    return make_roster([f"y{a + 1}" for a in range(ext.r_prime)], dens,
+                       [False] * ext.r_prime)
+
+
+def _i_sum(iseries: ISeries, roster: Roster, order: Fraction, nu: Vec,
+           zexp: int, pexp: tuple[int, ...]) -> PuiseuxSeries:
+    """sum c_delta y^delta over the classes delta of K_eff in sector nu,
+    with c_delta the coefficient of z^zexp pbar^pexp in the I-function."""
+    terms = {}
+    for kel in iseries.elements:
+        if kel.nu == nu:
+            c = iseries.coefficient(kel.delta, zexp, pexp)
+            if c:
+                terms[roster.scaled(dict(zip(roster.names, kel.delta)))] = c
+    return PuiseuxSeries(roster, order, terms)
 
 
 def mirror_map(ext: ExtendedFanData, order,
@@ -260,33 +270,15 @@ def mirror_map(ext: ExtendedFanData, order,
     if not ok:
         raise MirrorShapeViolation("; ".join(errors))
     r, rp = ext.r, ext.r_prime
-    y_names = [f"y{a + 1}" for a in range(rp)]
-    denoms = _chart_denoms(ext, iseries.order)
-    roster = make_roster(y_names, denoms, [False] * rp)
-    zero_p = (0,) * r
-    A = [PuiseuxSeries.zero(roster, order) for _ in range(r)]
-    B = [PuiseuxSeries.zero(roster, order) for _ in range(rp - r)]
-    extra_by_nu = {el.nu: b for b, el in enumerate(ext.extra)}
-    zero_nu = (0,) * ext.dim
-    for kel in iseries.elements:
-        if kel.weight == 0:
-            continue
-        mono = {y_names[a]: kel.delta[a] for a in range(rp) if kel.delta[a]}
-        if kel.nu == zero_nu:
-            for a in range(r):
-                pe = tuple(1 if b == a else 0 for b in range(r))
-                c = iseries.coefficient(kel.delta, -1, pe)
-                if c:
-                    A[a] = A[a] + PuiseuxSeries.monomial(roster, order, mono, c)
-        elif kel.nu in extra_by_nu:
-            c = iseries.coefficient(kel.delta, -1, zero_p)
-            if c:
-                b = extra_by_nu[kel.nu]
-                B[b] = B[b] + PuiseuxSeries.monomial(roster, order, mono, c)
+    roster = _chart_roster(ext, iseries.order)
+    zero_nu, zero_p = (0,) * ext.dim, (0,) * r
+    A = [_i_sum(iseries, roster, order, zero_nu, -1,
+                tuple(int(b == a) for b in range(r))) for a in range(r)]
+    B = [_i_sum(iseries, roster, order, el.nu, -1, zero_p) for el in ext.extra]
     q_names = tuple(f"q{a + 1}" for a in range(r))
     tau_names = tuple(f"tau{r + b + 1}" for b in range(rp - r))
     return MirrorMap(ext, order, roster, q_names, tau_names,
-                     tuple(denoms[:r]), A, B)
+                     roster.denoms[:r], A, B)
 
 
 # -- superpotentials -----------------------------------------------------
@@ -298,6 +290,7 @@ class PotentialTerm:
     ray_index: int          # index into ext.all_vectors()
     is_extended: bool
     coefficient: PuiseuxSeries
+    exponents: tuple[Fraction, ...]   # C_j = prod_a y_a^exponents[a]
 
 
 @dataclass(frozen=True)
@@ -306,39 +299,31 @@ class Potential:
     terms: tuple[PotentialTerm, ...]
 
 
-def _gauge_exponents(ext: ExtendedFanData, gauge: Sequence[int]) -> dict[int, list[Fraction]]:
-    """For each ray j not in the gauge cone: exponents of C_j as a
-    monomial in the chart coordinates (one per basis class)."""
+def hori_vafa(ext: ExtendedFanData, order=10) -> Potential:
+    """W^HV: one term C_j z^{b_j} (or C_j z^nu) per extended ray j.
+
+    The gauge is the first maximal cone: C_j = 1 on its rays. The other
+    m' - n = r' coefficients are monomials in the chart coordinates y_a,
+    fixed by prod_j C_j^{D_j(e_a)} = y_a for the basis classes e_a, so
+    their exponent vectors are the rows of the inverse of the basis
+    matrix restricted to those rays. Each term stores its exponent
+    vector, which is 0 on the gauge cone.
+    """
+    gauge = ext.fan.max_cones[0]
     free = [j for j in range(ext.m_prime) if j not in gauge]
-    if len(free) != ext.r_prime:
-        raise GaugeUnsolvableError("gauge cone must have dim(fan) rays")
-    inv = SmithFactor([[ext.basis[a][j] for j in free]
-                       for a in range(ext.r_prime)]).inverse()
-    return dict(zip(free, inv))
-
-
-def hori_vafa(ext: ExtendedFanData, gauge: Optional[Sequence[int]] = None,
-              order=10) -> Potential:
-    """W^HV: one term z^{b_j} (or z^nu) per extended ray; coefficients are
-    monomials in the chart coordinates, C_j = 1 on the gauge cone."""
-    gauge = tuple(gauge) if gauge is not None else ext.fan.max_cones[0]
-    if gauge not in ext.fan.max_cones:
-        raise GaugeUnsolvableError(f"{gauge} is not a maximal cone")
-    expo = _gauge_exponents(ext, gauge)
-    den = math.lcm(*(x.denominator for exps in expo.values() for x in exps))
+    rows = dict(zip(free, SmithFactor([[ext.basis[a][j] for j in free]
+                                       for a in range(ext.r_prime)]).inverse()))
+    zero = (Fraction(0),) * ext.r_prime
+    expo = [tuple(rows.get(j, zero)) for j in range(ext.m_prime)]
+    den = math.lcm(*(x.denominator for e in expo for x in e))
     names = [f"y{a + 1}" for a in range(ext.r_prime)]
     roster = make_roster(names, [den] * ext.r_prime, [False] * ext.r_prime)
     vectors = ext.all_vectors()
-    terms = []
-    for j in range(ext.m_prime):
-        if j in gauge:
-            coef = PuiseuxSeries.constant(roster, order, 1)
-        else:
-            coef = PuiseuxSeries.monomial(
-                roster, order,
-                {names[a]: expo[j][a] for a in range(ext.r_prime) if expo[j][a]})
-        terms.append(PotentialTerm(vectors[j], j, j >= ext.m, coef))
-    return Potential(gauge, tuple(terms))
+    terms = tuple(
+        PotentialTerm(vectors[j], j, j >= ext.m,
+                      PuiseuxSeries.monomial(roster, order, dict(zip(names, e))), e)
+        for j, e in enumerate(expo))
+    return Potential(gauge, terms)
 
 
 def _theorem_status(ext: ExtendedFanData) -> str:
@@ -359,25 +344,21 @@ class LFResult:
 
 
 def lf_superpotential(ext: ExtendedFanData, order=10,
-                      gauge: Optional[Sequence[int]] = None,
                       iseries: Optional[ISeries] = None) -> LFResult:
     """W^LF: the Hori-Vafa coefficients evaluated on the inverse mirror map."""
     order = Fraction(order)
     mm = mirror_map(ext, order, iseries)
     Y = mm.inverse()
-    hv = hori_vafa(ext, gauge, order=order)
+    hv = hori_vafa(ext, order=order)
     # align the HV chart roster (possibly finer denominators) with the
     # mirror-map images
-    images = {}
-    for a, name in enumerate(hv.terms[0].coefficient.roster.names):
-        images[name] = Y[a]
+    images = dict(zip(hv.terms[0].coefficient.roster.names, Y))
     ladder = PowerLadder(images)
-    terms = []
-    for t in hv.terms:
-        coef = substitute(t.coefficient, ladder, order)
-        terms.append(PotentialTerm(t.vector, t.ray_index, t.is_extended, coef))
-    pot = Potential(hv.gauge, tuple(terms))
-    return LFResult(pot, mm, images, _theorem_status(ext))
+    terms = tuple(PotentialTerm(t.vector, t.ray_index, t.is_extended,
+                                substitute(t.coefficient, ladder, order),
+                                t.exponents)
+                  for t in hv.terms)
+    return LFResult(Potential(hv.gauge, terms), mm, images, _theorem_status(ext))
 
 
 # -- open invariant extraction -------------------------------------------
@@ -393,38 +374,32 @@ class OpenGWTable:
 
 
 def extract_open_gw(lf: LFResult, ext: ExtendedFanData) -> OpenGWTable:
+    """The open invariants n_{1,l,beta_j + d} of each ray j.
+
+    The generating series of ray j is its LF coefficient divided by its
+    prefactor q^{qexp}: the HV exponent vector of C_j (`PotentialTerm.
+    exponents`), with each extended coordinate y_{r+b} read as
+    q^{d-tilde_b}. Its basic coefficient (1 for a ray, tau_j for an
+    extended ray) must be 1, and the tau-part of each entry is multiplied
+    by the factorials of its exponents.
+    """
     mm = lf.mirror
     r = ext.r
-    expo = _gauge_exponents(ext, lf.potential.gauge)
     entries: dict[tuple[int, tuple, tuple], Fraction] = {}
     generating = {}
     for t in lf.potential.terms:
         j = t.ray_index
-        # LF prefactor: the same gauge solve with q^{d-tilde} on the
-        # extended constraints
-        qexp = [Fraction(0)] * r
-        if j not in lf.potential.gauge:
-            for a in range(ext.r_prime):
-                if not expo[j][a]:
-                    continue
-                if a < r:
-                    qexp[a] += expo[j][a]
-                else:
-                    for c, dt in enumerate(ext.dtilde[a - r]):
-                        qexp[c] += expo[j][a] * dt
-        coef = t.coefficient
+        qexp = list(t.exponents[:r])
+        for e, dt in zip(t.exponents[r:], ext.dtilde):
+            if e:
+                for c in range(r):
+                    qexp[c] += e * dt[c]
         shift = {mm.q_names[a]: -qexp[a] for a in range(r) if qexp[a]}
-        S = coef.shift(shift) if shift else coef
+        S = t.coefficient.shift(shift) if shift else t.coefficient
         generating[j] = S
-        # basic normalization
-        zero_q = (0,) * r
         if t.is_extended:
-            b = j - ext.m
-            basic_tau = tuple(1 if c == b else 0 for c in range(ext.r_prime - r))
-            basic = S.coefficient(dict(
-                [(mm.tau_names[b], Fraction(1))]))
+            basic = S.coefficient({mm.tau_names[j - ext.m]: Fraction(1)})
         else:
-            basic_tau = (0,) * (ext.r_prime - r)
             basic = S.constant_term()
         if basic != 1:
             raise BasicNotOneError(
@@ -458,21 +433,8 @@ def closed_h0_z2(ext: ExtendedFanData, order,
     order = Fraction(order)
     if iseries is None:
         iseries = i_function(ext, order)
-    names = [f"y{a + 1}" for a in range(ext.r_prime)]
-    roster = make_roster(names, _chart_denoms(ext, iseries.order),
-                         [False] * ext.r_prime)
-    zero_p = (0,) * ext.r
-    zero_nu = (0,) * ext.dim
-    out = PuiseuxSeries.zero(roster, order)
-    for kel in iseries.elements:
-        if kel.nu != zero_nu:
-            continue
-        c = iseries.coefficient(kel.delta, -2, zero_p)
-        if c:
-            mono = {roster.names[a]: kel.delta[a]
-                    for a in range(ext.r_prime) if kel.delta[a]}
-            out = out + PuiseuxSeries.monomial(roster, order, mono, c)
-    return out
+    return _i_sum(iseries, _chart_roster(ext, iseries.order), order,
+                  (0,) * ext.dim, -2, (0,) * ext.r)
 
 
 def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeReport:

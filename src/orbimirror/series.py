@@ -406,9 +406,9 @@ def _power_sum(coefs: Iterable[Fraction], u: PuiseuxSeries) -> PuiseuxSeries:
     The sum stops when the coefficients run out or when u^k vanishes.
     The lowest-weight part of u^k is that of u to the k-th power, which
     is not 0, so u^k vanishes just when u = 0 or k*v(u) passes the order;
-    the next coefficient is drawn only after that test. u^k is built as
-    1*u*...*u with the 1 at the order of u, so that a u of negative
-    valuation lowers the order of each power as `__mul__` does.
+    the next coefficient is drawn only after that test. u^1 is u and
+    u^k = u^(k-1)*u, so a u of negative valuation lowers the order of
+    each higher power as `__mul__` does.
     """
     roster, order = u.roster, u.order
     coefs = iter(coefs)
@@ -418,7 +418,7 @@ def _power_sum(coefs: Iterable[Fraction], u: PuiseuxSeries) -> PuiseuxSeries:
         vw, cap = min(map(roster.weight, u.num)), roster.cap(order)
         p, k = None, 1
         while k * vw <= cap and (a := next(coefs, None)) is not None:
-            p = (PuiseuxSeries.constant(roster, u.order, 1) if p is None else p) * u
+            p = u if p is None else p * u
             if a:
                 a = Fraction(a)
                 order = min(order, p.order)

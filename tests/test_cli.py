@@ -105,15 +105,15 @@ def test_each_command_takes_only_the_flags_it_reads():
                if isinstance(a, argparse._SubParsersAction))
     flags = {name: _flags(p) - {"--format", "--out"}
              for name, p in sub.choices.items()}
-    series = {"--order", "--gauge"}
+    series = {"--order"}
     assert flags == {
         "validate": set(), "box": set(), "check": set(), "xbar": set(),
         "hori-vafa": series, "superpotential": series, "open-gw": series,
-        "mirror-map": {"--order"},
+        "mirror-map": series,
         "crc": {"--order", "--resolution", "--tol", "--samples", "--wpn"},
         "specialize": {"--resolution", "--tol"},
     }
-    assert sum(len(f) + 2 for f in flags.values()) == 34
+    assert sum(len(f) + 2 for f in flags.values()) == 31
 
 
 def test_box_smooth_fan_empty(capsys):
@@ -312,6 +312,50 @@ def test_exact_output_matches_recorded_digest(key, tmp_path, capsys):
     payload = json.loads(out.read_text())
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED[key]
+
+
+# sha256 of the text and CSV tables of box, check and open-gw, whose
+# rows are read from the records of the JSON payload
+TABLES = {
+    "box p112 text":
+        "aa96a080386803cd19a61680426f92b0ceb0af8fcbd1c018b0ea4f534517c104",
+    "box p112 csv":
+        "23673e3996ef3c6e7d4bb1178e7a8aaae7c27179ab0cb8dac0af0ccc4e0b4e10",
+    "box p2 text":
+        "8f8b2eed52f57660a87e27277ad7b86b321da921c646569ee3d9a26b7ca67738",
+    "box p2 csv":
+        "4402de1d7d17b6773af033529b4928092b234efcd7ac4c43d3911c590f55da1a",
+    "box p1_3_5 text":
+        "ff842de2819f922c5602ea91634d69bbfccab11ac737907cba03462b59925972",
+    "box p1_3_5 csv":
+        "e1e775f5afb4cefe352bd54205f36c13f249bc6cb958443682c86d9b4086eaad",
+    "check f2 text":
+        "4d4094a353577b93cbe47500a20d99bd7a7287e9d66cbb44f75851dd190b0b53",
+    "check f2 csv":
+        "b382c60359d82efc5452dba2f8c43492b1081bb1fe2d032c65432fdcaa74c6f0",
+    "check p1 text":
+        "9e9af233c629916842f94466e3dd8f667afa557d5671ccaff509fc0087fd4091",
+    "check p1 csv":
+        "5fcef108f916cc1db2dd8e8459aca3019a6a83325adc2b1083bacab0bfadd150",
+    "open-gw p112 --order 8 text":
+        "07720e9b5463951f3d02414940c42bc674b63bca26965af41c837ea0281b1834",
+    "open-gw p112 --order 8 csv":
+        "d4097a2d632e9417940257d6d55b7cadec92e4846d567f3e48c5d0096117a853",
+    "open-gw f2 --order 6 text":
+        "7a765dda9c36dbd38bd59dba14597ede08359beae8860dedca63380b904c6bf1",
+    "open-gw f2 --order 6 csv":
+        "babcea35e473e5ee7ab046ab9e1be7003ebfa5b7f2fcc6c11586de5a1cb1dddb",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TABLES))
+def test_table_output_matches_recorded_digest(key, capsys):
+    # the text and CSV tables of box, check and open-gw, byte for byte
+    cmd, fan, *rest, fmt = key.split()
+    code, out = run(capsys, cmd, str(FANS / f"{fan}.json"), *rest,
+                    "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES[key]
 
 
 def test_p1_3_5_open_gw_fails_on_tied_tau_relation(capsys):

@@ -22,7 +22,7 @@ from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
 from orbimirror.fan import (InvalidFanError, StackyFan, fan_from_json,
                             wall_curve_classes)
-from orbimirror.mirror import _chart_denoms
+from orbimirror.mirror import _chart_roster
 from strategies import complete_fan_rays
 
 
@@ -300,7 +300,7 @@ def test_keff_prune_is_the_full_set_cut_at_c_2(make, bounds):
         dens = [1] * ext.r_prime
         for el in full:
             dens = [math.lcm(d, x.denominator) for d, x in zip(dens, el.delta)]
-        assert _chart_denoms(ext, F(bound)) == dens
+        assert _chart_roster(ext, F(bound)).denoms == tuple(dens)
 
 
 @pytest.mark.parametrize("make,bounds", [c[1:] for c in _PRUNE_CASES],

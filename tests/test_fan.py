@@ -54,6 +54,30 @@ def test_validate_incomplete():
     assert not rep.valid and not rep.complete
 
 
+@pytest.mark.parametrize("vecs,cones,error", [
+    (((1,), (2,)), ((0,), (1,)),
+     "cones (0,) and (1,) lie on the same side of wall ()"),
+    (((1,), (-1,)), ((0,),), "wall () lies in 1 max cones"),
+    (((1,), (-1,), (-2,)), ((0,), (1,), (2,)), "wall () lies in 3 max cones"),
+    (((1,), (-1,)), (), "fan has no maximal cones"),
+])
+def test_validate_incomplete_dim_1(vecs, cones, error):
+    # in dim 1 the only wall is the empty face, shared by every max cone
+    rep = validate_fan(StackyFan.make(1, vecs, cones))
+    assert not rep.valid and not rep.complete
+    assert error in rep.errors
+
+
+def test_walls_p1_orbifold():
+    # the empty wall of P^1_{a,b}: b (a) + a (-b) = 0, normalized to
+    # (1, a/b)
+    for a in range(1, 8):
+        for b in range(1, 8):
+            (w,) = wall_curve_classes(p1_orbifold(a, b))
+            assert w.wall == () and w.relation == (1, F(a, b))
+            assert w.c1 == 1 + F(a, b)
+
+
 def test_validate_cone_index_out_of_range():
     # a negative index would otherwise pick a ray from the end
     for cones in (((0, 1), (1, 5), (0, 2)), ((0, 1), (1, -1), (0, 2))):

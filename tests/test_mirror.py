@@ -17,8 +17,8 @@ from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
 from orbimirror.fan import (basic_box_class, basic_ray_class, compute_box,
                             fan_from_json)
-from orbimirror.mirror import (GaugeUnsolvableError, NotFanoError,
-                               NotGorensteinError, _pairing_factor,
+from orbimirror.mirror import (NotFanoError, NotGorensteinError,
+                               _pairing_factor,
                                check_normalization,
                                extract_open_gw, hori_vafa, i_function,
                                lf_superpotential, mirror_map,
@@ -238,8 +238,60 @@ def test_hori_vafa_f2():
     assert coefs[0].constant_term() == 1 and coefs[2].constant_term() == 1
     assert coefs[1].sorted_terms() == [((F(1), F(2)), F(1))]  # y1 y2^2
     assert coefs[3].sorted_terms() == [((F(0), F(1)), F(1))]  # y2
-    with pytest.raises(GaugeUnsolvableError):
-        hori_vafa(ext, gauge=(0, 1))  # not a maximal cone
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FANS.glob("*.json")))
+def test_hori_vafa_exponents_give_each_monomial(name):
+    # C_j = prod_a y_a^exponents[a], with prod_j C_j^{D_j(e_a)} = y_a for
+    # each basis class e_a, and C_j = 1 on the first maximal cone; the
+    # LF terms carry the same exponents
+    fan = fan_from_json(json.loads((FANS / f"{name}.json").read_text()))
+    ext = build_extended(fan)
+    hv = hori_vafa(ext, order=6)
+    roster = hv.terms[0].coefficient.roster
+    for t in hv.terms:
+        assert t.coefficient == PuiseuxSeries.monomial(
+            roster, 6, dict(zip(roster.names, t.exponents)))
+        if t.ray_index in fan.max_cones[0]:
+            assert not any(t.exponents)
+    for a, row in enumerate(ext.basis):
+        for b in range(ext.r_prime):
+            assert sum(row[t.ray_index] * t.exponents[b]
+                       for t in hv.terms) == (a == b)
+    if name != "p1_3_5":    # its tau relation cannot be inverted
+        lf = lf_superpotential(ext, 4)
+        assert [t.exponents for t in lf.potential.terms] == \
+            [t.exponents for t in hv.terms]
+
+
+# F2 with the -2 ray (0, 1) first, so that the first maximal cone holds it
+F2_RELABELLED = {"dim": 2, "stacky_vectors": [[0, 1], [1, 0], [-1, 2], [0, -1]],
+                 "max_cones": [[0, 1], [1, 3], [2, 3], [0, 2]]}
+
+
+def _keyed_by_vector(fan):
+    """The basis classes and the open invariants at order 6, with each
+    ray index replaced by the ray's vector."""
+    ext = build_extended(fan)
+    vectors = ext.all_vectors()
+    tab = extract_open_gw(lf_superpotential(ext, 6), ext)
+    return ([dict(zip(vectors, row)) for row in ext.basis],
+            {(vectors[j], qe, te): v for (j, qe, te), v in tab.entries.items()})
+
+
+def test_relabelled_f2_has_the_same_basis_classes():
+    # so that its q-exponents mean what they mean for F2
+    assert _keyed_by_vector(fan_from_json(F2_RELABELLED))[0] == \
+        _keyed_by_vector(f2_fan())[0]
+
+
+@pytest.mark.xfail(strict=True, reason="the gauge is the first maximal cone, "
+                   "so the invariants depend on the ray labels")
+def test_open_gw_f2_does_not_depend_on_ray_labels():
+    # the relabelled fan puts 1 + Q1 on (0, -1) and 1 - 2Q1 + 3Q1^2 - ...
+    # on (-1, 2), where F2 has 1 + Q1 on (0, 1) and 1 on the others
+    assert _keyed_by_vector(fan_from_json(F2_RELABELLED))[1] == \
+        _keyed_by_vector(f2_fan())[1]
 
 
 def test_lf_superpotential_f2():

@@ -432,7 +432,7 @@ def roster_and_terms(draw, count=1):
          (make_roster(["y0", "y1"], [1, 2]), (F(4), {(-1, 0): F(1), (1, 1): F(-1, 2)})))
 def test_compose_matches_power_sum(outer, data):
     # outer exponents with gaps; inner of any valuation, the negative
-    # ones lowering the order of each power
+    # ones lowering the order of each power above the first
     roster, (order, terms) = data
     f = PuiseuxSeries(roster, order, {e: c for e, c in terms.items() if any(e)})
     g = uni(outer, order=6)
@@ -440,10 +440,21 @@ def test_compose_matches_power_sum(outer, data):
     p = PuiseuxSeries.constant(roster, f.order, 1)
     for k in range(max((e for (e,) in g.terms), default=-1) + 1):
         if k:
-            p = p * f
+            p = f if k == 1 else p * f
         want = want + p * g.coefficient({"t": k})
     got = series_compose(g, f)
     assert got.terms == want.terms and got.order == want.order
+
+
+def test_compose_square_keeps_the_order_of_the_product():
+    # t^2 at y^-1 + y + O(y^2) is f*f, known to O(y^1): the first power
+    # of f is f itself, not 1*f, which would lower its order to O(y^1)
+    # and the square's to O(y^0)
+    y = make_roster(["y"])
+    f = PuiseuxSeries(y, 2, {(-1,): F(1), (1,): F(1)})
+    got = series_compose(uni({2: F(1)}, order=6), f)
+    assert got.order == (f * f).order == 1
+    assert got.terms == (f * f).terms == {(-2,): 1, (0,): 2}
 
 
 @settings(max_examples=150, deadline=None)
