@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -57,7 +58,7 @@ def _emit(payload: dict, fmt: str, out: Optional[str],
     """Write the payload as JSON, or as text or CSV. With `table` =
     (key, columns), text and CSV print one row per record of
     payload[key], a list cell as JSON; without, one line per key."""
-    if table is not None:
+    if table is not None and fmt != "json":
         key, header = table
         rows = [[json.dumps(x) if isinstance(x, list) else x
                  for x in (rec[c] for c in header)] for rec in payload[key]]
@@ -281,7 +282,10 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state
+    between calls, so `main` reuses it."""
     p = argparse.ArgumentParser(
         prog="orbimirror",
         description="Landau-Ginzburg mirrors, open invariants, and "

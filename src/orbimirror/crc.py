@@ -113,18 +113,12 @@ def verify_crepant(pair: ResolutionPair) -> CrepancyReport:
     require_valid(Y)
     issues = []
     refinement = True
-    # one Smith factor per orbifold max cone solves for every vector
-    hosts = [SmithFactor([[X.stacky_vectors[j][i] for j in c]
-                          for i in range(X.dim)]) for c in X.max_cones]
-
-    def inside(host: SmithFactor, v) -> bool:
-        x = host.solve(v)
-        return x is not None and min(x) >= 0
-
     for cone in Y.max_cones:
         vs = [Y.stacky_vectors[i] for i in cone]
         vs.append(tuple(map(sum, zip(*vs))))   # an interior point
-        if not any(all(inside(h, v) for v in vs) for h in hosts):
+        # solved on the orbifold's cone factors, which X keeps
+        if not any(all(X.in_cone(sigma, v) is not None for v in vs)
+                   for sigma in X.max_cones):
             refinement = False
             issues.append(f"resolution cone {cone} not contained in any "
                           "orbifold cone")

@@ -20,8 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .exact import cone_index
-from .fan import StackyFan
+from .fan import StackyFan, require_valid
 
 
 def wpn_fan(n: int) -> StackyFan:
@@ -44,11 +43,14 @@ def wpn_fan(n: int) -> StackyFan:
 
 def wpn_index(fan: StackyFan) -> Optional[int]:
     """n if `fan` has the shape of P(1,...,1,n), else None: dim + 1 rays,
-    one maximal cone of index n > 1, n = dim, and Box ages 1, ..., n - 1."""
+    one maximal cone of index n > 1, n = dim, and Box ages 1, ..., n - 1.
+    The indices |det| are read from the fan's cone factors. Raises
+    InvalidFanError if the fan has dim + 1 rays but is not valid."""
     n = fan.dim
     if len(fan.stacky_vectors) != n + 1:
         return None
-    indices = [cone_index(fan.cone_generators(c)) for c in fan.max_cones]
+    require_valid(fan)
+    indices = [abs(fan.factor(c).det) for c in fan.max_cones]
     if [k for k in indices if k > 1] != [n]:
         return None
     return n if sorted(el.age for el in fan.box) == list(range(1, n)) else None

@@ -14,11 +14,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .exact import (DependentGeneratorsError, SmithFactor, Vec,
-                    cone_coefficients, cone_index, det, primitive_vector,
-                    solve_unique)
+from .exact import SmithFactor, Vec, primitive_vector
+# not called here; perfbench/test_perfbench.py checks that the tracer
+# restores this module's binding of it
+from .exact import solve_unique  # noqa: F401
 
 
 class InvalidFanError(ValueError):
@@ -35,6 +36,15 @@ class NonBasicClassError(ValueError):
 
 @dataclass(frozen=True)
 class StackyFan:
+    """Stacky vectors b_j in Z^dim and maximal cones as tuples of ray
+    indices (sorted by `make`).
+
+    The validation report, the Box and the Smith factor of each maximal
+    cone (`factor`) are computed on first use and kept on the instance,
+    not in a module cache, so they go with the fan; equality and hashing
+    read the three fields only.
+    """
+
     dim: int
     stacky_vectors: tuple[Vec, ...]
     max_cones: tuple[tuple[int, ...], ...]
@@ -52,7 +62,6 @@ class StackyFan:
     def cone_generators(self, cone: Sequence[int]) -> list[Vec]:
         return [self.stacky_vectors[i] for i in cone]
 
-    # Kept on the instance, not in a module cache, so they go with the fan.
     @cached_property
     def report(self) -> "FanReport":
         return validate_fan(self)
@@ -60,6 +69,26 @@ class StackyFan:
     @cached_property
     def box(self) -> tuple["BoxElement", ...]:
         return compute_box(self)
+
+    @cached_property
+    def _factors(self) -> dict[tuple[int, ...], SmithFactor]:
+        return {}
+
+    def factor(self, cone: tuple[int, ...]) -> SmithFactor:
+        """The Smith factor of the matrix whose columns are the cone's
+        generators. The cone must have dim distinct rays in range;
+        `validate_fan` checks that before it asks."""
+        f = self._factors.get(cone)
+        if f is None:
+            f = self._factors[cone] = SmithFactor(
+                [list(row) for row in zip(*self.cone_generators(cone))])
+        return f
+
+    def in_cone(self, cone: tuple[int, ...], v: Sequence) -> Optional[list[Fraction]]:
+        """The coefficients of v on the cone's generators when all are
+        nonnegative, else None (v outside the cone)."""
+        x = self.factor(cone).solve(v)
+        return x if x is not None and min(x) >= 0 else None
 
 
 def _json_int(x, what: str) -> int:
@@ -117,19 +146,28 @@ def validate_fan(fan: StackyFan) -> FanReport:
 
     The fan is complete when every wall lies in exactly two maximal
     cones and
-      (a) at each wall the two opposite rays lie on opposite sides of
-          the wall's hyperplane, and
+      (a) at each wall f between sigma0 and sigma1, with e0 the ray of
+          sigma0 and e1 the ray of sigma1 off the wall, the coefficient
+          c of b_e0 in b_e1 on the generators of sigma0 is negative,
+          and
       (b) the interior point p = sum of the generators of the first
           maximal cone lies in no other maximal cone.
-    Let d(x) count the maximal cones whose interior contains x. By (a),
-    crossing a wall leaves one cone and enters the other, so d is
-    constant off the walls (their codimension-2 faces do not separate
-    R^n minus 0). By (b), d(p) = 1. Hence every generic direction lies in
-    exactly one cone: the cones cover R^n and their interiors are
-    disjoint. A fan that folds over a wall fails (a); one that winds
-    around the origin twice, or falls into pieces, fails (b). In dim 1
-    the only wall is the empty face, which every maximal cone contains,
-    so the fan is complete just when it has two cones on opposite sides.
+    From b_e1 = sum_{k in f} c_k b_k + c b_e0 follows
+    det(f, b_e1) = c det(f, b_e0), and c != 0 since sigma1 has
+    independent generators, so (a) says that the two opposite rays lie
+    on opposite sides of the wall's hyperplane. Let d(x) count the
+    maximal cones whose interior contains x. By (a), crossing a wall
+    leaves one cone and enters the other, so d is constant off the
+    walls (their codimension-2 faces do not separate R^n minus 0). By
+    (b), d(p) = 1. Hence every generic direction lies in exactly one
+    cone: the cones cover R^n and their interiors are disjoint. A fan
+    that folds over a wall fails (a); one that winds around the origin
+    twice, or falls into pieces, fails (b). In dim 1 the only wall is
+    the empty face, which every maximal cone contains, so the fan is
+    complete just when it has two cones on opposite sides. The rank
+    test, (a) and (b) all read the cones' Smith factors
+    (`StackyFan.factor`), which are built here, after each cone is
+    checked to have n distinct rays in range.
     """
     errors = []
     n = fan.dim
@@ -152,9 +190,7 @@ def validate_fan(fan: StackyFan) -> FanReport:
             simplicial = False
             errors.append(f"cone {c} does not have {n} distinct rays")
             continue
-        try:
-            cone_index(fan.cone_generators(c))
-        except DependentGeneratorsError:
+        if fan.factor(c).rank < n:
             simplicial = False
             errors.append(f"cone {c} has dependent generators")
     if not simplicial:
@@ -174,10 +210,9 @@ def _completeness_errors(fan: StackyFan) -> list[str]:
     if bad:
         return bad
     for f, (sigma0, sigma1) in walls.items():
-        gens = [vecs[j] for j in sorted(f)]
         (e0,) = set(sigma0) - f
         (e1,) = set(sigma1) - f
-        if (det(gens + [vecs[e0]]) > 0) == (det(gens + [vecs[e1]]) > 0):
+        if fan.factor(sigma0).solve(vecs[e1])[sigma0.index(e0)] > 0:
             bad.append(f"cones {sigma0} and {sigma1} lie on the same side "
                        f"of wall {tuple(sorted(f))}")
     if bad:
@@ -186,7 +221,7 @@ def _completeness_errors(fan: StackyFan) -> list[str]:
     p = [sum(vecs[j][i] for j in first) for i in range(n)]
     return [f"interior point {tuple(p)} of cone {first} also lies in cone {c}"
             for c in fan.max_cones[1:]
-            if cone_coefficients(fan.cone_generators(c), p) is not None]
+            if fan.in_cone(c, p) is not None]
 
 
 def require_valid(fan: StackyFan, error: type[ValueError] = InvalidFanError,
@@ -215,7 +250,7 @@ def _box_of_cone(fan: StackyFan, cone: Sequence[int]) -> dict[Vec, BoxElement]:
     """
     n = fan.dim
     gens = fan.cone_generators(cone)
-    factor = SmithFactor([[gens[j][i] for j in range(n)] for i in range(n)])
+    factor = fan.factor(cone)
     D, VS = factor.D, factor.VS
     out: dict[Vec, BoxElement] = {}
     for y in itertools.product(*[range(d) for d in factor.diag]):
@@ -227,7 +262,7 @@ def _box_of_cone(fan: StackyFan, cone: Sequence[int]) -> dict[Vec, BoxElement]:
         nu = tuple(xi // D for xi in x)
         support = tuple(cone[j] for j in range(n) if num[j])
         ts = tuple(Fraction(num[j], D) for j in range(n) if num[j])
-        out[nu] = BoxElement(nu, support, ts, sum(ts))
+        out[nu] = BoxElement(nu, support, ts, Fraction(sum(num), D))
     return out
 
 
@@ -265,21 +300,19 @@ def wall_curve_classes(fan: StackyFan) -> list[WallCurve]:
     equal for orbifold fans). c1 = sum a_j.
     """
     require_valid(fan)
-    n = fan.dim
     m = fan.n_rays
     out = []
     for f, cs in sorted(_walls(fan).items(), key=lambda kv: tuple(sorted(kv[0]))):
-        sigma, sigma2 = cs
-        (e0,) = set(sigma) - f
-        (e1,) = set(sigma2) - f
+        sigma0, sigma1 = cs
+        (e0,) = set(sigma0) - f
+        (e1,) = set(sigma1) - f
         if e0 > e1:
-            e0, e1 = e1, e0
-        idx = sorted(f) + [e1]
-        A = [[fan.stacky_vectors[j][i] for j in idx] for i in range(n)]
-        sol = solve_unique(A, [-x for x in fan.stacky_vectors[e0]])
+            e0, sigma1 = e1, sigma0
+        # -b_e0 on the generators of the cone across the wall from e0
+        sol = fan.factor(sigma1).solve([-x for x in fan.stacky_vectors[e0]])
         rel = [Fraction(0)] * m
         rel[e0] = Fraction(1)
-        for j, v in zip(idx, sol):
+        for j, v in zip(sigma1, sol):
             rel[j] = v
         out.append(WallCurve(tuple(sorted(f)), tuple(rel), sum(rel)))
     return out
@@ -308,7 +341,7 @@ def minimal_containing_cone(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
     if all(x == 0 for x in v):
         return ()
     for c in fan.max_cones:
-        coeffs = cone_coefficients(fan.cone_generators(c), v)
+        coeffs = fan.in_cone(c, v)
         if coeffs is not None:
             return tuple(i for i, t in zip(c, coeffs) if t > 0)
     raise IncompleteFanError(f"no cone contains {tuple(v)}")

@@ -490,12 +490,11 @@ def series_pow(s: PuiseuxSeries, e) -> PuiseuxSeries:
     me = _power_of(le, e)
     if any(f and x < 0 for f, x in zip(s.roster.formal, me)):
         raise ValueError("power not admissible on a formal variable")
-    if len(s.num) == 1:
-        return PuiseuxSeries(s.roster, s.order, {me: c0})
     # s**e = c0*y^me*(1 + u)**e; (1 + u)**e is known to the order of u,
     # s.order - v, so the result is known to v*e + (s.order - v), which
     # for e > 1 exceeds s.order: every product of e terms of s with one
-    # factor in the unknown tail lands above that bound. The binomial
+    # factor in the unknown tail lands above that bound. A monomial s
+    # has u = 0 + O(s.order - v) and takes the same bound. The binomial
     # coefficients stop at the first zero, so an integer e stops early.
     binomials = takewhile(bool, accumulate(
         count(), lambda c, k: c * (e - k) / (k + 1), initial=Fraction(1)))

@@ -5,14 +5,20 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import orbimirror
 import orbimirror.crc as crc_mod
 from orbimirror.cli import build_parser, main
+from orbimirror.exact import SmithFactor
 from orbimirror.families import kp_bundle_fan, wpn_fan
-from orbimirror.fan import fan_to_json
+from orbimirror.fan import fan_from_json, fan_to_json
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 P112 = str(FANS / "p112.json")
@@ -21,6 +27,7 @@ P2 = str(FANS / "p2.json")
 P113 = str(FANS / "p113.json")
 P1_3_5 = str(FANS / "p1_3_5.json")
 P114 = str(FANS / "p114.json")
+KP3 = str(FANS / "kp3.json")
 
 
 def run(capsys, *argv):
@@ -363,3 +370,76 @@ def test_p1_3_5_open_gw_fails_on_tied_tau_relation(capsys):
     # y1^{-6/5} y2^2 and y1^{-1/5} y3, so it cannot be inverted
     assert main(["open-gw", P1_3_5, "--order", "4"]) == 1
     assert "tau relation leading term not unique" in capsys.readouterr().err
+
+
+# each sequence runs in one process, where main reuses its parser; the
+# exit codes of its calls
+SEQUENCES = {
+    "order then default order": ([["open-gw", P112, "--order", "4"],
+                                  ["open-gw", P112]], [0, 0]),
+    "wpn then no wpn": ([["crc", P112, "--resolution", F2, "--wpn", "2"],
+                         ["crc", P112, "--resolution", F2]], [0, 0]),
+    "usage error between good calls": ([["box", P112],
+                                        ["validate", P112, "--order", "5"],
+                                        ["check", F2]], [0, 1, 0]),
+    "help": ([["--help"], ["crc", "--help"], ["validate", P112]], [0, 0, 0]),
+}
+
+
+def _alone(argv):
+    """Exit code, stdout and stderr of one main call in a new process."""
+    src = str(Path(orbimirror.__file__).resolve().parent.parent)
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "orbimirror.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_parser_carries_no_state_between_calls(name, monkeypatch, capsys):
+    calls, codes = SEQUENCES[name]
+    monkeypatch.setenv("COLUMNS", "80")   # the width of argparse's help
+    together = []
+    for argv in calls:
+        code = main(argv)
+        cap = capsys.readouterr()
+        together.append((code, cap.out, cap.err))
+    assert [c[0] for c in together] == codes
+    assert together == [_alone(argv) for argv in calls]
+
+
+def _count_factors(monkeypatch) -> Counter:
+    """The matrices of the SmithFactor constructions from now on."""
+    made: Counter = Counter()
+    init = SmithFactor.__init__
+
+    def counting(self, A):
+        made[tuple(map(tuple, A))] += 1
+        init(self, A)
+
+    monkeypatch.setattr(SmithFactor, "__init__", counting)
+    return made
+
+
+def _cone_matrices(path) -> Counter:
+    fan = fan_from_json(json.loads(Path(path).read_text()))
+    return Counter(tuple(zip(*fan.cone_generators(c))) for c in fan.max_cones)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FANS.glob("*.json")))
+@pytest.mark.parametrize("cmd", ["validate", "box", "check"])
+def test_fan_commands_factor_each_cone_once(cmd, name, monkeypatch, capsys):
+    made = _count_factors(monkeypatch)
+    assert main([cmd, str(FANS / f"{name}.json")]) == 0
+    assert made == _cone_matrices(FANS / f"{name}.json")
+
+
+def test_crc_factors_no_orbifold_cone_twice(monkeypatch, capsys):
+    # p113 shares its three smooth cones with kp3, whose own factors
+    # make the second construction of each
+    made = _count_factors(monkeypatch)
+    assert main(["crc", P113, "--resolution", KP3]) == 0
+    resolution = _cone_matrices(KP3)
+    for m in _cone_matrices(P113):
+        assert made[m] == 1 + resolution[m]

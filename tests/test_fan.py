@@ -1,14 +1,16 @@
 """Stacky fans: validation, Box elements, walls, the X-bar subdivision."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orbimirror.cli import main
 from orbimirror.exact import cone_index
 from orbimirror.extended import build_extended
 from orbimirror.fan import (DiscClass, IncompleteFanError, InvalidFanError,
@@ -313,3 +315,163 @@ def test_fan_json_labels():
             "max_cones": [[0], [1]], "labels": [3, 5]}
     fan = fan_from_json(data)
     assert fan.stacky_vectors == ((3,), (-5,))
+
+
+# -- an oracle for completeness and walls written with 2x2 cross products
+
+
+def _cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _cross_complete(vecs) -> bool:
+    """Cones between cyclic neighbours cover the plane once: every turn
+    v_i -> v_{i+1} has one nonzero sign, so at each wall ray the two
+    neighbours lie on opposite sides of its line, and the sectors of the
+    turns pass the direction of v_0 exactly once."""
+    k = len(vecs)
+    turns = [_cross(vecs[i], vecs[(i + 1) % k]) for i in range(k)]
+    if not (all(t > 0 for t in turns) or all(t < 0 for t in turns)):
+        return False
+    if turns[0] < 0:
+        vecs = vecs[::-1]
+    d = vecs[0]
+    # each turn sweeps less than a half plane; count the half-open
+    # sectors (a, b] that hold d
+    passes = sum((_cross(a, d) > 0 and _cross(d, b) > 0)
+                 or (_cross(d, b) == 0 and d[0] * b[0] + d[1] * b[1] > 0)
+                 for a, b in zip(vecs, vecs[1:] + vecs[:1]))
+    return passes == 1
+
+
+def _cross_relation(vecs, cycle, j):
+    """The wall class at the ray cycle[j] of a fan whose cones join the
+    rays cycle[0], cycle[1], ... cyclically, by Cramer's rule:
+    x(w, q) p + x(q, p) w + x(p, w) q = 0 for the neighbours p, q of w,
+    with x the cross product, scaled so that the lower-indexed
+    neighbour has coefficient 1."""
+    k = len(cycle)
+    i = cycle[j]
+    lo, hi = sorted((cycle[j - 1], cycle[(j + 1) % k]))
+    p, w, q = vecs[lo], vecs[i], vecs[hi]
+    rel = [0] * k
+    rel[lo], rel[i], rel[hi] = _cross(w, q), _cross(q, p), _cross(p, w)
+    return tuple(F(x, rel[lo]) for x in rel)
+
+
+def _stacky(rays, labels):
+    return [(c * x, c * y) for c, (x, y) in zip(labels, rays)]
+
+
+@st.composite
+def _cyclic_stacky_fans(draw):
+    """A complete fan's stacky vectors, in angle order, reversed, taken
+    with a stride prime to their number (winds that many times, or
+    folds), shuffled (folds), or followed by the rays of a second
+    complete fan (winds twice when every turn is positive)."""
+    rays = draw(complete_fan_rays())
+    how = draw(st.sampled_from(["once", "reversed", "stride", "shuffle",
+                                "twice"]))
+    if how == "twice":
+        rays += [r for r in draw(complete_fan_rays()) if r not in rays]
+    k = len(rays)
+    vecs = _stacky(rays, draw(st.lists(st.integers(1, 3), min_size=k,
+                                       max_size=k)))
+    if how == "reversed":
+        vecs.reverse()
+    elif how == "stride":
+        s = draw(st.sampled_from([s for s in range(1, k) if math.gcd(s, k) == 1]))
+        vecs = [vecs[i * s % k] for i in range(k)]
+    elif how == "shuffle":
+        vecs = draw(st.permutations(vecs))
+    return list(vecs)
+
+
+def _cyclic_fan(vecs):
+    k = len(vecs)
+    return StackyFan.make(2, vecs, [(i, (i + 1) % k) for i in range(k)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cyclic_stacky_fans())
+@example(list(FOLD.stacky_vectors))
+@example(list(DOUBLE_WINDING.stacky_vectors))
+@example([(2, 0), (0, 1), (-2, 0), (0, -3)])
+@example([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0), (0, 1), (-1, 0), (0, -1)])
+def test_complete_matches_cross_product_oracle(vecs):
+    assert validate_fan(_cyclic_fan(vecs)).complete == _cross_complete(vecs)
+
+
+def test_cross_product_oracle_sees_fold_and_double_winding():
+    assert not _cross_complete(list(FOLD.stacky_vectors))
+    assert not _cross_complete(list(DOUBLE_WINDING.stacky_vectors))
+    assert _cross_complete([(1, 0), (0, 1), (-1, -1)])
+    assert _cross_complete([(1, 0), (-1, -1), (0, 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(complete_fan_rays(), st.data())
+def test_wall_classes_match_cramer_rule(rays, data):
+    # the ray at angle position j gets the index cycle[j], so that the
+    # lower-indexed neighbour of a wall may come before or after it
+    k = len(rays)
+    stacky = _stacky(rays, data.draw(st.lists(st.integers(1, 3), min_size=k,
+                                              max_size=k)))
+    cycle = data.draw(st.permutations(range(k)))
+    vecs = [None] * k
+    for j, i in enumerate(cycle):
+        vecs[i] = stacky[j]
+    cones = [(cycle[j], cycle[(j + 1) % k]) for j in range(k)]
+    if data.draw(st.booleans()):
+        fan = StackyFan.make(2, vecs, cones)
+    else:
+        # unsorted cones, as the constructor takes them: the cone of the
+        # higher-indexed opposite ray may come first at a wall
+        fan = StackyFan(2, tuple(vecs), tuple(cones[::-1]))
+    walls = {w.wall: w for w in wall_curve_classes(fan)}
+    assert sorted(walls) == [(i,) for i in range(k)]
+    for j, i in enumerate(cycle):
+        assert walls[(i,)].relation == _cross_relation(vecs, cycle, j)
+        assert walls[(i,)].c1 == sum(walls[(i,)].relation)
+
+
+# SHA-256 of the canonical JSON of validate, box and check on the
+# weighted family and its resolutions in dims 2-7, where the wall test
+# works on n x n factors
+FAMILY_DIGESTS = {
+    "validate": "5a0c9029ae111e610af4bee5d51050740c16b1662774d68e8e5c9286e18eaba8",
+    "box wpn_fan(2)": "97740a30d4f6ea578656369a669f64b2d5a20eb2da06cad9fb75c0eb56df5140",
+    "check wpn_fan(2)": "e942fba13ba3e933abe287157948063033940ed4c48ce9cbf05188fdc4015a1c",
+    "box wpn_fan(3)": "ce999a5c2d3403cd3f16ecab4c21d5be147e19b25245bb8b2e7664be9c5396b0",
+    "check wpn_fan(3)": "e6b3152345517e582c2ad27d25bb406bd85ffa801d0b69c9e619419e8a641b93",
+    "box wpn_fan(4)": "77056d383acc6c53901020b3259346acf50dd3dd85ccc691fe71074db1a81b62",
+    "check wpn_fan(4)": "196960c43e1df188da61e79ec0a023be41049ef7bc1a0d164851698db2b46c2e",
+    "box wpn_fan(5)": "72272dd13446009dab692d72761d3503ed497de40ab25a365c8d25ad54cd6428",
+    "check wpn_fan(5)": "7f73e150f4c7d246d8c709d299de89f690ace26d14dc2e7dc1ec322bf3bd018a",
+    "box wpn_fan(6)": "d0001fa1615421df804fdf03b4894629e3cce8800ca35a30c10607740a302d3c",
+    "check wpn_fan(6)": "637d8ee035af7bc025116c3fcaad53c1bbfbac7fd9d99998a3563c8be83cef1a",
+    "box wpn_fan(7)": "5046a694159819bc17339ba1119480cec458789cec88f2fdc514923a3cd9fa03",
+    "check wpn_fan(7)": "a32749faa2beda10601914545306037811a1d5beba0a8c7480d454213d050877",
+    # every P(K + O) bundle is smooth: its Box is empty
+    "box kp_bundle_fan": "aa6d2fbd7d434eaf4dc262f1ea29c5e3d75901196bc87d75cd2eca630981a475",
+    "check kp_bundle_fan(2)": "a899de4952c4c451bc112792b20838b3aba3079e475c1d5a18544547c59a9462",
+    "check kp_bundle_fan(3)": "4c7eb06c757e33beb48184afbf7369ef18a00644ba27be46cc6fb97d778d9ad9",
+    "check kp_bundle_fan(4)": "22ca941dd574db855fc4bee0d2cdc60d068f15105d59564404592c6e15ee4bcd",
+    "check kp_bundle_fan(5)": "cb7a2fcb7f979af5e79afb4f883163c5d756916c031735665ef53e171c305f0f",
+}
+
+
+@pytest.mark.parametrize("name", [f"wpn_fan({n})" for n in range(2, 8)]
+                         + [f"kp_bundle_fan({n})" for n in range(2, 6)])
+@pytest.mark.parametrize("cmd", ["validate", "box", "check"])
+def test_family_fan_commands_match_recorded_digest(cmd, name, tmp_path):
+    family, n = name.rstrip(")").split("(")
+    fan = {"wpn_fan": wpn_fan, "kp_bundle_fan": kp_bundle_fan}[family](int(n))
+    path, out = tmp_path / "fan.json", tmp_path / "out.json"
+    path.write_text(json.dumps(fan_to_json(fan)))
+    assert main([cmd, str(path), "--format", "json", "--out", str(out)]) == 0
+    text = json.dumps(json.loads(out.read_text()), sort_keys=True,
+                      separators=(",", ":"))
+    key = next(k for k in (f"{cmd} {name}", f"{cmd} {family}", cmd)
+               if k in FAMILY_DIGESTS)
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_DIGESTS[key]

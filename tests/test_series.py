@@ -103,12 +103,20 @@ def test_pow_adds_exponents(tail, a, b):
     rq = make_roster(["q"], [2])
     s = PuiseuxSeries(rq, 8, {(6,): F(1), **{(k,): c for k, c in tail.items()}})
     pa, pb, pab = series_pow(s, a), series_pow(s, b), series_pow(s, a + b)
-    # s**e is known to v*e + (order - v), here 3e + 5; a monomial's power
-    # is exact and keeps the order
-    assert pab.order == (3 * (a + b) + 5 if len(s.terms) > 1 else 8)
+    # s**e is known to v*e + (order - v), here 3e + 5, a monomial's
+    # power too
+    assert pab.order == 3 * (a + b) + 5
     prod = pa * pb
     common = min(prod.order, pab.order)
     assert prod.truncate(common).terms == pab.truncate(common).terms
+
+
+@pytest.mark.parametrize("e, exponent, order", [(F(1, 2), 1, 1), (2, 4, 4)])
+def test_pow_of_a_monomial_takes_the_general_order(e, exponent, order):
+    # y^2 + O(y^2) has v = N = 2, so its e-th power is known to
+    # v*e + (N - v) = 2e: y + O(y^1) and y^4 + O(y^4), not O(y^2)
+    p = series_pow(uni({2: 1}, order=2), e)
+    assert p.terms == {(F(exponent),): 1} and p.order == order
 
 
 def test_powers_off_the_exponent_lattice_raise():
@@ -701,12 +709,11 @@ def test_pow_matches_fraction_reference(data, draws):
     tail_series = ref_series_of(ref_coefs("binomial", n + 1, e), u, denoms, u_order)
     c0 = abs(r) ** int(2 * e) if e.denominator == 2 else lc ** int(e)
     me = tuple(int(x * e) for x in le)
-    if not tail:
-        # the power of a monomial is exact and keeps the order
-        assert got.order == order
-        assert got.terms == ref_truncate({me: c0}, denoms, order)
-        return
     assert got.order == u_order + e * lead_w
+    if not tail:
+        # a monomial's tail u = 0 is known only to u_order
+        assert got.terms == ref_truncate({me: c0}, denoms, got.order)
+        return
     assert got.terms == {tuple(a + b for a, b in zip(x, me)): c0 * c
                          for x, c in tail_series.items()}
 
