@@ -390,7 +390,7 @@ def _alone(argv):
     """Exit code, stdout and stderr of one main call in a new process."""
     src = str(Path(orbimirror.__file__).resolve().parent.parent)
     env = dict(os.environ, COLUMNS="80",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "orbimirror.cli", *argv],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
