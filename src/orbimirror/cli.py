@@ -284,8 +284,8 @@ FLAGS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state
-    between calls, so `main` reuses it."""
+    """The parser, built once per process (at import, below):
+    parse_args keeps no state between calls, so `main` reuses it."""
     p = argparse.ArgumentParser(
         prog="orbimirror",
         description="Landau-Ginzburg mirrors, open invariants, and "
@@ -300,6 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text")
         sp.add_argument("--out", default=None, help="write output to a file")
     return p
+
+
+# Built at import, so that no command pays for it: a lazy build would
+# land on whichever command an in-process caller happens to run first.
+build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
