@@ -2,16 +2,17 @@
 
 The I-function coefficient of an effective class delta is a polynomial
 in the divisor classes pbar_1..pbar_r, truncated at degree n
-(nilpotency), Laurent in z, in the twisted sector of delta. It is
+(nilpotency), Laurent in z, in the twisted sector nu of delta. It is
 homogeneous of degree D_delta = -sum_j ceil <D_j, delta> in (z, pbar),
-so it is stored as one polynomial P_delta in pbar, an exact series of
+so it is computed as one polynomial P_delta in pbar, an exact series of
 the `series` kernel, and the z-power of each term follows from its
 pbar-degree. Nothing reads below z^-2 (the mirror map reads 1/z, the
 open-closed bridge 1/z^2), so P_delta is only computed for the classes
 with D_delta >= -2, and only to the pbar-degree min(n, D_delta + 2)
 that reaches z^-2. Since -D_delta = sum_j ceil <D_j, delta> >= c(delta)
 = sum_j <D_j, delta>, those classes have c(delta) <= 2, and only the
-classes with c(delta) <= 2 are enumerated.
+classes with c(delta) <= 2 are enumerated. Each term is filed under its
+sector, z-power and pbar-monomial (`ISeries`); a reader takes one key whole.
 """
 
 from __future__ import annotations
@@ -128,39 +129,53 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
     return P.terms
 
 
+def _chart_roster(ext: ExtendedFanData, order: Fraction) -> Roster:
+    """The roster of the chart coordinates y_a, each with the lcm of the
+    delta_a-denominators over K_eff up to weight `order`.
+
+    Every class is a sum, with multiplicities k >= 1, of units of one max
+    cone, and each of those units has positive weight at most the
+    class's; each unit is itself a class. So the lcm over K_eff equals
+    the lcm over the units of weight <= order across all max cones, and
+    no element list is needed.
+    """
+    dens = [1] * ext.r_prime
+    for units in ext.cone_units:
+        for u in units:
+            if u.weight <= order:
+                dens = [math.lcm(d, x.denominator) for d, x in zip(dens, u.delta)]
+    return make_roster([f"y{a + 1}" for a in range(ext.r_prime)], dens,
+                       [False] * ext.r_prime)
+
+
 @dataclass
 class ISeries:
-    """I-function coefficients per effective class delta.
+    """The I-function up to weight `order`, one series per key.
 
-    `elements` is K_eff up to `order`, cut to the classes with
-    c(delta) <= -_ZMIN, which holds whenever D_delta >= _ZMIN (see the
-    module docstring). The coefficient of class
-    delta is z^{D_delta} P_delta(pbar/z): `degrees[delta]` is D_delta
-    and `coeffs[delta]` maps pexp to the coefficient of pbar^pexp in
-    P_delta, that is of z^{D_delta - |pexp|} pbar^pexp. Every z-power
-    of the class is at most D_delta, so only the classes with
-    D_delta >= _ZMIN are stored, and each P_delta only to the
-    pbar-degree D_delta - _ZMIN; the rest contributes nothing that is
-    read, and `coefficient` reads 0 for every z-power below _ZMIN.
+    `coeffs[(nu, zexp, pexp)][delta]` is the coefficient of z^zexp
+    pbar^pexp in the class-delta coefficient z^{D_delta} P_delta(pbar/z),
+    for the classes delta of K_eff in twisted sector nu (0 if untwisted),
+    so zexp = D_delta - |pexp| >= _ZMIN; a missing key or class reads 0.
+    `series` turns one key into sum_delta c_delta y^delta over `roster`,
+    the chart roster.
     """
 
     ext: ExtendedFanData
     order: Fraction
-    elements: list[KEffElement]
-    coeffs: dict[tuple, dict[tuple[int, ...], Fraction]]
-    degrees: dict[tuple, int]
+    roster: Roster
+    coeffs: dict[tuple, dict[tuple[Fraction, ...], Fraction]]
 
-    def coefficient(self, delta, zexp: int, pexp) -> Fraction:
-        delta, pexp = tuple(delta), tuple(pexp)
-        if zexp + sum(pexp) != self.degrees.get(delta):
-            return Fraction(0)
-        return self.coeffs[delta].get(pexp, Fraction(0))
+    def series(self, nu: Vec, zexp: int, pexp: tuple[int, ...],
+               order) -> PuiseuxSeries:
+        roster = self.roster
+        return PuiseuxSeries(roster, order, {
+            roster.scaled(dict(zip(roster.names, delta))): c
+            for delta, c in self.coeffs.get((nu, zexp, pexp), {}).items()})
 
 
 def i_function(ext: ExtendedFanData, order) -> ISeries:
     order = Fraction(order)
     n, r = ext.dim, ext.r
-    elements = keff_enumerate(ext, order, -_ZMIN)
     roster = make_roster([f"p{a + 1}" for a in range(r)], [1] * r, [True] * r)
     dbar_pows = []
     for j in range(ext.m):
@@ -171,41 +186,34 @@ def i_function(ext: ExtendedFanData, order) -> ISeries:
         for _ in range(n):
             pows.append(pows[-1] * dbar)
         dbar_pows.append(pows)
-    coeffs, degrees, factors = {}, {}, {}
-    for kel in elements:
+    coeffs, factors = {}, {}
+    for kel in keff_enumerate(ext, order, -_ZMIN):
         degree = -kel.zweight            # D_delta
         if degree >= _ZMIN:
-            coeffs[kel.delta] = _i_coefficient(ext, kel, dbar_pows, factors)
-            degrees[kel.delta] = degree
-    return ISeries(ext, order, elements, coeffs, degrees)
+            for pexp, c in _i_coefficient(ext, kel, dbar_pows, factors).items():
+                key = (kel.nu, degree - sum(pexp), pexp)
+                coeffs.setdefault(key, {})[kel.delta] = c
+    return ISeries(ext, order, _chart_roster(ext, order), coeffs)
 
 
 def check_normalization(iseries: ISeries) -> tuple[bool, list[str]]:
-    """z^0 coefficient is 1; the 1/z coefficient lies in H^{<=2}_orb."""
-    errors = []
+    """z^0 coefficient is 1; the 1/z coefficient lies in H^{<=2}_orb:
+    untwisted of pbar-degree <= 1 (the A_a), or twisted without pbar in a
+    sector of age <= 1 (the B_b). Each key is checked once."""
     ext = iseries.ext
-    zero_p = (0,) * ext.r
-    for kel in iseries.elements:
-        degree = iseries.degrees.get(kel.delta)
-        if degree is None:
-            continue
-        for pe, c in iseries.coeffs[kel.delta].items():
-            z = degree - sum(pe)
-            if z > 0:
-                errors.append(f"positive z-power {z} at {kel.delta}")
-            if z == 0:
-                if kel.weight == 0 and pe == zero_p and c == 1:
-                    continue
-                errors.append(f"unexpected z^0 term at {kel.delta}: {pe} -> {c}")
-            if z == -1:
-                if kel.nu == (0,) * ext.dim:
-                    if sum(pe) > 1:
-                        errors.append(f"1/z term of degree {sum(pe)} at {kel.delta}")
-                else:
-                    age = next(el.age for el in ext.box if el.nu == kel.nu)
-                    if age > 1 or sum(pe) > 0:
-                        errors.append(
-                            f"1/z term outside H^2_orb at {kel.delta} (sector {kel.nu})")
+    zero_nu, zero_p = (0,) * ext.dim, (0,) * ext.r
+    ages = {el.nu: el.age for el in ext.box}
+    errors = []
+    for (nu, z, pexp), terms in iseries.coeffs.items():
+        if z > 0:
+            errors.append(f"positive z-power {z} in sector {nu} at pbar^{pexp}")
+        elif z == 0 and ((nu, pexp) != (zero_nu, zero_p)
+                         or terms != {(0,) * ext.r_prime: 1}):
+            errors.append(f"unexpected z^0 term in sector {nu} at pbar^{pexp}")
+        elif z == -1 and nu == zero_nu and sum(pexp) > 1:
+            errors.append(f"1/z term of pbar-degree {sum(pexp)} at pbar^{pexp}")
+        elif z == -1 and nu != zero_nu and (any(pexp) or ages[nu] > 1):
+            errors.append(f"1/z term outside H^2_orb in sector {nu} at pbar^{pexp}")
     return (not errors, errors)
 
 
@@ -229,38 +237,6 @@ class MirrorMap:
                                self.q_denoms, self.order)
 
 
-def _chart_roster(ext: ExtendedFanData, order: Fraction) -> Roster:
-    """The roster of the chart coordinates y_a, each with the lcm of the
-    delta_a-denominators over K_eff up to weight `order`.
-
-    Every class is a sum, with multiplicities k >= 1, of units of one max
-    cone, and each of those units has positive weight at most the
-    class's; each unit is itself a class. So the lcm over K_eff equals
-    the lcm over the units of weight <= order across all max cones, and
-    no element list is needed.
-    """
-    dens = [1] * ext.r_prime
-    for units in ext.cone_units:
-        for u in units:
-            if u.weight <= order:
-                dens = [math.lcm(d, x.denominator) for d, x in zip(dens, u.delta)]
-    return make_roster([f"y{a + 1}" for a in range(ext.r_prime)], dens,
-                       [False] * ext.r_prime)
-
-
-def _i_sum(iseries: ISeries, roster: Roster, order: Fraction, nu: Vec,
-           zexp: int, pexp: tuple[int, ...]) -> PuiseuxSeries:
-    """sum c_delta y^delta over the classes delta of K_eff in sector nu,
-    with c_delta the coefficient of z^zexp pbar^pexp in the I-function."""
-    terms = {}
-    for kel in iseries.elements:
-        if kel.nu == nu:
-            c = iseries.coefficient(kel.delta, zexp, pexp)
-            if c:
-                terms[roster.scaled(dict(zip(roster.names, kel.delta)))] = c
-    return PuiseuxSeries(roster, order, terms)
-
-
 def mirror_map(ext: ExtendedFanData, order,
                iseries: Optional[ISeries] = None) -> MirrorMap:
     order = Fraction(order)
@@ -270,15 +246,15 @@ def mirror_map(ext: ExtendedFanData, order,
     if not ok:
         raise MirrorShapeViolation("; ".join(errors))
     r, rp = ext.r, ext.r_prime
-    roster = _chart_roster(ext, iseries.order)
     zero_nu, zero_p = (0,) * ext.dim, (0,) * r
-    A = [_i_sum(iseries, roster, order, zero_nu, -1,
-                tuple(int(b == a) for b in range(r))) for a in range(r)]
-    B = [_i_sum(iseries, roster, order, el.nu, -1, zero_p) for el in ext.extra]
+    # A_a reads z^-1 pbar_a in the untwisted sector, B_b z^-1 in sector nu_b
+    A = [iseries.series(zero_nu, -1, tuple(int(b == a) for b in range(r)), order)
+         for a in range(r)]
+    B = [iseries.series(el.nu, -1, zero_p, order) for el in ext.extra]
     q_names = tuple(f"q{a + 1}" for a in range(r))
     tau_names = tuple(f"tau{r + b + 1}" for b in range(rp - r))
-    return MirrorMap(ext, order, roster, q_names, tau_names,
-                     roster.denoms[:r], A, B)
+    return MirrorMap(ext, order, iseries.roster, q_names, tau_names,
+                     iseries.roster.denoms[:r], A, B)
 
 
 # -- superpotentials -----------------------------------------------------
@@ -433,8 +409,7 @@ def closed_h0_z2(ext: ExtendedFanData, order,
     order = Fraction(order)
     if iseries is None:
         iseries = i_function(ext, order)
-    return _i_sum(iseries, _chart_roster(ext, iseries.order), order,
-                  (0,) * ext.dim, -2, (0,) * ext.r)
+    return iseries.series((0,) * ext.dim, -2, (0,) * ext.r, order)
 
 
 def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeReport:

@@ -872,7 +872,8 @@ def eval_complex(s: PuiseuxSeries, assignment: Mapping[str, complex]) -> complex
 # -- JSON round-trip ----------------------------------------------------
 
 
-def _frac_str(f: Fraction) -> str:
+def _frac_str(f: Fraction | int) -> str:
+    """A Fraction or an int as "p/q", or as "p" when it is integral."""
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 

@@ -1,8 +1,11 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and fans shared by the test modules."""
 
+import itertools
 import math
 
 from hypothesis import strategies as st
+
+from orbimirror.fan import StackyFan
 
 
 def cross(u, v) -> int:
@@ -38,3 +41,22 @@ def complete_fan_rays(draw, max_rays: int = 6):
     k = len(rays)
     assert all(cross(rays[i], rays[(i + 1) % k]) > 0 for i in range(k))
     return rays
+
+
+def cube_fan(flip=False):
+    """The fan over the faces of the cube [-1, 1]^3, each square face cut
+    into two triangles along one diagonal; `flip` cuts the face x = 1
+    along the other diagonal."""
+    vectors = list(itertools.product((1, -1), repeat=3))
+    cones = []
+    for i, s in itertools.product(range(3), (1, -1)):
+        # the face x_i = s, its corners in cyclic order
+        ring = []
+        for a, b in ((1, 1), (1, -1), (-1, -1), (-1, 1)):
+            v = [a, b]
+            v.insert(i, s)
+            ring.append(vectors.index(tuple(v)))
+        if flip and (i, s) == (0, 1):
+            ring = ring[1:] + ring[:1]
+        cones += [(ring[0], ring[1], ring[2]), (ring[0], ring[2], ring[3])]
+    return StackyFan.make(3, vectors, cones)

@@ -17,8 +17,12 @@ import orbimirror
 import orbimirror.crc as crc_mod
 from orbimirror.cli import build_parser, main
 from orbimirror.exact import SmithFactor
+from orbimirror.extended import build_extended
 from orbimirror.families import kp_bundle_fan, wpn_fan
 from orbimirror.fan import fan_from_json, fan_to_json
+from orbimirror.mirror import lf_superpotential
+from orbimirror.series import series_to_json
+from strategies import cube_fan
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 P112 = str(FANS / "p112.json")
@@ -242,6 +246,56 @@ def test_non_crepant_resolution_exits_2(cmd, tmp_path, capsys):
                     "--format", "json")
     assert code == 2
     assert json.loads(out)["crepancy"]["crepant"] is False
+
+
+def test_crc_non_refinement_exits_2(tmp_path, capsys):
+    # the cube fan against itself with one face's diagonal flipped
+    paths = []
+    for flip in (False, True):
+        path = tmp_path / f"cube_{flip}.json"
+        path.write_text(json.dumps(fan_to_json(cube_fan(flip))))
+        paths.append(str(path))
+    code, out = run(capsys, "crc", paths[0], "--resolution", paths[1],
+                    "--format", "json")
+    assert code == 2
+    crepancy = json.loads(out)["crepancy"]
+    assert crepancy["refinement"] is False and crepancy["crepant"] is False
+    assert len(crepancy["issues"]) == 2
+
+
+@pytest.mark.parametrize("path", [F2, P112, KP3])
+def test_hori_vafa_json_fixes_the_gauge_cone(path, capsys):
+    code, out = run(capsys, "hori-vafa", path, "--order", "4",
+                    "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    fan = fan_from_json(json.loads(Path(path).read_text()))
+    assert data["gauge"] == list(fan.max_cones[0])
+    vectors = build_extended(fan).all_vectors()
+    assert [t["ray_index"] for t in data["terms"]] == list(range(len(vectors)))
+    for t in data["terms"]:
+        assert t["vector"] == [str(x) for x in vectors[t["ray_index"]]]
+        if t["ray_index"] in data["gauge"]:
+            coef = t["coefficient"]
+            assert coef["terms"] == [{"exp": ["0"] * len(coef["vars"]),
+                                      "coef": "1"}]
+
+
+@pytest.mark.parametrize("path", [F2, P112, P113])
+def test_superpotential_json_matches_lf_superpotential(path, capsys):
+    code, out = run(capsys, "superpotential", path, "--order", "4",
+                    "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    lf = lf_superpotential(build_extended(
+        fan_from_json(json.loads(Path(path).read_text()))), 4)
+    assert data["status"] == lf.status
+    assert data["gauge"] == list(lf.potential.gauge)
+    assert data["terms"] == [
+        {"vector": [str(x) for x in t.vector], "ray_index": t.ray_index,
+         "extended": t.is_extended,
+         "coefficient": series_to_json(t.coefficient)}
+        for t in lf.potential.terms]
 
 
 @pytest.mark.parametrize("cmd", ["crc", "specialize"])

@@ -16,6 +16,7 @@ from orbimirror.crc import (ContinuationFormula, ResolutionPair,
 from orbimirror.families import f2_fan, kp_bundle_fan, p2_fan, wpn_fan
 from orbimirror.fan import StackyFan
 from orbimirror.series import PuiseuxSeries
+from strategies import cube_fan
 
 
 def wpn_pair(n):
@@ -41,6 +42,21 @@ def test_verify_not_crepant():
     pair = ResolutionPair.make(p2_fan(), blown)
     rep = verify_crepant(pair)
     assert rep.refinement and not rep.crepant
+
+
+def test_verify_crepant_flags_a_flipped_diagonal():
+    # same rays, but the two cones over the flipped face of the resolution
+    # lie in no cone of the orbifold fan
+    X, Y = cube_fan(), cube_fan(flip=True)
+    assert X.report.valid and Y.report.valid
+    rep = verify_crepant(ResolutionPair.make(X, Y))
+    assert not rep.refinement and not rep.crepant
+    assert rep.new_ray_indices == ()
+    flipped = set(Y.max_cones) - set(X.max_cones)
+    assert len(flipped) == 2
+    assert rep.issues == tuple(
+        f"resolution cone {c} not contained in any orbifold cone"
+        for c in Y.max_cones if c in flipped)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

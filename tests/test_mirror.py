@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
 from orbimirror.fan import (basic_box_class, basic_ray_class, compute_box,
                             fan_from_json)
-from orbimirror.mirror import (NotFanoError, NotGorensteinError,
-                               _pairing_factor,
+from orbimirror.mirror import (MirrorShapeViolation, NotFanoError,
+                               NotGorensteinError, _pairing_factor,
                                check_normalization,
                                extract_open_gw, hori_vafa, i_function,
                                lf_superpotential, mirror_map,
@@ -37,6 +38,53 @@ def test_i_function_normalization(fan, order):
     iseries = i_function(build_extended(fan), order)
     ok, errors = check_normalization(iseries)
     assert ok, errors
+
+
+# the untwisted sector of P(1,1,1,1,4) and its sectors of age 1 and 2
+NU0, NU1, NU2 = (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2)
+
+
+def _p114_i_function():
+    ext = build_extended(wpn_fan(4))
+    return ext, i_function(ext, 4)
+
+
+# each case moves one key of the real P(1,1,1,1,4) I-function to a key
+# that breaks one normalization rule; with new = None the constant key
+# stays and holds 2 at delta = 0 in place of 1
+@pytest.mark.parametrize("old,new,message", [
+    ((NU1, -1, (0,)), (NU1, 1, (0,)),
+     "positive z-power 1 in sector (0, 0, 0, 1) at pbar^(0,)"),
+    ((NU0, 0, (0,)), (NU2, 0, (0,)),
+     "unexpected z^0 term in sector (0, 0, 0, 2) at pbar^(0,)"),
+    ((NU0, 0, (0,)), None,
+     "unexpected z^0 term in sector (0, 0, 0, 0) at pbar^(0,)"),
+    ((NU0, -2, (0,)), (NU0, -1, (2,)),
+     "1/z term of pbar-degree 2 at pbar^(2,)"),
+    ((NU2, -2, (0,)), (NU2, -1, (0,)),
+     "1/z term outside H^2_orb in sector (0, 0, 0, 2) at pbar^(0,)"),
+    ((NU1, -2, (1,)), (NU1, -1, (1,)),
+     "1/z term outside H^2_orb in sector (0, 0, 0, 1) at pbar^(1,)"),
+])
+def test_check_normalization_rejects_each_broken_rule(old, new, message):
+    ext, iseries = _p114_i_function()
+    assert check_normalization(iseries) == (True, [])
+    if new is None:
+        iseries.coeffs[old] = {(F(0), F(0)): F(2)}
+    else:
+        iseries.coeffs[new] = iseries.coeffs.pop(old)
+    assert check_normalization(iseries) == (False, [message])
+    with pytest.raises(MirrorShapeViolation, match=re.escape(message)):
+        mirror_map(ext, 4, iseries)
+
+
+def test_check_normalization_admits_the_a_and_b_keys():
+    # an untwisted 1/z key of pbar-degree 1 (an A_a) and a twisted one in
+    # an age-1 sector without pbar (a B_b) are both in H^2_orb
+    _, iseries = _p114_i_function()
+    iseries.coeffs[(NU0, -1, (1,))] = iseries.coeffs.pop((NU0, -2, (0,)))
+    assert (NU1, -1, (0,)) in iseries.coeffs
+    assert check_normalization(iseries) == (True, [])
 
 
 def _oracle_product(ext, kel):
@@ -105,13 +153,14 @@ def test_i_function_matches_product_oracle(fan, order):
     # the full K_eff, so the classes the enumeration prunes at c > 2 are
     # checked to read 0 as well
     elements = keff_enumerate(ext, order)
-    assert len(iseries.coeffs) < len(elements)  # some classes skipped
+    stored = {delta for terms in iseries.coeffs.values() for delta in terms}
+    assert len(stored) < len(elements)  # some classes skipped
     for kel in elements:
         want = _oracle_product(ext, kel)
         for z in (1, 0, -1, -2):
             for pe in monomials:
-                assert iseries.coefficient(kel.delta, z, pe) == \
-                    want.get((z, pe), 0), (kel.delta, z, pe)
+                got = iseries.coeffs.get((kel.nu, z, pe), {}).get(kel.delta, 0)
+                assert got == want.get((z, pe), 0), (kel.delta, z, pe)
 
 
 def _series_mul(x, y, deg):
