@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from typing import Optional
 
@@ -207,8 +208,7 @@ def cmd_crc(args) -> int:
         raise SchemaError("crc requires --resolution FILE")
     res = _load_fan(args.resolution)
     pair = crc_mod.ResolutionPair.make(fan, res)
-    payload = crc_mod.pair_report(pair, order=args.order,
-                                  samples=args.samples, tol=args.tol)
+    payload = crc_mod.pair_report(pair, order=args.order, tol=args.tol)
     if args.wpn is not None and args.wpn != payload.get("wpn"):
         raise SchemaError(f"--wpn {args.wpn} does not match the pair "
                           f"(detected n: {payload.get('wpn')})")
@@ -247,18 +247,18 @@ COMMANDS = {
     "superpotential": (cmd_superpotential, ("--order",)),
     "open-gw": (cmd_open_gw, ("--order",)),
     "xbar": (cmd_xbar, ()),
-    "crc": (cmd_crc, ("--order", "--resolution", "--tol", "--samples",
-                      "--wpn")),
+    "crc": (cmd_crc, ("--order", "--resolution", "--tol", "--wpn")),
     "specialize": (cmd_specialize, ("--resolution", "--tol")),
 }
 
 
 def _positive(cast):
-    """argparse type: cast(text), which must be > 0."""
+    """argparse type: cast(text), which must be finite and > 0."""
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}")
         return value
     parse.__name__ = f"positive {cast.__name__}"
     return parse
@@ -270,8 +270,6 @@ FLAGS = {
     "--resolution": dict(help="path to the resolution fan JSON file"),
     "--tol": dict(type=_positive(float), default=1e-10,
                   help="largest error of a passing report"),
-    "--samples": dict(type=_positive(int), default=20,
-                      help="points of the sampled n = 2 comparison"),
     "--wpn": dict(type=int, help="the n that the pair must have"),
 }
 

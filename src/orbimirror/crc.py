@@ -275,9 +275,11 @@ def continuation_wpn(n: int, order: int = 10) -> ContinuationFormula:
     Per residue l = 1..n-1 the coefficient is
         (-1)^l pi e^{-l pi i / n} / (Gamma(1 - l/n)^n sin(l pi / n))
     for even n (without the phase factor for odd n), multiplying the
-    hypergeometric series sum_k (-1)^{nk} (Gamma(k+l/n)/Gamma(l/n))^n
-    x^{nk+l} / (nk+l)!. Even n carries the additive constant -i pi that
-    pins the branch so that n = 2 reduces to -i(pi - g(x)).
+    hypergeometric series sum_k (-1)^{nk} ((l/n)_k)^n x^{nk+l} / (nk+l)!,
+    where the Pochhammer symbol (l/n)_k = Gamma(k+l/n)/Gamma(l/n) is an
+    integer over n^k: each term is one exact quotient, rounded once, so
+    high orders do not overflow. Even n carries the additive constant
+    -i pi that pins the branch so that n = 2 reduces to -i(pi - g(x)).
     """
     if n < 2:
         raise UnsupportedN("continuation requires n >= 2")
@@ -288,11 +290,12 @@ def continuation_wpn(n: int, order: int = 10) -> ContinuationFormula:
                                    * math.sin(l * math.pi / n))
         if even:
             c *= cmath.exp(-1j * l * math.pi / n)
-        k = 0
+        k, a = 0, 1                       # (l/n)_k = a / n^k
         while n * k + l <= order:
-            inner = ((-1) ** (n * k) / math.factorial(n * k + l)
-                     * (math.gamma(k + l / n) / math.gamma(l / n)) ** n)
+            inner = ((-1) ** (n * k) * a ** n
+                     / (n ** (n * k) * math.factorial(n * k + l)))
             coeffs[n * k + l] = coeffs.get(n * k + l, 0.0) + c * inner
+            a *= n * k + l
             k += 1
     constant = -1j * math.pi if even else 0.0
     note = ("affine change of variables; flat structures preserved" if n == 2
@@ -368,14 +371,15 @@ def _w_resolution(Q1: complex, Q2: complex, z: tuple[complex, complex]) -> compl
 
 
 SAMPLE_SEED = 20240815
+SAMPLES = 20
 
 
-def crc_numeric_samples(samples: int = 20, tol: float = 1e-10) -> IdentityReport:
-    """Sampled comparison W_X(q) = W_Y(Q(q)) for n = 2 on |q1| <= 0.05,
-    |tau2| <= 1, z on the unit torus, drawn from SAMPLE_SEED."""
+def crc_numeric_samples(tol: float = 1e-10) -> IdentityReport:
+    """Sampled comparison W_X(q) = W_Y(Q(q)) for n = 2 at SAMPLES points on
+    |q1| <= 0.05, |tau2| <= 1, z on the unit torus, drawn from SAMPLE_SEED."""
     rng = random.Random(SAMPLE_SEED)
     pts = []
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         q1 = rng.uniform(0.001, 0.05)
         tau = rng.uniform(-1.0, 1.0)
         z = (cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
@@ -397,14 +401,14 @@ def crc_numeric_samples(samples: int = 20, tol: float = 1e-10) -> IdentityReport
                     "sample": worst}, tol)
 
 
-def crc_verify(n: int, order: int = 12, samples: int = 20,
+def crc_verify(n: int, order: int = 12,
                tol: float = 1e-10) -> list[IdentityReport]:
     """Verify the open crepant-resolution identities for P(1,...,1,n).
 
     n = 2 reports the exact composition g(f(tau)) = tau, the continuation
     against -i(pi - g(x)) (see crc_exact_identities; both are held to
     min(tol, 1e-12)), and the sampled comparison of the two potentials
-    on `samples` points, held to `tol`. Q1 Q2^2 = q1 is true for every
+    (crc_numeric_samples), held to `tol`. Q1 Q2^2 = q1 is true for every
     change of variables of the n = 2 form and is not reported.
 
     n >= 3 reports one identity, held to min(tol, 1e-12): the x^1
@@ -418,7 +422,7 @@ def crc_verify(n: int, order: int = 12, samples: int = 20,
         raise UnsupportedN("crc requires n >= 2")
     if n == 2:
         return [*crc_exact_identities(order, tol=min(tol, 1e-12)),
-                crc_numeric_samples(samples, tol)]
+                crc_numeric_samples(tol)]
     lead = continuation_wpn(n, order).coefficients.get(1, 0.0)
     target = -(math.gamma(1 / n) ** n * math.sin(math.pi / n) ** (n - 1)
                / math.pi ** (n - 1))
@@ -465,11 +469,10 @@ def specialization_check(n: Optional[int],
     return reports
 
 
-def pair_report(pair: ResolutionPair, order: int = 10, samples: int = 20,
+def pair_report(pair: ResolutionPair, order: int = 10,
                 tol: float = 1e-10) -> dict:
     """Full report for a crepant pair: crepancy, chart gluing, and (for
-    the weighted family) continuation/CRC data; `samples` and `tol` go
-    to crc_verify."""
+    the weighted family) continuation/CRC data; `tol` goes to crc_verify."""
     crep = verify_crepant(pair)
     out = {"crepancy": crep.to_json()}
     if not crep.crepant:
@@ -490,5 +493,5 @@ def pair_report(pair: ResolutionPair, order: int = 10, samples: int = 20,
             "note": cont.note,
         }
         out["reports"] = [r.to_json()
-                          for r in crc_verify(n, order, samples, tol)]
+                          for r in crc_verify(n, order, tol)]
     return out

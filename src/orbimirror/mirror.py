@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .exact import SmithFactor, Vec, coordinates
@@ -28,7 +29,7 @@ from .families import wpn_index
 from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
                   star_subdivide_xbar, wall_curve_classes)
 from .series import (PowerLadder, PuiseuxSeries, Roster, linear_combination,
-                     make_roster, multivar_invert, series_exp, substitute)
+                     make_roster, multivar_invert, substitute)
 
 
 class MirrorShapeViolation(ValueError):
@@ -51,40 +52,32 @@ class NotFanoError(ValueError):
 _ZMIN = -2
 
 
-def _pairing_factor(p: Fraction, n: int, cache: dict
-                    ) -> tuple[Fraction, int, tuple[Fraction, ...]]:
-    """The I-function factor of one index j of pairing p = <D_j, delta>,
-    at z = 1, as (scalar, bare, slog).
+def _pairing_factor(p: Fraction, n: int, cache: dict) -> tuple[Fraction, ...]:
+    """The I-function factor F(p) of one index j of pairing p = <D_j, delta>,
+    at z = 1, as its coefficients c_0..c_n in Dbar_j (nilpotency truncates
+    at Dbar_j^n).
 
-    The factor is prod (Dbar_j + a) over a = p mod 1 with p < a <= 0,
-    divided by the same product over 0 < a <= p. Each (Dbar_j + a) with
-    a != 0 is a exp(log(1 + Dbar_j/a)) and each with a = 0 is a bare
-    Dbar_j, so the factor is scalar Dbar_j^bare exp(sum_i slog[i] Dbar_j^i),
-    with slog[1..n] (nilpotency truncates at Dbar_j^n; slog[0] = 0).
-    F(p) is trivial on (-1, 0], F(p) = F(p - 1) / (Dbar_j + p) for p > 0
-    and F(p) = F(p + 1) (Dbar_j + p + 1) for p <= -1; `cache` holds
-    every F it computes, keyed by p.
+    F(p) is prod (Dbar_j + a) over a = p mod 1 with p < a <= 0, divided by
+    the same product over 0 < a <= p. So F is 1 on (-1, 0],
+    F(p) = F(p - 1) / (Dbar_j + p) for p > 0, which is
+    c'_i = (c_i - c'_{i-1}) / p, and F(p) = F(p + 1) (Dbar_j + p + 1) for
+    p <= -1, which is c'_i = (p + 1) c_i + c_{i-1}. `cache` holds every F
+    it computes, keyed by p.
     """
     chain = []
     q = p
     while q not in cache and not -1 < q <= 0:
         chain.append(q)
         q = q - 1 if q > 0 else q + 1
-    scalar, bare, slog = cache.get(q) or (Fraction(1), 0, (Fraction(0),) * (n + 1))
+    c = cache.get(q) or (Fraction(1),) + (Fraction(0),) * n
     for q in reversed(chain):
-        a, sign = (q, -1) if q > 0 else (q + 1, 1)
-        if a == 0:
-            bare += 1
+        if q > 0:
+            c = tuple(accumulate(c[1:], lambda prev, ci: (ci - prev) / q,
+                                 initial=c[0] / q))
         else:
-            scalar = scalar * a if sign > 0 else scalar / a
-            # log(1 + x/a) = sum_i (-1)^(i+1) x^i / (i a^i)
-            step, power = list(slog), Fraction(sign)
-            for i in range(1, n + 1):
-                power /= a
-                step[i] += power / i if i % 2 else -power / i
-            slog = tuple(step)
-        cache[q] = (scalar, bare, slog)
-    return scalar, bare, slog
+            c = tuple((q + 1) * ci + lower for ci, lower in zip(c, (0,) + c))
+        cache[q] = c
+    return c
 
 
 def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
@@ -99,33 +92,36 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
     of numerator minus denominator factors, -sum_j ceil <D_j, delta>,
     and the pbar-degree-i part of P_delta carries z^{D_delta - i}.
     P_delta is the product over j of the pairing factors
-    (`_pairing_factor`, memoised in `factors`); Dbar_j vanishes on an
-    extended index j, which contributes its scalar only.
-    `dbar_pows[j][i]` is Dbar_j^i.
+    sum_{i <= t} c_i Dbar_j^i (`_pairing_factor`, memoised in `factors`).
+    Dbar_j vanishes on an extended index j, which contributes its c_0
+    only; that c_0 and every factor without a term of degree 1..t go
+    into one scalar. P_delta is 0 when the scalar is, or when the lowest
+    Dbar-degrees of the other factors sum past t. `dbar_pows[j][i]` is
+    Dbar_j^i.
     """
     n = ext.dim
     t = min(n, -kel.zweight - _ZMIN)
     roster = dbar_pows[0][0].roster
     scalar = Fraction(1)
-    bare = []
-    logs = []               # (slog coefficient, power of Dbar_j)
+    low = 0
+    polys = []
     for j, p in enumerate(kel.pairings):
         if not p:
             continue
-        f_scalar, f_bare, slog = _pairing_factor(p, n, factors)
-        scalar *= f_scalar
+        c = _pairing_factor(p, n, factors)
         if j >= ext.m:
-            assert not f_bare, "vanishing factor on an extended index"
-            continue
-        bare += [j] * f_bare
-        logs += [(slog[i], dbar_pows[j][i]) for i in range(1, t + 1) if slog[i]]
-    if len(bare) > t:
+            assert c[0], "vanishing factor on an extended index"
+        if j >= ext.m or not any(c[1:t + 1]):
+            scalar *= c[0]
+        else:
+            low += next(i for i, x in enumerate(c) if x)
+            polys.append((j, c))
+    if not scalar or low > t:
         return {}
     P = PuiseuxSeries.constant(roster, t, scalar)
-    for j in bare:
-        P = P * dbar_pows[j][1]
-    if logs:
-        P = P * series_exp(linear_combination(roster, t, logs))
+    for j, c in polys:
+        P = P * linear_combination(
+            roster, t, [(c[i], dbar_pows[j][i]) for i in range(t + 1) if c[i]])
     return P.terms
 
 

@@ -138,7 +138,7 @@ def test_criterion_3_f2_exceptional_generating_function():
 
 def test_criterion_4_open_crc_n2():
     exact = crc_exact_identities(order=12, tol=1e-12)
-    sampled = crc_numeric_samples(samples=20, tol=1e-10)
+    sampled = crc_numeric_samples(tol=1e-10)
     ok = all(r.status == "pass" for r in exact) and sampled.status == "pass"
     worst = max([r.max_error for r in exact] + [sampled.max_error])
     report(4, "open CRC identities for P(1,1,2): exact to 1e-12 at order 12, "

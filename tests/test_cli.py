@@ -121,10 +121,10 @@ def test_each_command_takes_only_the_flags_it_reads():
         "validate": set(), "box": set(), "check": set(), "xbar": set(),
         "hori-vafa": series, "superpotential": series, "open-gw": series,
         "mirror-map": series,
-        "crc": {"--order", "--resolution", "--tol", "--samples", "--wpn"},
+        "crc": {"--order", "--resolution", "--tol", "--wpn"},
         "specialize": {"--resolution", "--tol"},
     }
-    assert sum(len(f) + 2 for f in flags.values()) == 31
+    assert sum(len(f) + 2 for f in flags.values()) == 30
 
 
 def test_box_smooth_fan_empty(capsys):
@@ -216,8 +216,26 @@ def test_crc_wpn_mismatch_exits_1(capsys):
     assert run(capsys, "crc", P2, "--resolution", P2, "--wpn", "2")[0] == 1
 
 
-def test_bad_samples_exits_1(capsys):
-    assert run(capsys, "crc", P112, "--resolution", F2, "--samples", "0")[0] == 1
+def test_samples_flag_is_a_usage_error(capsys):
+    # the sampled n = 2 comparison always takes crc.SAMPLES points
+    assert run(capsys, "crc", P112, "--resolution", F2, "--samples", "20")[0] == 1
+
+
+@pytest.mark.parametrize("cmd", ["crc", "specialize"])
+@pytest.mark.parametrize("tol", ["inf", "1e400", "nan", "0"])
+def test_tol_must_be_positive_and_finite(cmd, tol, capsys):
+    # an infinite --tol would pass every sampled report
+    assert run(capsys, cmd, P112, "--resolution", F2, "--tol", tol)[0] == 1
+
+
+def test_crc_high_order_continuation(capsys):
+    # the Gamma ratios of the continuation overflowed a float near order 250
+    code, out = run(capsys, "crc", P113, "--resolution", KP3, "--order", "300",
+                    "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["wpn"] == 3
+    assert [r["status"] for r in data["reports"]] == ["pass"]
+    assert max(map(int, data["continuation"]["coefficients"])) == 299
 
 
 def test_specialize(capsys):

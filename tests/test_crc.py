@@ -1,11 +1,12 @@
 """Crepant resolution checks: gluing, continuation, potential identities."""
 
+import cmath
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from orbimirror.crc import (ContinuationFormula, ResolutionPair,
+from orbimirror.crc import (SAMPLES, ContinuationFormula, ResolutionPair,
                             UnsupportedN, change_of_variables,
                             continuation_wpn,
                             crc_exact_identities, crc_numeric_samples,
@@ -118,6 +119,37 @@ def test_continuation_n3():
     assert all(abs(c.imag) < 1e-13 for c in cont.coefficients.values())
 
 
+def _continuation_gamma_form(n, order):
+    # the coefficients with each Pochhammer symbol (l/n)_k written as
+    # Gamma(k + l/n) / Gamma(l/n), which overflows past order ~250
+    coeffs = {}
+    for l in range(1, n):
+        c = (-1) ** l * math.pi / (math.gamma(1 - l / n) ** n
+                                   * math.sin(l * math.pi / n))
+        if n % 2 == 0:
+            c *= complex(math.cos(l * math.pi / n), -math.sin(l * math.pi / n))
+        for k in range((order - l) // n + 1):
+            coeffs[n * k + l] = coeffs.get(n * k + l, 0.0) + c * (
+                (-1) ** (n * k) / math.factorial(n * k + l)
+                * (math.gamma(k + l / n) / math.gamma(l / n)) ** n)
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_continuation_matches_gamma_form(n):
+    cont = continuation_wpn(n, 40)
+    want = _continuation_gamma_form(n, 40)
+    assert cont.coefficients.keys() == want.keys()
+    for e, c in want.items():
+        assert abs(cont.coefficients[e] - c) <= 1e-13 * abs(c), e
+
+
+def test_continuation_high_order_is_finite():
+    cont = continuation_wpn(2, 400)
+    assert max(cont.coefficients) == 399
+    assert all(cmath.isfinite(c) and c for c in cont.coefficients.values())
+
+
 def test_change_of_variables_tau_zero():
     # at tau = 0: Q1 = -1 exactly and Q2 = i sqrt(q1)
     assert abs(q1_closed(0.0) + 1.0) < 1e-15
@@ -172,24 +204,26 @@ def test_continuation_catches_perturbed_g(monkeypatch):
     assert cont.status == "fail" and cont.worst_point["x_power"] == 3
 
 
-def test_crc_numeric_samples():
-    rep = crc_numeric_samples(samples=20, tol=1e-10)
+def test_crc_numeric_samples(monkeypatch):
+    rep = crc_numeric_samples(tol=1e-10)
     assert rep.status == "pass"
     assert rep.max_error < 1e-10
-    # exactly `samples` points are evaluated
-    assert crc_numeric_samples(samples=5).worst_point["sample"] < 5
+    assert SAMPLES == 20 and rep.worst_point["sample"] < SAMPLES
+    # exactly SAMPLES points are evaluated
+    monkeypatch.setattr("orbimirror.crc.SAMPLES", 1)
+    assert crc_numeric_samples().worst_point["sample"] == 0
 
 
 def test_crc_numeric_deterministic():
-    a = crc_numeric_samples(samples=10, tol=1e-10).to_json()
-    b = crc_numeric_samples(samples=10, tol=1e-10).to_json()
+    a = crc_numeric_samples(tol=1e-10).to_json()
+    b = crc_numeric_samples(tol=1e-10).to_json()
     assert a == b
 
 
 def test_crc_verify_n2_and_n3():
-    rep2 = crc_verify(2, order=10, samples=10, tol=1e-10)
+    rep2 = crc_verify(2, order=10, tol=1e-10)
     assert all(r.status == "pass" for r in rep2)
-    rep3 = crc_verify(3, order=8, samples=5, tol=1e-10)
+    rep3 = crc_verify(3, order=8, tol=1e-10)
     assert all(r.status == "pass" for r in rep3)
 
 

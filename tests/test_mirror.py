@@ -1,5 +1,6 @@
 """Mirror theorems: normalization, mirror maps, potentials, disc counts."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -143,6 +144,8 @@ def _oracle_product(ext, kel):
     (wpn_fan(2), 8), (wpn_fan(3), 10), (f2_fan(), 6), (kp_bundle_fan(3), 5),
     # n = 4 truncation, and fractional pairings on extended indices
     (wpn_fan(4), 8), (p1_orbifold(3, 5), 3),
+    # n = 5 truncation, and n = 4 in two pbar variables
+    (wpn_fan(5), 8), (kp_bundle_fan(4), 6),
 ])
 def test_i_function_matches_product_oracle(fan, order):
     ext = build_extended(fan)
@@ -173,43 +176,48 @@ def _series_mul(x, y, deg):
 
 def _gamma_ratio_reference(p, n):
     """prod (x + a) over a = p mod 1 with p < a <= 0, divided by the same
-    product over 0 < a <= p, as a power series in x; returned as
-    (scalar, bare, log) with the series = scalar x^bare exp(sum_i
-    log[i] x^i) up to x^(bare + n), read off the expanded product."""
-    deg = n + 1
-    prod = [F(1)] + [F(0)] * deg
+    product over 0 < a <= p, expanded as a power series in x and
+    truncated at x^n: its coefficients c_0..c_n."""
+    prod = [F(1)] + [F(0)] * n
     a = p + 1
     while a <= 0:
-        prod = _series_mul(prod, [a, F(1)], deg)
+        prod = _series_mul(prod, [a, F(1)], n)
         a += 1
     a = p
     while a > 0:
         # 1/(x + a) = sum_i (-x)^i / a^(i + 1)
         prod = _series_mul(prod, [F(-1) ** i / a ** (i + 1)
-                                  for i in range(deg + 1)], deg)
+                                  for i in range(n + 1)], n)
         a -= 1
-    bare = next(i for i, c in enumerate(prod) if c)
-    scalar = prod[bare]
-    u = [F(0)] + [c / scalar for c in prod[bare + 1:bare + n + 1]]
-    log, power = [F(0)] * (n + 1), [F(1)] + [F(0)] * n
-    for k in range(1, n + 1):
-        power = _series_mul(power, u, n)
-        log = [x + F((-1) ** (k + 1), k) * c for x, c in zip(log, power)]
-    return scalar, bare, tuple(log)
+    return tuple(prod)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 6)),
                 min_size=1, max_size=6),
-       st.integers(1, 4))
-@example([(-3, 1), (0, 1), (5, 1), (-40, 1)], 4)  # integers: bare factors
+       st.integers(1, 5))
+@example([(-3, 1), (0, 1), (5, 1), (-40, 1)], 4)  # integers: vanishing c_0
 @example([(-1, 2), (-5, 6), (0, 3)], 3)           # (-1, 0]: trivial
+@example([(7, 3), (-7, 3), (1, 1), (-1, 1)], 5)  # both directions, n = 5
 def test_pairing_factor_matches_gamma_ratio_product(pairs, n):
     # one cache across the draws, so later pairings reuse earlier chains
     cache = {}
     for a, b in pairs:
         p = F(a, b)
         assert _pairing_factor(p, n, cache) == _gamma_ratio_reference(p, n), p
+
+
+def test_i_function_rejects_a_vanishing_factor_on_an_extended_index(monkeypatch):
+    # Dbar_j = 0 on an extended index j, so a pairing in Z_{<0} there
+    # (which K_eff excludes) would make the whole coefficient vanish
+    ext = build_extended(wpn_fan(2))
+    zero = next(k for k in keff_enumerate(ext, 4) if not any(k.pairings))
+    pairings = list(zero.pairings)
+    pairings[ext.m] = F(-1)
+    bad = dataclasses.replace(zero, pairings=tuple(pairings))
+    monkeypatch.setattr(orbimirror.mirror, "keff_enumerate", lambda *args: [bad])
+    with pytest.raises(AssertionError, match="vanishing factor on an extended index"):
+        i_function(ext, 4)
 
 
 def test_bridge_computes_i_function_once(monkeypatch):
