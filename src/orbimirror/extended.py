@@ -70,6 +70,12 @@ class ExtendedFanData:
         """<D_j, d> for d = sum delta_a d_a."""
         return sum(Fraction(da) * self.basis[a][j] for a, da in enumerate(delta))
 
+    @cached_property
+    def den(self) -> int:
+        """The lcm L of the unit delta-denominators; K_eff lies in (1/L)Z^r'."""
+        return math.lcm(*(x.denominator for units in self.cone_units
+                          for u in units for x in u.delta))
+
     # Kept on the instance, as `StackyFan.box` is, so they go with the data.
     @cached_property
     def cone_units(self) -> tuple[tuple[EnumerationUnit, ...], ...]:
@@ -210,11 +216,12 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
 
 @dataclass(frozen=True)
 class KEffElement:
-    delta: tuple[Fraction, ...]      # coordinates in the d_a basis
-    pairings: tuple[Fraction, ...]   # <D_j, d> for j = 1..m'
+    """An effective class, with numerators over L = `ExtendedFanData.den`."""
+    delta: tuple[int, ...]           # L * coordinates in the d_a basis
+    pairings: tuple[int, ...]        # L * <D_j, d> for j = 1..m'
     nu: Vec                          # twisted sector (zero vector if none)
     zweight: int                     # w(d) = sum ceil <D_j, d>
-    weight: Fraction                 # sum of delta (truncation weight)
+    weight: int                      # L * sum of delta (truncation weight)
 
 
 def keff_enumerate(ext: ExtendedFanData, bound,
@@ -235,16 +242,13 @@ def keff_enumerate(ext: ExtendedFanData, bound,
     weight bound and each class is kept only if c <= max_c. Either way
     the result is exactly K_eff with weight <= bound and c <= max_c.
 
-    Every unit is scaled to integer numerators over one common
-    denominator L (the basis is integral, so L clears the pairings
-    too), so the recursion, the deduplication and the sector
-    and z-weight of a class run in integers; the `Fraction`s of a class
-    are built only when it is new. With W_j = L <D_j, d>, the sector is
-    sum_j ((-W_j) mod L) v_j / L and the z-weight sum_j ceil(W_j / L).
+    Every unit is scaled to integer numerators over L = `ext.den`, so the
+    recursion, the deduplication, the sector and z-weight of a class and
+    the class itself are integers, and no `Fraction` is built per class.
+    With W_j = L <D_j, d>, the sector is sum_j ((-W_j) mod L) v_j / L and
+    the z-weight sum_j ceil(W_j / L).
     """
-    cone_units = ext.cone_units
-    L = math.lcm(*(x.denominator for units in cone_units for u in units
-                   for x in u.delta))
+    cone_units, L = ext.cone_units, ext.den
     w_cap = math.floor(Fraction(bound) * L)
     c_cap = math.inf if max_c is None else math.floor(Fraction(max_c) * L)
     n, m_prime = ext.dim, ext.m_prime
@@ -266,10 +270,8 @@ def keff_enumerate(ext: ExtendedFanData, bound,
             raise InvalidFanError(f"sector {nu} of class "
                                   f"{tuple(Fraction(x, L) for x in delta)} "
                                   "is not a Box element")
-        seen[delta] = KEffElement(
-            tuple(Fraction(x, L) for x in delta),
-            tuple(Fraction(p, L) for p in pair), nu,
-            -sum((-p) // L for p in pair), Fraction(weight, L))
+        seen[delta] = KEffElement(delta, tuple(pair), nu,
+                                  -sum((-p) // L for p in pair), weight)
 
     for units in cone_units:
         steps = [(tuple(int(x * L) for x in u.delta), int(u.weight * L),

@@ -28,8 +28,9 @@ from .extended import ExtendedFanData, KEffElement, keff_enumerate
 from .families import wpn_index
 from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
                   star_subdivide_xbar, wall_curve_classes)
-from .series import (PowerLadder, PuiseuxSeries, Roster, linear_combination,
-                     make_roster, multivar_invert, substitute)
+from .series import (PowerLadder, PuiseuxSeries, Roster, _power_of,
+                     linear_combination, make_roster, multivar_invert,
+                     substitute)
 
 
 class MirrorShapeViolation(ValueError):
@@ -52,37 +53,42 @@ class NotFanoError(ValueError):
 _ZMIN = -2
 
 
-def _pairing_factor(p: Fraction, n: int, cache: dict) -> tuple[Fraction, ...]:
-    """The I-function factor F(p) of one index j of pairing p = <D_j, delta>,
-    at z = 1, as its coefficients c_0..c_n in Dbar_j (nilpotency truncates
-    at Dbar_j^n).
+def _pairing_factor(P: int, L: int, n: int, cache: dict) -> tuple[tuple[int, ...], int]:
+    """The I-function factor F(p) of one index j of pairing
+    p = <D_j, delta> = P/L, at z = 1, as its coefficients c_0..c_n in
+    Dbar_j (nilpotency truncates at Dbar_j^n), reduced numerators N over D.
 
     F(p) is prod (Dbar_j + a) over a = p mod 1 with p < a <= 0, divided by
-    the same product over 0 < a <= p. So F is 1 on (-1, 0],
-    F(p) = F(p - 1) / (Dbar_j + p) for p > 0, which is
-    c'_i = (c_i - c'_{i-1}) / p, and F(p) = F(p + 1) (Dbar_j + p + 1) for
-    p <= -1, which is c'_i = (p + 1) c_i + c_{i-1}. `cache` holds every F
-    it computes, keyed by p.
+    the same product over 0 < a <= p. So F is 1 on (-1, 0] (-L < P <= 0),
+    F(p) = F(p - 1) / (Dbar_j + p) for p > 0, which is c'_i = M_i / (D
+    P^{n+1}) with M_i = (N_i P^{n+1} - M_{i-1}) L / P exactly, and
+    F(p) = F(p + 1) (Dbar_j + p + 1) for p <= -1, which is
+    c'_i = ((P + L) N_i + L N_{i-1}) / (D L). `cache` holds every F it
+    computes, keyed by P, so it serves one L only.
     """
     chain = []
-    q = p
-    while q not in cache and not -1 < q <= 0:
-        chain.append(q)
-        q = q - 1 if q > 0 else q + 1
-    c = cache.get(q) or (Fraction(1),) + (Fraction(0),) * n
-    for q in reversed(chain):
-        if q > 0:
-            c = tuple(accumulate(c[1:], lambda prev, ci: (ci - prev) / q,
-                                 initial=c[0] / q))
+    Q = P
+    while Q not in cache and not -L < Q <= 0:
+        chain.append(Q)
+        Q = Q - L if Q > 0 else Q + L
+    N, D = cache.get(Q) or ((1,) + (0,) * n, 1)
+    for Q in reversed(chain):
+        if Q > 0:
+            Qn = Q ** (n + 1)
+            N = tuple(accumulate(N, lambda m, x: (x * Qn - m) * L // Q,
+                                 initial=0))[1:]
+            D *= Qn
         else:
-            c = tuple((q + 1) * ci + lower for ci, lower in zip(c, (0,) + c))
-        cache[q] = c
-    return c
+            N = tuple((Q + L) * x + L * lower for x, lower in zip(N, (0,) + N))
+            D *= L
+        g = math.gcd(D, *N)
+        N, D = cache[Q] = tuple(x // g for x in N), D // g
+    return N, D
 
 
 def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
                    dbar_pows: Sequence[Sequence[PuiseuxSeries]],
-                   factors: dict) -> dict[tuple[int, ...], Fraction]:
+                   factors: dict, polys: dict) -> dict[tuple[int, ...], Fraction]:
     """P_delta, the class-delta coefficient of the I-function at z = 1,
     up to the pbar-degree t = min(n, D_delta - _ZMIN) that reaches
     z^_ZMIN.
@@ -92,36 +98,40 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
     of numerator minus denominator factors, -sum_j ceil <D_j, delta>,
     and the pbar-degree-i part of P_delta carries z^{D_delta - i}.
     P_delta is the product over j of the pairing factors
-    sum_{i <= t} c_i Dbar_j^i (`_pairing_factor`, memoised in `factors`).
-    Dbar_j vanishes on an extended index j, which contributes its c_0
-    only; that c_0 and every factor without a term of degree 1..t go
-    into one scalar. P_delta is 0 when the scalar is, or when the lowest
-    Dbar-degrees of the other factors sum past t. `dbar_pows[j][i]` is
-    Dbar_j^i.
+    (N_0 + ... + N_t Dbar_j^t) / D (`_pairing_factor`, memoised in
+    `factors`). Each sum to Dbar_j^n is memoised in `polys` by (j, P); the
+    product starts from an integer scalar num/den at order t, which
+    truncates it, and every 1/D goes into that scalar. Dbar_j vanishes on
+    an extended index j, which contributes its c_0 only; that c_0 and
+    every factor without a term of degree 1..t go into the scalar too.
+    P_delta is 0 when the scalar is, or when the lowest Dbar-degrees of
+    the other factors sum past t. `dbar_pows[j][i]` is Dbar_j^i.
     """
-    n = ext.dim
+    n, L = ext.dim, ext.den
     t = min(n, -kel.zweight - _ZMIN)
     roster = dbar_pows[0][0].roster
-    scalar = Fraction(1)
-    low = 0
-    polys = []
-    for j, p in enumerate(kel.pairings):
-        if not p:
+    num, den, low = 1, 1, 0
+    product = []
+    for j, P in enumerate(kel.pairings):
+        if not P:
             continue
-        c = _pairing_factor(p, n, factors)
+        N, D = _pairing_factor(P, L, n, factors)
+        den *= D
         if j >= ext.m:
-            assert c[0], "vanishing factor on an extended index"
-        if j >= ext.m or not any(c[1:t + 1]):
-            scalar *= c[0]
+            assert N[0], "vanishing factor on an extended index"
+        if j >= ext.m or not any(N[1:t + 1]):
+            num *= N[0]
         else:
-            low += next(i for i, x in enumerate(c) if x)
-            polys.append((j, c))
-    if not scalar or low > t:
+            low += next(i for i, x in enumerate(N) if x)
+            if (j, P) not in polys:
+                polys[j, P] = linear_combination(roster, n, [
+                    (N[i], dbar_pows[j][i]) for i in range(n + 1) if N[i]])
+            product.append(polys[j, P])
+    if not num or low > t:
         return {}
-    P = PuiseuxSeries.constant(roster, t, scalar)
-    for j, c in polys:
-        P = P * linear_combination(
-            roster, t, [(c[i], dbar_pows[j][i]) for i in range(t + 1) if c[i]])
+    P = PuiseuxSeries(roster, t, {(0,) * len(roster.names): num}, den)
+    for poly in product:
+        P = P * poly
     return P.terms
 
 
@@ -152,20 +162,21 @@ class ISeries:
     pbar^pexp in the class-delta coefficient z^{D_delta} P_delta(pbar/z),
     for the classes delta of K_eff in twisted sector nu (0 if untwisted),
     so zexp = D_delta - |pexp| >= _ZMIN; a missing key or class reads 0.
+    Each delta is a `KEffElement.delta`, numerators over L = `ext.den`.
     `series` turns one key into sum_delta c_delta y^delta over `roster`,
-    the chart roster.
+    the chart roster: it scales delta_a by d_a/L, which must be exact.
     """
 
     ext: ExtendedFanData
     order: Fraction
     roster: Roster
-    coeffs: dict[tuple, dict[tuple[Fraction, ...], Fraction]]
+    coeffs: dict[tuple, dict[tuple[int, ...], Fraction]]
 
     def series(self, nu: Vec, zexp: int, pexp: tuple[int, ...],
                order) -> PuiseuxSeries:
-        roster = self.roster
+        roster, p = self.roster, Fraction(1, self.ext.den)
         return PuiseuxSeries(roster, order, {
-            roster.scaled(dict(zip(roster.names, delta))): c
+            _power_of(tuple(x * d for x, d in zip(delta, roster.denoms)), p): c
             for delta, c in self.coeffs.get((nu, zexp, pexp), {}).items()})
 
 
@@ -182,11 +193,11 @@ def i_function(ext: ExtendedFanData, order) -> ISeries:
         for _ in range(n):
             pows.append(pows[-1] * dbar)
         dbar_pows.append(pows)
-    coeffs, factors = {}, {}
+    coeffs, factors, polys = {}, {}, {}
     for kel in keff_enumerate(ext, order, -_ZMIN):
         degree = -kel.zweight            # D_delta
         if degree >= _ZMIN:
-            for pexp, c in _i_coefficient(ext, kel, dbar_pows, factors).items():
+            for pexp, c in _i_coefficient(ext, kel, dbar_pows, factors, polys).items():
                 key = (kel.nu, degree - sum(pexp), pexp)
                 coeffs.setdefault(key, {})[kel.delta] = c
     return ISeries(ext, order, _chart_roster(ext, order), coeffs)
@@ -353,7 +364,8 @@ def extract_open_gw(lf: LFResult, ext: ExtendedFanData) -> OpenGWTable:
     exponents`), with each extended coordinate y_{r+b} read as
     q^{d-tilde_b}. Its basic coefficient (1 for a ray, tau_j for an
     extended ray) must be 1, and the tau-part of each entry is multiplied
-    by the factorials of its exponents.
+    by the factorials of its exponents. A series known only below the
+    weight of its basic monomial raises ValueError.
     """
     mm = lf.mirror
     r = ext.r
@@ -369,6 +381,9 @@ def extract_open_gw(lf: LFResult, ext: ExtendedFanData) -> OpenGWTable:
         shift = {mm.q_names[a]: -qexp[a] for a in range(r) if qexp[a]}
         S = t.coefficient.shift(shift) if shift else t.coefficient
         generating[j] = S
+        if S.order < int(t.is_extended):    # the weight of tau_j, or of 1
+            raise ValueError(f"basic coefficient for ray {j} is unknown at the requested "
+                             f"order {mm.order}: its series reaches only O({S.order})")
         if t.is_extended:
             basic = S.coefficient({mm.tau_names[j - ext.m]: Fraction(1)})
         else:

@@ -26,13 +26,14 @@ moves every term and the truncation order by its weight (`_shift`).
 A rational power of a monomial scales its stored exponent vector and
 must stay integral (`_power_of`).
 
-Substitution takes the powers of its images from a `PowerLadder`, which
-builds each power once as the product of the one below it and can be
-shared by several substitutions at the same images. The inverse of a
-mirror-shaped map (`multivar_invert`, and `lagrange_invert` through it)
-is found by Newton iteration in log coordinates, doubling the order at
-each step, and is returned only once the residual vanishes exactly at
-the requested order.
+Substitution reads each scaled exponent x of a variable as the rung
+x // g of an integer step g, the gcd of those exponents, and takes that
+power of its image from a `PowerLadder`, which builds each power once
+and can be shared by several substitutions at the same images. The
+inverse of a mirror-shaped map (`multivar_invert`, and `lagrange_invert`
+through it) is found by Newton iteration in log coordinates, doubling
+the order at each step, and is returned only once the residual vanishes
+exactly at the requested order.
 """
 
 from __future__ import annotations
@@ -151,10 +152,11 @@ class PuiseuxSeries:
         `den` is given, to integer numerators over den > 0; the terms of
         weight above `order` are dropped."""
         if den is None:
-            terms = {e: Fraction(c) for e, c in terms.items()}
+            terms = {e: c if isinstance(c, Fraction) else Fraction(c)
+                     for e, c in terms.items()}
             den = math.lcm(*(c.denominator for c in terms.values()))
             terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-        order = Fraction(order)
+        order = order if isinstance(order, Fraction) else Fraction(order)
         cap, weight = roster.cap(order), roster.weight
         formal = [i for i, f in enumerate(roster.formal) if f]
         num = {}
@@ -550,34 +552,45 @@ class PowerLadder:
     and shared by every substitution at those images.
 
     The powers of an image Y are the multiples k*g of a step g, the gcd
-    of the exponents asked for. The rungs k = 1 and k = -1 are
-    series_pow(Y, +-g); every further rung is the rung before it times
-    that one. Rung k keeps the order series_pow(Y, k*g) has, N + (k*g - 1)v
-    for Y of order N and valuation v, which is the order such a product
-    is known to, and so it has the same terms. A request off the step
-    rebuilds that image's rungs on the gcd of the two steps.
+    of the exponents asked for. Rung k of a monomial c*y^e is the
+    numerator, denominator and exponent of c**(k*g) y^(e*k*g). Otherwise
+    the rungs k = +-1 are series_pow(Y, +-g), and every further rung is
+    the rung before it times that one. Rung k keeps the order
+    series_pow(Y, k*g) has, N + (k*g - 1)v for Y of order N and valuation
+    v, which is the order such a product is known to, and so it has the
+    same terms. A request off the step rebuilds that image's rungs on the
+    gcd of the two steps.
     """
 
     def __init__(self, images: Mapping[str, PuiseuxSeries]):
         self.images = dict(images)
         self._steps: dict[str, Fraction] = {}
-        self._rungs: dict[str, dict[int, PuiseuxSeries]] = {}
+        self._rungs: dict[str, dict[int, object]] = {}
 
-    def power(self, name: str, p: Fraction, step: Fraction) -> PuiseuxSeries:
-        """images[name]**p, for p a multiple of `step`."""
-        img = self.images[name]
-        if img.is_zero():
-            return series_pow(img, p)
+    def align(self, name: str, step: Fraction) -> int:
+        """Set the step of images[name] to a divisor g of `step`; step/g."""
         g = self._steps.get(name)
         if g is None or (step / g).denominator != 1:
             if g is not None:
-                step = Fraction(math.gcd(step.numerator, g.numerator),
-                                math.lcm(step.denominator, g.denominator))
-            g = self._steps[name] = step
+                g = Fraction(math.gcd(step.numerator, g.numerator),
+                             math.lcm(step.denominator, g.denominator))
+            g = self._steps[name] = g or step
             self._rungs[name] = {}
+        return int(step / g)
+
+    def rung(self, name: str, k: int):
+        """Rung k of images[name] on its current step."""
         rungs = self._rungs[name]
-        k = int(p / g)
-        if k not in rungs:
+        if k in rungs:
+            return rungs[k]
+        img, g = self.images[name], self._steps[name]
+        if len(img.num) == 1:
+            ((ie, ic),) = img.num.items()
+            c = _rational_root(Fraction(ic, img.den), k * g)
+            rungs[k] = (c.numerator, c.denominator, _power_of(ie, k * g))
+        elif img.is_zero():
+            return series_pow(img, k * g)
+        else:
             sign = 1 if k > 0 else -1
             if sign not in rungs:
                 rungs[sign] = series_pow(img, sign * g)
@@ -590,6 +603,10 @@ class PowerLadder:
                 rungs[sign * j] = prev._product(base, prev.order + v)
         return rungs[k]
 
+    def power(self, name: str, p: Fraction, step: Fraction) -> PuiseuxSeries:
+        """images[name]**p, not a monomial, for p a multiple of `step`."""
+        return self.rung(name, int(p / step) * self.align(name, step))
+
 
 def substitute(s: PuiseuxSeries,
                images: Mapping[str, PuiseuxSeries] | PowerLadder,
@@ -600,7 +617,9 @@ def substitute(s: PuiseuxSeries,
     PowerLadder over such a mapping may be passed instead, so that
     substitutions at the same images build each power once. Rational
     powers of an image are those of series_pow (its leading term must
-    be unique); an image of one term is an exact monomial.
+    be unique); an image of one term is an exact monomial. The step of
+    y_i is the gcd of its scaled exponents x in s, and x // step names
+    the rung; coefficients stay integer numerators and denominators.
     """
     ladder = images if isinstance(images, PowerLadder) else PowerLadder(images)
     names, denoms = s.roster.names, s.roster.denoms
@@ -611,9 +630,9 @@ def substitute(s: PuiseuxSeries,
     add = operator.add
     parts = []
     res_order = order
-    # every power of y_i is a multiple of the gcd of its exponents in s
-    steps = [Fraction(math.gcd(*(e[i] for e in s.num)), d)
-             for i, d in enumerate(denoms)]
+    steps = [math.gcd(*(e[i] for e in s.num)) for i in range(len(names))]
+    ratios = [ladder.align(name, Fraction(g, d)) if g else 0
+              for name, g, d in zip(names, steps, denoms)]
 
     for e, n in s.num.items():
         # Monomial images are exact; collect them into a single exponent
@@ -621,33 +640,32 @@ def substitute(s: PuiseuxSeries,
         # that a negative-weight monomial cannot push otherwise-retained
         # terms past the truncation bound mid-product.
         shift_e = (0,) * nt
-        coef = Fraction(n, s.den)
+        cn, cd = n, s.den
         factors: list[PuiseuxSeries] = []
         for i, x in enumerate(e):
             if not x:
                 continue
-            img = imgs[i]
-            p = Fraction(x, denoms[i])
-            if len(img.num) == 1:
-                ((ie, ic),) = img.num.items()
-                coef *= _rational_root(Fraction(ic, img.den), p)
-                shift_e = tuple(map(add, shift_e, _power_of(ie, p)))
+            power = ladder.rung(names[i], x // steps[i] * ratios[i])
+            if isinstance(power, tuple):     # a monomial image
+                a, b, pe = power
+                cn, cd = cn * a, cd * b
+                shift_e = tuple(map(add, shift_e, pe))
             else:
-                factors.append(ladder.power(names[i], p, steps[i]))
+                factors.append(power)
         if factors:
             term = factors[0]
             for f in factors[1:]:
                 term = term * f
-            # the shift's weight is linear in its exponents, so it is the
-            # weight of the summed exponent vector
-            shift_w = Fraction(tgt.weight(shift_e), tgt.lcm)
-            res_order = min(res_order, term.order + shift_w)
-            num = term.num
+            num, term_order = term.num, term.order
             if any(shift_e):
+                # the shift's weight is linear in its exponents, so it is
+                # the weight of the summed exponent vector
+                term_order += Fraction(tgt.weight(shift_e), tgt.lcm)
                 num = {tuple(map(add, te, shift_e)): tn for te, tn in num.items()}
-            parts.append((num, term.den * coef.denominator, coef.numerator))
+            res_order = min(res_order, term_order)
+            parts.append((num, term.den * cd, cn))
         else:
-            parts.append(({shift_e: coef.numerator}, coef.denominator, 1))
+            parts.append(({shift_e: cn}, cd, 1))
     return _collect(tgt, res_order, parts)
 
 

@@ -160,6 +160,35 @@ def test_open_gw_p112(capsys):
     assert hit and hit[0]["invariant"] == "-1/4"
 
 
+@pytest.mark.parametrize("fan,order,ray,reached", [
+    (F2, 1, 1, "-2"), (F2, 2, 1, "-1"),
+    (KP3, 1, 2, "-3"), (KP3, 2, 2, "-2"), (KP3, 3, 2, "-1"),
+    (P112, 1, 3, "1/2"), (P113, 1, 4, "2/3"), (P114, 1, 5, "3/4"),
+])
+def test_open_gw_below_the_basic_term_exits_1(fan, order, ray, reached, capsys):
+    # the basic term (1 on a ray, tau_j on an extended ray) lies above the
+    # order that ray's generating series reaches, so it is unknown, not 0
+    assert main(["open-gw", fan, "--order", str(order)]) == 1
+    assert (f"error: basic coefficient for ray {ray} is unknown at the "
+            f"requested order {order}: its series reaches only O({reached})"
+            in capsys.readouterr().err)
+
+
+# sha256 of the JSON output at the lowest order that gives invariants,
+# as computed before the basic term was compared with the order
+@pytest.mark.parametrize("fan,order,digest", [
+    (F2, 3, "a2f4c6c9003d0e6f"), (KP3, 4, "2acbfdd688f93b21"),
+    (P112, 2, "5052ff41e2d1bf0f"), (P113, 2, "6f5cc6cfb3f40950"),
+    (P114, 2, "f0ec2f1f78661815"),
+])
+def test_open_gw_at_the_lowest_working_order_is_unchanged(fan, order, digest,
+                                                         capsys):
+    code, out = run(capsys, "open-gw", fan, "--order", str(order),
+                    "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("fan,index,infinity", [
     (P112, 2, ["0", "-1"]),
     (P113, 3, ["0", "0", "-1"]),

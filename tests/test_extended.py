@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from orbimirror.exact import coordinates, integer_solve, snf_kernel_basis
@@ -207,40 +207,50 @@ def test_lattice_not_generated():
         build_extended(fan)
 
 
+def _rational(ext, el):
+    """delta, the pairings and the weight of a class as Fractions: the
+    enumeration keeps them as integer numerators over ext.den."""
+    L = ext.den
+    return (tuple(F(x, L) for x in el.delta),
+            tuple(F(p, L) for p in el.pairings), F(el.weight, L))
+
+
 def test_keff_p2():
     ext = build_extended(p2_fan())
     els = keff_enumerate(ext, 3)
-    deltas = sorted(el.delta for el in els)
+    deltas = sorted(_rational(ext, el)[0] for el in els)
     assert deltas == [(F(0),), (F(1),), (F(2),), (F(3),)]
     for el in els:
-        assert el.pairings == (el.delta[0],) * 3
-        assert el.zweight == 3 * el.delta[0]
+        delta, pairings, _ = _rational(ext, el)
+        assert pairings == (delta[0],) * 3
+        assert el.zweight == 3 * delta[0]
         assert el.nu == (0, 0)
 
 
 def test_keff_p112_twisted_sectors():
     ext = build_extended(wpn_fan(2))
     els = keff_enumerate(ext, 2)
-    by_delta = {el.delta: el for el in els}
+    by_delta = {_rational(ext, el)[0]: el for el in els}
     # the half-integer directions carry the twisted sector
     half = by_delta[(F(1, 2), F(0))]
     assert half.nu == (0, 1)
-    assert half.weight == F(1, 2)
+    assert _rational(ext, half)[2] == F(1, 2)
     assert by_delta[(F(-1, 2), F(1))].nu == (0, 1)
     # integer points are untwisted
     assert by_delta[(F(0), F(1))].nu == (0, 0)
     assert by_delta[(F(1), F(0))].nu == (0, 0)
     # weights never exceed the bound and delta determines the pairings
     for el in els:
-        assert el.weight <= 2
-        assert el.pairings == tuple(ext.pairing(j, el.delta)
-                                    for j in range(ext.m_prime))
+        delta, pairings, weight = _rational(ext, el)
+        assert weight <= 2
+        assert pairings == tuple(ext.pairing(j, delta)
+                                 for j in range(ext.m_prime))
 
 
 def test_keff_football_fractional():
     ext = build_extended(p1_orbifold(3, 5))
     els = keff_enumerate(ext, 1)
-    weights = {el.weight for el in els}
+    weights = {_rational(ext, el)[2] for el in els}
     # both orbifold points contribute fractional directions
     assert any(w.denominator == 3 for w in weights)
     assert any(w.denominator == 5 for w in weights)
@@ -296,19 +306,17 @@ def test_keff_prune_is_the_full_set_cut_at_c_2(make, bounds):
     for bound in bounds:
         full = keff_enumerate(ext, bound)
         assert keff_enumerate(ext, bound, 2) == \
-            [el for el in full if sum(el.pairings) <= 2]
+            [el for el in full if sum(_rational(ext, el)[1]) <= 2]
         dens = [1] * ext.r_prime
         for el in full:
-            dens = [math.lcm(d, x.denominator) for d, x in zip(dens, el.delta)]
+            dens = [math.lcm(d, x.denominator)
+                    for d, x in zip(dens, _rational(ext, el)[0])]
         assert _chart_roster(ext, F(bound)).denoms == tuple(dens)
 
 
-@pytest.mark.parametrize("make,bounds", [c[1:] for c in _PRUNE_CASES],
-                         ids=[c[0] for c in _PRUNE_CASES])
-def test_keff_and_unit_invariants(make, bounds):
-    # every field the enumeration computes in integers, recomputed here
-    # in Fractions from the class's delta
-    ext = build_extended(make())
+def _assert_keff_and_units(ext, bound):
+    """Every field the enumeration computes in integers, recomputed in
+    Fractions from the class's delta, and the units of every cone."""
     vectors = ext.all_vectors()
     n = ext.dim
 
@@ -317,10 +325,11 @@ def test_keff_and_unit_invariants(make, bounds):
                      for i in range(n))
 
     _assert_extended_form(ext)
-    for el in keff_enumerate(ext, max(bounds)):
-        pairings = tuple(ext.pairing(j, el.delta) for j in range(ext.m_prime))
-        assert el.pairings == pairings
-        assert el.weight == sum(el.delta)
+    for el in keff_enumerate(ext, bound):
+        delta, el_pairings, weight = _rational(ext, el)
+        pairings = tuple(ext.pairing(j, delta) for j in range(ext.m_prime))
+        assert el_pairings == pairings
+        assert weight == sum(delta)
         assert el.zweight == sum(math.ceil(p) for p in pairings)
         assert el.nu == combo([-p - math.floor(-p) for p in pairings])
     for sigma, units in zip(ext.fan.max_cones, ext.cone_units):
@@ -332,6 +341,30 @@ def test_keff_and_unit_invariants(make, bounds):
                                        for k in range(ext.m_prime))
             assert combo(u.pairings) == (0,) * n
             assert (u.weight, u.c) == (sum(u.delta), sum(u.pairings))
+
+
+@pytest.mark.parametrize("make,bounds", [c[1:] for c in _PRUNE_CASES],
+                         ids=[c[0] for c in _PRUNE_CASES])
+def test_keff_and_unit_invariants(make, bounds):
+    _assert_keff_and_units(build_extended(make()), max(bounds))
+
+
+# about one fan in four builds; the others are rejected by assume
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(complete_fan_rays(max_rays=4))
+def test_keff_and_unit_invariants_on_random_fans(rays):
+    k = len(rays)
+    fan = StackyFan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
+    try:
+        ext = build_extended(fan)
+        units = [u for us in ext.cone_units for u in us]
+    except (BasisShapeInfeasibleError, EnumerationUnboundedError,
+            LatticeNotGeneratedError):
+        assume(False)
+    # K_eff grows like (bound / least unit weight)^r', so the bound is
+    # twice the least unit weight, which keeps the enumeration small
+    _assert_keff_and_units(ext, 2 * min(u.weight for u in units))
 
 
 # sha256 of repr(ext.cone_units) of each bundled fan, as computed when the
@@ -378,5 +411,5 @@ def test_non_fano_hirzebruch_units_take_the_fallback(k, c, delta):
     one_cone.__dict__["cone_units"] = (tuple(sorted(units, key=lambda u: -u.c)),)
     pruned = keff_enumerate(one_cone, 6, 2)
     assert pruned == [el for el in keff_enumerate(one_cone, 6)
-                      if sum(el.pairings) <= 2]
-    assert tuple(map(F, delta)) in {el.delta for el in pruned}
+                      if sum(_rational(one_cone, el)[1]) <= 2]
+    assert tuple(map(F, delta)) in {_rational(one_cone, el)[0] for el in pruned}

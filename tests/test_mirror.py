@@ -71,7 +71,7 @@ def test_check_normalization_rejects_each_broken_rule(old, new, message):
     ext, iseries = _p114_i_function()
     assert check_normalization(iseries) == (True, [])
     if new is None:
-        iseries.coeffs[old] = {(F(0), F(0)): F(2)}
+        iseries.coeffs[old] = {(0, 0): F(2)}
     else:
         iseries.coeffs[new] = iseries.coeffs.pop(old)
     assert check_normalization(iseries) == (False, [message])
@@ -112,7 +112,8 @@ def _oracle_product(ext, kel):
         return {k: v for k, v in out.items() if v}
 
     prod = {(0, zero): F(1)}
-    for j, p in enumerate(kel.pairings):
+    for j, P in enumerate(kel.pairings):
+        p = F(P, ext.den)
         dbar = {}
         if j < ext.m:
             for a in range(r):
@@ -200,11 +201,15 @@ def _gamma_ratio_reference(p, n):
 @example([(-1, 2), (-5, 6), (0, 3)], 3)           # (-1, 0]: trivial
 @example([(7, 3), (-7, 3), (1, 1), (-1, 1)], 5)  # both directions, n = 5
 def test_pairing_factor_matches_gamma_ratio_product(pairs, n):
-    # one cache across the draws, so later pairings reuse earlier chains
-    cache = {}
+    # p = a/b is the numerator a over L = b. A cache is keyed by the
+    # numerator within one L, so the draws share one cache per L, and
+    # later pairings reuse earlier chains
+    caches = {}
     for a, b in pairs:
         p = F(a, b)
-        assert _pairing_factor(p, n, cache) == _gamma_ratio_reference(p, n), p
+        N, D = _pairing_factor(a, b, n, caches.setdefault(b, {}))
+        assert tuple(F(x, D) for x in N) == _gamma_ratio_reference(p, n), p
+        assert D > 0 and math.gcd(D, *N) == 1, p
 
 
 def test_i_function_rejects_a_vanishing_factor_on_an_extended_index(monkeypatch):
@@ -213,7 +218,7 @@ def test_i_function_rejects_a_vanishing_factor_on_an_extended_index(monkeypatch)
     ext = build_extended(wpn_fan(2))
     zero = next(k for k in keff_enumerate(ext, 4) if not any(k.pairings))
     pairings = list(zero.pairings)
-    pairings[ext.m] = F(-1)
+    pairings[ext.m] = -ext.den
     bad = dataclasses.replace(zero, pairings=tuple(pairings))
     monkeypatch.setattr(orbimirror.mirror, "keff_enumerate", lambda *args: [bad])
     with pytest.raises(AssertionError, match="vanishing factor on an extended index"):

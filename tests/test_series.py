@@ -755,6 +755,62 @@ def test_substitute_matches_fraction_reference(data, draws):
     assert got.terms == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(big_series(), st.data())
+def test_substitute_monomial_images_matches_fraction_reference(data, draws):
+    # single-term images c_i y^(d_i v_i) with c_i = r_i^(d_i), substituted
+    # for source variables of denominators d_i at rational and negative
+    # exponents x/d_i: the power is r_i^x y^(x v_i), exactly
+    tgt, order, _ = data
+    denoms = tgt.denoms
+    src_denoms = draws.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=2,
+                                     max_size=2))
+    src = make_roster(["a", "b"], src_denoms)
+    vecs, roots, images = [], [], {}
+    for name, d in zip(src.names, src_denoms):
+        v = draws.draw(st.tuples(*[st.integers(-3, 3)] * len(denoms)))
+        r = draws.draw(st.sampled_from([F(2), F(3, 5), F(7, 2), F(1, 10007)]))
+        if d == 1 and draws.draw(st.booleans()):
+            r = -r
+        vecs.append(v)
+        roots.append(r)
+        images[name] = PuiseuxSeries(tgt, 30, {tuple(d * x for x in v): r ** d})
+    sterms = draws.draw(st.dictionaries(st.tuples(*[st.integers(-4, 4)] * 2),
+                                        big_coef, max_size=5))
+    s = PuiseuxSeries(src, 20, sterms)
+    got = substitute(s, images, order)
+    assert_canonical(got)
+    assert got.order == order
+    want = {}
+    for xs, c in s.terms.items():
+        e = tuple(sum(x * v[k] for x, v in zip(xs, vecs)) for k in range(len(denoms)))
+        mono = {e: c * roots[0] ** xs[0] * roots[1] ** xs[1]}
+        want = ref_add(want, mono, denoms, order)
+    assert got.terms == want
+
+
+def test_shared_ladder_serves_euler_derivatives_and_off_step_powers():
+    # one ladder for a series h and its Euler derivatives y_c d/dy_c h at
+    # two orders; g asks y1 for a half-integer power off the ladder's
+    # integer step, which rebuilds the rungs of y1 on the step 1/2 that
+    # the later requests then read. y2 is a monomial image with a
+    # coefficient other than 1, raised to rational and negative powers
+    ry = make_roster(["y1", "y2"], [2, 2])
+    rq = make_roster(["q", "u"], [2, 1], [False, True])
+    images = {"y1": PuiseuxSeries(rq, 8, {(4, 0): F(4), (6, 1): F(-1, 3),
+                                          (8, 0): F(1, 5)}),
+              "y2": PuiseuxSeries(rq, 8, {(2, 0): F(9, 4)})}
+    h = PuiseuxSeries(ry, 8, {(2, 1): F(1), (4, -2): F(1, 3), (-2, 3): F(5, 7),
+                              (2, 0): F(2)})
+    g = PuiseuxSeries(ry, 8, {(3, 1): F(1), (1, 0): F(-2, 9)})
+    derivatives = [series._euler(h, c) for c in range(2)]
+    ladder = PowerLadder(images)
+    for order in (5, 3):
+        for x in [h, *derivatives, g, h, *derivatives]:
+            assert substitute(x, ladder, order) == substitute(x, images, order)
+    assert ladder._steps["y1"] == F(1, 2)
+
+
 def test_canonical_form_is_one_per_value():
     r = make_roster(["q", "u"], [2, 1], [False, True])
     e1, e2 = (1, 0), (2, 1)
