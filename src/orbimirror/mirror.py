@@ -6,13 +6,13 @@ in the divisor classes pbar_1..pbar_r, truncated at degree n
 homogeneous of degree D_delta = -sum_j ceil <D_j, delta> in (z, pbar),
 so it is computed as one polynomial P_delta in pbar, an exact series of
 the `series` kernel, and the z-power of each term follows from its
-pbar-degree. Nothing reads below z^-2 (the mirror map reads 1/z, the
-open-closed bridge 1/z^2), so P_delta is only computed for the classes
-with D_delta >= -2, and only to the pbar-degree min(n, D_delta + 2)
-that reaches z^-2. Since -D_delta = sum_j ceil <D_j, delta> >= c(delta)
-= sum_j <D_j, delta>, those classes have c(delta) <= 2, and only the
-classes with c(delta) <= 2 are enumerated. Each term is filed under its
-sector, z-power and pbar-monomial (`ISeries`); a reader takes one key whole.
+pbar-degree. The mirror map reads nothing below 1/z, so P_delta is
+only computed for the classes with D_delta >= -1, and only to the
+pbar-degree min(n, D_delta + 1) that reaches 1/z. Since -D_delta =
+sum_j ceil <D_j, delta> >= c(delta) = sum_j <D_j, delta>, only the
+classes with c(delta) <= 1 are enumerated. Each term is filed under its
+sector, z-power and pbar-monomial (`ISeries`); a reader takes one key
+whole. `closed_h0_z2` computes the one 1/z^2 key the bridge reads.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class NotGorensteinError(ValueError):
 
 class NotFanoError(ValueError):
     pass
-
-
-# lowest z-power any reader of the I-function asks for (closed_h0_z2)
-_ZMIN = -2
 
 
 def _pairing_factor(P: int, L: int, n: int, cache: dict) -> tuple[tuple[int, ...], int]:
@@ -90,8 +86,7 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
                    dbar_pows: Sequence[Sequence[PuiseuxSeries]],
                    factors: dict, polys: dict) -> dict[tuple[int, ...], Fraction]:
     """P_delta, the class-delta coefficient of the I-function at z = 1,
-    up to the pbar-degree t = min(n, D_delta - _ZMIN) that reaches
-    z^_ZMIN.
+    up to the pbar-degree t = min(n, D_delta + 1) that reaches 1/z.
 
     Each factor (Dbar_j + c z) has degree 1 in (z, pbar), so the
     coefficient is z^{D_delta} P_delta(pbar/z) with D_delta the number
@@ -108,7 +103,7 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
     the other factors sum past t. `dbar_pows[j][i]` is Dbar_j^i.
     """
     n, L = ext.dim, ext.den
-    t = min(n, -kel.zweight - _ZMIN)
+    t = min(n, 1 - kel.zweight)
     roster = dbar_pows[0][0].roster
     num, den, low = 1, 1, 0
     product = []
@@ -161,7 +156,7 @@ class ISeries:
     `coeffs[(nu, zexp, pexp)][delta]` is the coefficient of z^zexp
     pbar^pexp in the class-delta coefficient z^{D_delta} P_delta(pbar/z),
     for the classes delta of K_eff in twisted sector nu (0 if untwisted),
-    so zexp = D_delta - |pexp| >= _ZMIN; a missing key or class reads 0.
+    so zexp = D_delta - |pexp| >= -1; a missing key or class reads 0.
     Each delta is a `KEffElement.delta`, numerators over L = `ext.den`.
     `series` turns one key into sum_delta c_delta y^delta over `roster`,
     the chart roster: it scales delta_a by d_a/L, which must be exact.
@@ -194,9 +189,9 @@ def i_function(ext: ExtendedFanData, order) -> ISeries:
             pows.append(pows[-1] * dbar)
         dbar_pows.append(pows)
     coeffs, factors, polys = {}, {}, {}
-    for kel in keff_enumerate(ext, order, -_ZMIN):
+    for kel in keff_enumerate(ext, order, 1):
         degree = -kel.zweight            # D_delta
-        if degree >= _ZMIN:
+        if degree >= -1:
             for pexp, c in _i_coefficient(ext, kel, dbar_pows, factors, polys).items():
                 key = (kel.nu, degree - sum(pexp), pexp)
                 coeffs.setdefault(key, {})[kel.delta] = c
@@ -229,7 +224,6 @@ def check_normalization(iseries: ISeries) -> tuple[bool, list[str]]:
 
 @dataclass
 class MirrorMap:
-    ext: ExtendedFanData
     order: Fraction
     y_roster: Roster
     q_names: tuple[str, ...]
@@ -244,11 +238,9 @@ class MirrorMap:
                                self.q_denoms, self.order)
 
 
-def mirror_map(ext: ExtendedFanData, order,
-               iseries: Optional[ISeries] = None) -> MirrorMap:
+def mirror_map(ext: ExtendedFanData, order) -> MirrorMap:
     order = Fraction(order)
-    if iseries is None or iseries.order < order:
-        iseries = i_function(ext, order)
+    iseries = i_function(ext, order)
     ok, errors = check_normalization(iseries)
     if not ok:
         raise MirrorShapeViolation("; ".join(errors))
@@ -260,7 +252,7 @@ def mirror_map(ext: ExtendedFanData, order,
     B = [iseries.series(el.nu, -1, zero_p, order) for el in ext.extra]
     q_names = tuple(f"q{a + 1}" for a in range(r))
     tau_names = tuple(f"tau{r + b + 1}" for b in range(rp - r))
-    return MirrorMap(ext, order, iseries.roster, q_names, tau_names,
+    return MirrorMap(order, iseries.roster, q_names, tau_names,
                      iseries.roster.denoms[:r], A, B)
 
 
@@ -326,11 +318,10 @@ class LFResult:
     status: str
 
 
-def lf_superpotential(ext: ExtendedFanData, order=10,
-                      iseries: Optional[ISeries] = None) -> LFResult:
+def lf_superpotential(ext: ExtendedFanData, order=10) -> LFResult:
     """W^LF: the Hori-Vafa coefficients evaluated on the inverse mirror map."""
     order = Fraction(order)
-    mm = mirror_map(ext, order, iseries)
+    mm = mirror_map(ext, order)
     Y = mm.inverse()
     hv = hori_vafa(ext, order=order)
     # align the HV chart roster (possibly finer denominators) with the
@@ -414,13 +405,19 @@ class BridgeReport:
     match: Optional[bool]
 
 
-def closed_h0_z2(ext: ExtendedFanData, order,
-                 iseries: Optional[ISeries] = None) -> PuiseuxSeries:
-    """H^0 part of the 1/z^2 coefficient of the I-function, as a y-series."""
+def closed_h0_z2(ext: ExtendedFanData, order) -> PuiseuxSeries:
+    """H^0 part of the 1/z^2 coefficient of the I-function, as a y-series:
+    the sum over the untwisted classes delta with D_delta = -2 (so
+    c(delta) <= 2) of P_delta at pbar-degree 0, the product of the c_0
+    of their pairing factors (`_pairing_factor` at n = 0)."""
     order = Fraction(order)
-    if iseries is None:
-        iseries = i_function(ext, order)
-    return iseries.series((0,) * ext.dim, -2, (0,) * ext.r, order)
+    classes, factors = {}, {}
+    for kel in keff_enumerate(ext, order, 2):
+        if kel.zweight == 2 and not any(kel.nu):
+            c0 = [_pairing_factor(P, ext.den, 0, factors) for P in kel.pairings if P]
+            classes[kel.delta] = math.prod(Fraction(N[0], D) for N, D in c0)
+    key = ((0,) * ext.dim, -2, (0,) * ext.r)
+    return ISeries(ext, order, _chart_roster(ext, order), {key: classes}).series(*key, order)
 
 
 def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeReport:
@@ -433,8 +430,7 @@ def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeRepor
     box = fan.box
     xbar = star_subdivide_xbar(fan, beta)
     ext_bar = build_extended(xbar.fan)
-    iseries = i_function(ext_bar, order)
-    closed = closed_h0_z2(ext_bar, order, iseries)
+    closed = closed_h0_z2(ext_bar, order)
     statement = ("n_{1,l,beta} equals the (l+1)-point closed invariant of "
                  "beta-bar = beta + beta_infinity on X-bar; " + xbar.beta_bar_note)
     if xbar.fan != fan:
@@ -458,7 +454,7 @@ def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeRepor
     delta = coordinates(ext.basis, w)
     if delta is None:
         raise MirrorShapeViolation("beta-bar is not a curve class")
-    lf = lf_superpotential(ext, order, iseries=iseries)
+    lf = lf_superpotential(ext, order)
     table = extract_open_gw(lf, ext)
     if any(beta.ray_mult):
         jopen = beta.ray_mult.index(1)

@@ -288,18 +288,25 @@ class PuiseuxSeries:
         return _make(self.roster, self.order, {e: n * a for e, n in self.num.items()},
                      self.den * k.denominator)
 
-    def _product(self, other: "PuiseuxSeries", order) -> "PuiseuxSeries":
-        """self * other kept up to weight `order`, which the caller
-        vouches the product is known to."""
+    def _weighed(self) -> list[tuple[int, tuple[int, ...], int]]:
+        """(integer weight, scaled exponents, numerator) of each term."""
         weight = self.roster.weight
+        return [(weight(e), e, n) for e, n in self.num.items()]
+
+    def _product(self, other: "PuiseuxSeries", order,
+                 left=None, right=None) -> "PuiseuxSeries":
+        """self * other kept up to weight `order`, which the caller
+        vouches the product is known to. `left` and `right` are
+        self._weighed() and other._weighed() if the caller has them."""
+        if left is None:
+            left, right = self._weighed(), other._weighed()
+        right.sort(key=operator.itemgetter(0))
         cap = self.roster.cap(order)
-        right = sorted(((weight(e2), e2, n2) for e2, n2 in other.num.items()),
-                       key=operator.itemgetter(0))
         add = operator.add
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for e1, n1 in self.num.items():
-            room = cap - weight(e1)
+        for w1, e1, n1 in left:
+            room = cap - w1
             for w2, e2, n2 in right:
                 if w2 > room:
                     break
@@ -313,12 +320,12 @@ class PuiseuxSeries:
         order = self._check(other)
         # (a + O(o1)) (b + O(o2)) is known to min(o1 + v(b), o2 + v(a)),
         # so a factor of negative valuation lowers the order
-        weight, lcm = self.roster.weight, self.roster.lcm
-        for s, t in ((self, other), (other, self)):
-            v = min(map(weight, t.num), default=0)
+        left, right = self._weighed(), other._weighed()
+        for s, t in ((self, right), (other, left)):
+            v = min((w for w, _, _ in t), default=0)
             if v < 0:
-                order = min(order, s.order + Fraction(v, lcm))
-        return self._product(other, order)
+                order = min(order, s.order + Fraction(v, self.roster.lcm))
+        return self._product(other, order, left, right)
 
     __rmul__ = __mul__
 
@@ -602,10 +609,6 @@ class PowerLadder:
                 j += 1
                 rungs[sign * j] = prev._product(base, prev.order + v)
         return rungs[k]
-
-    def power(self, name: str, p: Fraction, step: Fraction) -> PuiseuxSeries:
-        """images[name]**p, not a monomial, for p a multiple of `step`."""
-        return self.rung(name, int(p / step) * self.align(name, step))
 
 
 def substitute(s: PuiseuxSeries,

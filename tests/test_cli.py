@@ -422,6 +422,55 @@ def test_exact_output_matches_recorded_digest(key, tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED[key]
 
 
+# sha256 of the canonical JSON of the two outputs read from the 1/z
+# coefficient of the I-function, at --order 6 on every bundled fan where
+# they exit 0 (superpotential exits 1 on p1_3_5), as computed when the
+# I-function was also built down to 1/z^2
+I_FUNCTION_READERS = {
+    "mirror-map f2 --order 6":
+        "c6c37257964a1ee96c1ff052177a6ff5e8af63629d7f50d9ae2b78de8f89fc3e",
+    "mirror-map kp3 --order 6":
+        "24accfff717333576ed3670b56eae16376244d06ad31cb1dc00d30874eeb383c",
+    "mirror-map p1 --order 6":
+        "bfafbbaaa1600cff9ab1935277defd7376a06d35e8357044a4ae44e16a1c7c56",
+    "mirror-map p112 --order 6":
+        "8a73b4147e292a77d113a2aa21da96ce39e51dabca40d5c9dd51de44d9b258c1",
+    "mirror-map p113 --order 6":
+        "a7ebe5356d300a6b40b2773afa3d3123e0f30781667c8c8f843daae7d3aeb16b",
+    "mirror-map p114 --order 6":
+        "288634408f95c6b0bf71a8b2187878d3e8270f24c9cb3c2969fec94de6b5f24a",
+    "mirror-map p1_3_5 --order 6":
+        "c37c6215410cf11cfbf884763911ec942a2a1b5459c2fe6f5c3bba1224ec16a9",
+    "mirror-map p2 --order 6":
+        "bfafbbaaa1600cff9ab1935277defd7376a06d35e8357044a4ae44e16a1c7c56",
+    "superpotential f2 --order 6":
+        "d45ff79a891120652f23a7f964636df68e55d103cda1a53703e04a4edcaf3dc0",
+    "superpotential kp3 --order 6":
+        "ff002b4e7308752585ab9d64764e7df0e376fdc5267e1cb1ddd0db96c157561f",
+    "superpotential p1 --order 6":
+        "fe0c939bd47ccc171e9d1755395f6b96509b10b5a6d117fc25acc132d7ec4cc6",
+    "superpotential p112 --order 6":
+        "28634c27e4eb71fcfe74e5a330f40f5a2629aa72cf413a6f15422528cfcffb84",
+    "superpotential p113 --order 6":
+        "dc48851e4ac886a7e8b045dff4649a0f9d8853ee3c8af77f79ed5a222d90df94",
+    "superpotential p114 --order 6":
+        "0a33ff9952609a204cf8fd0cb4550094455f17c0c75b2947f757cc12f6a52f68",
+    "superpotential p2 --order 6":
+        "c48e0696e385c856fdf75c4c23745d178f2c8009aeddcf18819b1e7e6d1b1a7e",
+}
+
+
+@pytest.mark.parametrize("key", sorted(I_FUNCTION_READERS))
+def test_i_function_reader_matches_recorded_digest(key, tmp_path, capsys):
+    cmd, fan, *rest = key.split()
+    out = tmp_path / "out.json"
+    assert main([cmd, str(FANS / f"{fan}.json"), *rest, "--format", "json",
+                 "--out", str(out)]) == 0
+    text = json.dumps(json.loads(out.read_text()), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == I_FUNCTION_READERS[key]
+
+
 # sha256 of the text and CSV tables of box, check and open-gw, whose
 # rows are read from the records of the JSON payload
 TABLES = {

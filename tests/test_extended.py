@@ -22,7 +22,7 @@ from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
 from orbimirror.fan import (InvalidFanError, StackyFan, fan_from_json,
                             wall_curve_classes)
-from orbimirror.mirror import _chart_roster
+from orbimirror.mirror import _chart_roster, i_function
 from strategies import complete_fan_rays
 
 
@@ -312,6 +312,42 @@ def test_keff_prune_is_the_full_set_cut_at_c_2(make, bounds):
             dens = [math.lcm(d, x.denominator)
                     for d, x in zip(dens, _rational(ext, el)[0])]
         assert _chart_roster(ext, F(bound)).denoms == tuple(dens)
+
+
+def _assert_i_function_pruning_is_exact(ext, bound):
+    # -D_delta = sum_j ceil <D_j, delta> >= c(delta), so every class with
+    # D_delta >= -1, all that the I-function keeps, has c(delta) <= 1 and
+    # survives the enumeration cut at c = 1
+    L = ext.den
+    full = keff_enumerate(ext, bound)
+    assert all(sum(el.pairings) <= L for el in full if el.zweight <= 1)
+    assert keff_enumerate(ext, bound, 1) == [el for el in full
+                                             if sum(el.pairings) <= L]
+    assert min(z for _, z, _ in i_function(ext, bound).coeffs) >= -1
+
+
+# the football's full K_eff grows fastest, so it gets the lower bound
+@pytest.mark.parametrize("name,bound", [
+    ("f2", 4), ("kp3", 4), ("p1", 4), ("p112", 4), ("p113", 4), ("p114", 4),
+    ("p1_3_5", 2), ("p2", 4)])
+def test_i_function_pruning_is_exact_on_bundled_fans(name, bound):
+    _assert_i_function_pruning_is_exact(build_extended(_bundled(name)), bound)
+
+
+# about one fan in four builds; the others are rejected by assume
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(complete_fan_rays(max_rays=4))
+def test_i_function_pruning_is_exact_on_random_fans(rays):
+    k = len(rays)
+    fan = StackyFan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
+    try:
+        ext = build_extended(fan)
+        units = [u for us in ext.cone_units for u in us]
+    except (BasisShapeInfeasibleError, EnumerationUnboundedError,
+            LatticeNotGeneratedError):
+        assume(False)
+    _assert_i_function_pruning_is_exact(ext, 2 * min(u.weight for u in units))
 
 
 def _assert_keff_and_units(ext, bound):

@@ -21,7 +21,7 @@ from orbimirror.fan import (basic_box_class, basic_ray_class, compute_box,
                             fan_from_json)
 from orbimirror.mirror import (MirrorShapeViolation, NotFanoError,
                                NotGorensteinError, _pairing_factor,
-                               check_normalization,
+                               check_normalization, closed_h0_z2,
                                extract_open_gw, hori_vafa, i_function,
                                lf_superpotential, mirror_map,
                                open_closed_bridge)
@@ -50,9 +50,9 @@ def _p114_i_function():
     return ext, i_function(ext, 4)
 
 
-# each case moves one key of the real P(1,1,1,1,4) I-function to a key
-# that breaks one normalization rule; with new = None the constant key
-# stays and holds 2 at delta = 0 in place of 1
+# each case copies the terms of one key of the real P(1,1,1,1,4)
+# I-function to a new key that breaks one normalization rule; with
+# new = None the constant key holds 2 at delta = 0 in place of 1
 @pytest.mark.parametrize("old,new,message", [
     ((NU1, -1, (0,)), (NU1, 1, (0,)),
      "positive z-power 1 in sector (0, 0, 0, 1) at pbar^(0,)"),
@@ -60,31 +60,34 @@ def _p114_i_function():
      "unexpected z^0 term in sector (0, 0, 0, 2) at pbar^(0,)"),
     ((NU0, 0, (0,)), None,
      "unexpected z^0 term in sector (0, 0, 0, 0) at pbar^(0,)"),
-    ((NU0, -2, (0,)), (NU0, -1, (2,)),
+    ((NU1, -1, (0,)), (NU0, -1, (2,)),
      "1/z term of pbar-degree 2 at pbar^(2,)"),
-    ((NU2, -2, (0,)), (NU2, -1, (0,)),
+    ((NU1, -1, (0,)), (NU2, -1, (0,)),
      "1/z term outside H^2_orb in sector (0, 0, 0, 2) at pbar^(0,)"),
-    ((NU1, -2, (1,)), (NU1, -1, (1,)),
+    ((NU1, -1, (0,)), (NU1, -1, (1,)),
      "1/z term outside H^2_orb in sector (0, 0, 0, 1) at pbar^(1,)"),
 ])
-def test_check_normalization_rejects_each_broken_rule(old, new, message):
+def test_check_normalization_rejects_each_broken_rule(old, new, message,
+                                                      monkeypatch):
     ext, iseries = _p114_i_function()
     assert check_normalization(iseries) == (True, [])
     if new is None:
         iseries.coeffs[old] = {(0, 0): F(2)}
     else:
-        iseries.coeffs[new] = iseries.coeffs.pop(old)
+        assert new not in iseries.coeffs
+        iseries.coeffs[new] = dict(iseries.coeffs[old])
     assert check_normalization(iseries) == (False, [message])
+    monkeypatch.setattr(orbimirror.mirror, "i_function", lambda *args: iseries)
     with pytest.raises(MirrorShapeViolation, match=re.escape(message)):
-        mirror_map(ext, 4, iseries)
+        mirror_map(ext, 4)
 
 
 def test_check_normalization_admits_the_a_and_b_keys():
     # an untwisted 1/z key of pbar-degree 1 (an A_a) and a twisted one in
     # an age-1 sector without pbar (a B_b) are both in H^2_orb
     _, iseries = _p114_i_function()
-    iseries.coeffs[(NU0, -1, (1,))] = iseries.coeffs.pop((NU0, -2, (0,)))
-    assert (NU1, -1, (0,)) in iseries.coeffs
+    assert (NU0, -1, (1,)) not in iseries.coeffs
+    iseries.coeffs[(NU0, -1, (1,))] = dict(iseries.coeffs[(NU1, -1, (0,))])
     assert check_normalization(iseries) == (True, [])
 
 
@@ -151,20 +154,28 @@ def _oracle_product(ext, kel):
 def test_i_function_matches_product_oracle(fan, order):
     ext = build_extended(fan)
     iseries = i_function(ext, order)
+    closed = closed_h0_z2(ext, order)
     n, r = ext.dim, ext.r
     monomials = [pe for pe in itertools.product(range(n + 1), repeat=r)
                  if sum(pe) <= n]
-    # the full K_eff, so the classes the enumeration prunes at c > 2 are
-    # checked to read 0 as well
+    # the full K_eff, so the classes the enumeration prunes at c > 1
+    # (c > 2 for closed_h0_z2) are checked to read 0 as well
     elements = keff_enumerate(ext, order)
     stored = {delta for terms in iseries.coeffs.values() for delta in terms}
     assert len(stored) < len(elements)  # some classes skipped
+    closed_terms = 0
     for kel in elements:
         want = _oracle_product(ext, kel)
-        for z in (1, 0, -1, -2):
+        for z in (1, 0, -1):
             for pe in monomials:
                 got = iseries.coeffs.get((kel.nu, z, pe), {}).get(kel.delta, 0)
                 assert got == want.get((z, pe), 0), (kel.delta, z, pe)
+        if not any(kel.nu):
+            h0 = want.get((-2, (0,) * r), 0)
+            y = {f"y{a + 1}": F(x, ext.den) for a, x in enumerate(kel.delta)}
+            assert closed.coefficient(y) == h0, kel.delta
+            closed_terms += bool(h0)
+    assert len(closed.terms) == closed_terms
 
 
 def _series_mul(x, y, deg):

@@ -342,7 +342,7 @@ def test_power_ladder_matches_series_pow():
     ladder = PowerLadder({"y": Y})
     for p in [F(1), F(3), F(-2), F(7, 2), F(1, 2), F(-5, 2), F(6)]:
         step = F(1) if p.denominator == 1 else F(1, 2)
-        got = ladder.power("y", p, step)
+        got = ladder.rung("y", int(p / step) * ladder.align("y", step))
         want = series_pow(Y, p)
         assert got.order == want.order and got.terms == want.terms
 
