@@ -21,8 +21,8 @@ from typing import Optional
 from . import crc as crc_mod
 from .extended import build_extended
 from .families import wpn_index
-from .fan import (StackyFan, basic_box_class, fan_from_json, fan_to_json,
-                  is_gorenstein, star_subdivide_xbar, wall_curve_classes)
+from .fan import (StackyFan, fan_from_json, fan_to_json, is_gorenstein,
+                  star_subdivide_xbar, wall_curve_classes)
 from .mirror import extract_open_gw, hori_vafa, lf_superpotential, mirror_map
 from .series import _frac_str, series_to_json
 
@@ -186,12 +186,10 @@ def cmd_open_gw(args) -> int:
 
 def cmd_xbar(args) -> int:
     fan = _load_fan(args.fan)
-    box = fan.box
-    extended = [k for k, el in enumerate(box) if el.age <= 1]
+    extended = [el.nu for el in fan.box if el.age <= 1]
     if not extended:
         raise SchemaError("fan has no twisted sector of age at most one")
-    beta = basic_box_class(fan, extended[0], box)
-    xbar = star_subdivide_xbar(fan, beta)
+    xbar = star_subdivide_xbar(fan, extended[0])
     payload = {"fan": fan_to_json(xbar.fan),
                "boundary_vector": _frac_vec(xbar.boundary_vector),
                "infinity_vector": _frac_vec(xbar.infinity_vector),

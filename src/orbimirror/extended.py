@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .exact import (SmithFactor, Vec, integral, lattice_generates,
-                    snf_kernel_basis)
+                    primitive_vector, snf_kernel_basis)
 from .fan import (BoxElement, InvalidFanError, StackyFan, require_valid,
                   wall_curve_classes)
 
@@ -111,9 +111,7 @@ class ExtendedFanData:
 
 def _scale_primitive(w: Sequence[Fraction]) -> Vec:
     den = math.lcm(*(x.denominator for x in w))
-    ints = [int(x * den) for x in w]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    return primitive_vector([int(x * den) for x in w])
 
 
 def _nef_base_basis(kernel: list[Vec], walls: list[Vec]) -> list[Vec]:

@@ -1,11 +1,13 @@
-"""Stacky fans, Box elements, wall curve classes and basic disc classes.
+"""Stacky fans, Box elements, wall curve classes and the X-bar construction.
 
 A stacky fan is a complete simplicial fan together with a lattice
 vector b_j = c_j v_j on each ray (v_j primitive, c_j >= 1). The Box of
 a cone collects the twisted sectors nu = sum t_k b_{i_k} with
 t_k in [0,1) and nu integral; the age of nu is sum t_k. A basic disc
-class names one ray or one twisted sector; the X-bar construction
-closes it up by adjoining the ray at minus its boundary vector.
+class beta_j or beta_nu is named by its boundary vector b0, a stacky
+vector b_j or a Box element nu; the two never coincide, since nu lies
+strictly inside its minimal cone. The X-bar construction closes the
+class up by adjoining the ray at -b0.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ class InvalidFanError(ValueError):
 
 
 class IncompleteFanError(ValueError):
-    pass
-
-
-class NonBasicClassError(ValueError):
     pass
 
 
@@ -347,45 +345,6 @@ def minimal_containing_cone(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
     raise IncompleteFanError(f"no cone contains {tuple(v)}")
 
 
-# -- disc classes --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscClass:
-    """beta = sum k_j beta_j + sum k_nu beta_nu."""
-
-    fan: StackyFan
-    ray_mult: tuple[int, ...]
-    box_mult: tuple[int, ...]  # aligned with compute_box(fan)
-
-    def boundary(self, box: Sequence[BoxElement]) -> Vec:
-        n = self.fan.dim
-        out = [0] * n
-        for k, b in zip(self.ray_mult, self.fan.stacky_vectors):
-            for i in range(n):
-                out[i] += k * b[i]
-        for k, el in zip(self.box_mult, box):
-            for i in range(n):
-                out[i] += k * el.nu[i]
-        return tuple(out)
-
-    def is_basic(self) -> bool:
-        return (sum(self.ray_mult) + sum(self.box_mult) == 1 and
-                all(k >= 0 for k in self.ray_mult + self.box_mult))
-
-
-def basic_ray_class(fan: StackyFan, j: int, box: Sequence[BoxElement]) -> DiscClass:
-    rm = [0] * fan.n_rays
-    rm[j] = 1
-    return DiscClass(fan, tuple(rm), (0,) * len(box))
-
-
-def basic_box_class(fan: StackyFan, k: int, box: Sequence[BoxElement]) -> DiscClass:
-    bm = [0] * len(box)
-    bm[k] = 1
-    return DiscClass(fan, (0,) * fan.n_rays, tuple(bm))
-
-
 # -- the X-bar construction ----------------------------------------------
 
 
@@ -399,16 +358,18 @@ class XBarResult:
     beta_bar_note: str
 
 
-def star_subdivide_xbar(fan: StackyFan, beta: DiscClass) -> XBarResult:
-    """Compactify a basic disc class: adjoin (or reuse) the ray at -b0.
+def star_subdivide_xbar(fan: StackyFan, b0: Sequence[int]) -> XBarResult:
+    """Compactify the basic disc class with boundary vector b0, a stacky
+    vector b_j or a Box element nu: adjoin (or reuse) the ray at -b0.
 
     Returns the fan X-bar together with bookkeeping for the closed class
     beta-bar = beta + beta_infinity, which satisfies d(beta-bar) = 0.
     """
     require_valid(fan, IncompleteFanError)
-    if not beta.is_basic():
-        raise NonBasicClassError("X-bar construction needs a basic disc class")
-    b0 = beta.boundary(fan.box)
+    b0 = tuple(b0)
+    if b0 not in fan.stacky_vectors and b0 not in {el.nu for el in fan.box}:
+        raise ValueError(f"{b0} is neither a stacky vector nor a Box element "
+                         "of the fan, so it names no basic disc class")
     b_inf = tuple(-x for x in b0)
     C = minimal_containing_cone(fan, b_inf)
     if len(C) == 1:

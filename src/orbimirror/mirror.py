@@ -24,10 +24,11 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .exact import SmithFactor, Vec, coordinates
-from .extended import ExtendedFanData, KEffElement, keff_enumerate
+from .extended import (ExtendedFanData, KEffElement, build_extended,
+                       keff_enumerate)
 from .families import wpn_index
-from .fan import (DiscClass, StackyFan, XBarResult, is_gorenstein,
-                  star_subdivide_xbar, wall_curve_classes)
+from .fan import (StackyFan, XBarResult, is_gorenstein, star_subdivide_xbar,
+                  wall_curve_classes)
 from .series import (PowerLadder, PuiseuxSeries, Roster, _power_of,
                      linear_combination, make_roster, multivar_invert,
                      substitute)
@@ -84,7 +85,7 @@ def _pairing_factor(P: int, L: int, n: int, cache: dict) -> tuple[tuple[int, ...
 
 def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
                    dbar_pows: Sequence[Sequence[PuiseuxSeries]],
-                   factors: dict, polys: dict) -> dict[tuple[int, ...], Fraction]:
+                   factors: dict) -> dict[tuple[int, ...], Fraction]:
     """P_delta, the class-delta coefficient of the I-function at z = 1,
     up to the pbar-degree t = min(n, D_delta + 1) that reaches 1/z.
 
@@ -94,11 +95,11 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
     and the pbar-degree-i part of P_delta carries z^{D_delta - i}.
     P_delta is the product over j of the pairing factors
     (N_0 + ... + N_t Dbar_j^t) / D (`_pairing_factor`, memoised in
-    `factors`). Each sum to Dbar_j^n is memoised in `polys` by (j, P); the
-    product starts from an integer scalar num/den at order t, which
-    truncates it, and every 1/D goes into that scalar. Dbar_j vanishes on
-    an extended index j, which contributes its c_0 only; that c_0 and
-    every factor without a term of degree 1..t go into the scalar too.
+    `factors`), each sum built only to Dbar_j^t; the product starts from
+    an integer scalar num/den at order t, which truncates it, and every
+    1/D goes into that scalar. Dbar_j vanishes on an extended index j,
+    which contributes its c_0 only; that c_0 and every factor without a
+    term of degree 1..t go into the scalar too.
     P_delta is 0 when the scalar is, or when the lowest Dbar-degrees of
     the other factors sum past t. `dbar_pows[j][i]` is Dbar_j^i.
     """
@@ -118,10 +119,8 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
             num *= N[0]
         else:
             low += next(i for i, x in enumerate(N) if x)
-            if (j, P) not in polys:
-                polys[j, P] = linear_combination(roster, n, [
-                    (N[i], dbar_pows[j][i]) for i in range(n + 1) if N[i]])
-            product.append(polys[j, P])
+            product.append(linear_combination(roster, n, [
+                (N[i], dbar_pows[j][i]) for i in range(t + 1) if N[i]]))
     if not num or low > t:
         return {}
     P = PuiseuxSeries(roster, t, {(0,) * len(roster.names): num}, den)
@@ -188,11 +187,11 @@ def i_function(ext: ExtendedFanData, order) -> ISeries:
         for _ in range(n):
             pows.append(pows[-1] * dbar)
         dbar_pows.append(pows)
-    coeffs, factors, polys = {}, {}, {}
+    coeffs, factors = {}, {}
     for kel in keff_enumerate(ext, order, 1):
         degree = -kel.zweight            # D_delta
         if degree >= -1:
-            for pexp, c in _i_coefficient(ext, kel, dbar_pows, factors, polys).items():
+            for pexp, c in _i_coefficient(ext, kel, dbar_pows, factors).items():
                 key = (kel.nu, degree - sum(pexp), pexp)
                 coeffs.setdefault(key, {})[kel.delta] = c
     return ISeries(ext, order, _chart_roster(ext, order), coeffs)
@@ -420,17 +419,18 @@ def closed_h0_z2(ext: ExtendedFanData, order) -> PuiseuxSeries:
     return ISeries(ext, order, _chart_roster(ext, order), {key: classes}).series(*key, order)
 
 
-def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeReport:
-    from .extended import build_extended
-
+def open_closed_bridge(fan: StackyFan, b0: Sequence[int], order=10) -> BridgeReport:
+    """Compare the open series of the basic disc class with boundary
+    vector b0 (a stacky vector b_j or a Box element nu) with the closed
+    1/z^2 series of beta-bar on X-bar (`star_subdivide_xbar`); the two
+    are compared only when X-bar is X."""
     if not is_gorenstein(fan):
         raise NotGorensteinError("bridge requires a Gorenstein fan")
     if any(w.c1 <= 0 for w in wall_curve_classes(fan)):
         raise NotFanoError("bridge requires all wall curve classes with c1 > 0")
-    box = fan.box
-    xbar = star_subdivide_xbar(fan, beta)
-    ext_bar = build_extended(xbar.fan)
-    closed = closed_h0_z2(ext_bar, order)
+    xbar = star_subdivide_xbar(fan, b0)
+    ext = build_extended(xbar.fan)
+    closed = closed_h0_z2(ext, order)
     statement = ("n_{1,l,beta} equals the (l+1)-point closed invariant of "
                  "beta-bar = beta + beta_infinity on X-bar; " + xbar.beta_bar_note)
     if xbar.fan != fan:
@@ -439,28 +439,21 @@ def open_closed_bridge(fan: StackyFan, beta: DiscClass, order=10) -> BridgeRepor
                             "model's own mirror data; not compared here)",
                             False, None)
     # X-bar == X: compare closed-side extraction with the open-side series
-    ext = ext_bar
-    # beta-bar pairing vector: t-coefficients of the basic boundary plus the
-    # opposite ray
+    # a Box element of age > 1 is no extended ray: index raises ValueError
+    jopen = ext.all_vectors().index(xbar.boundary_vector)
+    # beta-bar pairing vector: b0 on the base rays (1 on its ray, or the
+    # t-coefficients of its Box element) plus the opposite ray
     w = [Fraction(0)] * ext.m_prime
-    if any(beta.ray_mult):
-        jb = beta.ray_mult.index(1)
-        w[jb] += 1
+    if jopen < ext.m:
+        w[jopen] = Fraction(1)
     else:
-        el = box[beta.box_mult.index(1)]
-        for j, t in zip(el.cone, el.t):
-            w[j] += t
+        w[:ext.m] = ext.t_extra[jopen - ext.m]
     w[xbar.new_ray_index] += 1
     delta = coordinates(ext.basis, w)
     if delta is None:
         raise MirrorShapeViolation("beta-bar is not a curve class")
     lf = lf_superpotential(ext, order)
     table = extract_open_gw(lf, ext)
-    if any(beta.ray_mult):
-        jopen = beta.ray_mult.index(1)
-    else:
-        el = box[beta.box_mult.index(1)]
-        jopen = ext.m + list(ext.extra).index(el)
     S = table.generating[jopen]
     mono = {lf.mirror.q_names[a]: delta[a] for a in range(ext.r) if delta[a]}
     open_side = S.shift(mono) if mono else S

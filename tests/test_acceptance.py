@@ -18,9 +18,8 @@ from orbimirror.crc import crc_exact_identities, crc_numeric_samples, \
 from orbimirror.exact import det
 from orbimirror.extended import build_extended
 from orbimirror.families import f2_fan, p1_orbifold, wpn_fan
-from orbimirror.fan import (StackyFan, _box_of_cone, basic_box_class,
-                            compute_box, fan_from_json, is_gorenstein,
-                            wall_curve_classes)
+from orbimirror.fan import (StackyFan, _box_of_cone, compute_box,
+                            fan_from_json, is_gorenstein, wall_curve_classes)
 from orbimirror.mirror import (check_normalization, extract_open_gw,
                                i_function, lf_superpotential, mirror_map,
                                open_closed_bridge)
@@ -298,9 +297,8 @@ def test_criterion_10_open_closed_bridge():
     ok = True
     for n in (2, 3):
         fan = wpn_fan(n)
-        box = compute_box(fan)
-        k = next(i for i, el in enumerate(box) if el.age == 1)
-        rep = open_closed_bridge(fan, basic_box_class(fan, k, box), order=10)
+        nu = next(el.nu for el in compute_box(fan) if el.age == 1)
+        rep = open_closed_bridge(fan, nu, order=10)
         if not (rep.cross_checked and rep.match):
             ok = False
     report(10, "closed-side extraction equals the open-side series to "

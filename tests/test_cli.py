@@ -189,6 +189,20 @@ def test_open_gw_at_the_lowest_working_order_is_unchanged(fan, order, digest,
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+# the X-bar fan of each: the fan itself, with b_index replaced by -b0
+XBAR_FANS = {
+    P112: ([[1, 0], [-1, 2], [0, -1]], [[0, 1], [0, 2], [1, 2]]),
+    P113: ([[1, 0, 0], [0, 1, 0], [-1, -1, 3], [0, 0, -1]],
+           [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    P114: ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-1, -1, -1, 4],
+            [0, 0, 0, -1]],
+           [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4],
+            [1, 2, 3, 4]]),
+    # nu = -4, so 4 replaces b_0 = 3
+    P1_3_5: ([[4], [-5]], [[0], [1]]),
+}
+
+
 @pytest.mark.parametrize("fan,index,infinity", [
     (P112, 2, ["0", "-1"]),
     (P113, 3, ["0", "0", "-1"]),
@@ -196,13 +210,21 @@ def test_open_gw_at_the_lowest_working_order_is_unchanged(fan, order, digest,
     (P1_3_5, 0, ["4"]),
 ])
 def test_xbar_reuses_the_opposite_ray(fan, index, infinity, capsys):
-    # minus the first age <= 1 sector is already a ray of each fan
+    # minus the first age <= 1 sector is already a ray of each fan; the
+    # whole output is pinned, byte for byte
     code, out = run(capsys, "xbar", fan, "--format", "json")
     assert code == 0
-    data = json.loads(out)
-    assert data["replaced_ray"] is True
-    assert data["new_ray_index"] == index
-    assert data["infinity_vector"] == infinity
+    vectors, cones = XBAR_FANS[fan]
+    b_inf = tuple(int(x) for x in infinity)
+    expected = {
+        "boundary_vector": [str(-x) for x in b_inf],
+        "fan": {"dim": len(b_inf), "max_cones": cones, "stacky_vectors": vectors},
+        "infinity_vector": infinity,
+        "new_ray_index": index,
+        "note": (f"beta-bar = beta + beta_{index}; the opposite vector lies on "
+                 f"ray {index}, whose stacky vector becomes {b_inf}"),
+        "replaced_ray": True}
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_xbar_smooth_fan_exits_1(capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,10 +14,9 @@ from hypothesis import strategies as st
 from orbimirror.cli import main
 from orbimirror.exact import cone_index
 from orbimirror.extended import build_extended
-from orbimirror.fan import (DiscClass, IncompleteFanError, InvalidFanError,
-                            NonBasicClassError, StackyFan, basic_box_class,
-                            basic_ray_class, compute_box, fan_from_json,
-                            fan_to_json, is_gorenstein, primitive_collections,
+from orbimirror.fan import (IncompleteFanError, InvalidFanError, StackyFan,
+                            compute_box, fan_from_json, fan_to_json,
+                            is_gorenstein, primitive_collections,
                             star_subdivide_xbar, validate_fan,
                             wall_curve_classes)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
@@ -270,9 +270,8 @@ def test_primitive_collections():
 
 def test_xbar_replaces_opposite_ray():
     fan = wpn_fan(2)
-    box = compute_box(fan)
-    beta = basic_box_class(fan, 0, box)
-    xbar = star_subdivide_xbar(fan, beta)
+    # the twisted sector nu = (0, 1)
+    xbar = star_subdivide_xbar(fan, (0, 1))
     # -nu = (0,-1) is already the third ray
     assert xbar.replaced_ray and xbar.new_ray_index == 2
     assert xbar.fan == fan
@@ -280,28 +279,28 @@ def test_xbar_replaces_opposite_ray():
 
 def test_xbar_star_subdivides():
     fan = p2_fan()
-    box = compute_box(fan)
-    beta = basic_ray_class(fan, 0, box)
-    xbar = star_subdivide_xbar(fan, beta)
+    xbar = star_subdivide_xbar(fan, fan.stacky_vectors[0])
     assert not xbar.replaced_ray
     assert xbar.infinity_vector == (-1, 0)
     assert len(xbar.fan.stacky_vectors) == 4
     assert validate_fan(xbar.fan).valid
 
 
-def test_xbar_requires_basic():
-    fan = p2_fan()
-    box = compute_box(fan)
-    beta = DiscClass(fan, (1, 1, 0), ())
-    with pytest.raises(NonBasicClassError):
-        star_subdivide_xbar(fan, beta)
+@pytest.mark.parametrize("fan,b0", [
+    (p2_fan(), (1, 1)),          # b_0 + b_1, a class that is not basic
+    (wpn_fan(2), (0, 2)),        # 2 nu: a lattice point, not a Box element
+    (wpn_fan(2), (0, 0)),
+    (wpn_fan(2), (0, 1, 0)),     # of the wrong dimension
+], ids=["sum-of-two-rays", "twice-nu", "zero", "wrong-dimension"])
+def test_xbar_rejects_a_vector_that_names_no_basic_class(fan, b0):
+    with pytest.raises(ValueError, match=re.escape(str(b0))):
+        star_subdivide_xbar(fan, b0)
 
 
 def test_xbar_requires_complete():
     fan = StackyFan.make(2, ((1, 0), (0, 1)), ((0, 1),))
-    beta = DiscClass(fan, (1, 0), ())
     with pytest.raises(IncompleteFanError):
-        star_subdivide_xbar(fan, beta)
+        star_subdivide_xbar(fan, (1, 0))
 
 
 def test_fan_json_roundtrip():

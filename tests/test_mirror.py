@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from orbimirror.crc import wpn_g_series
 import orbimirror.mirror
-from orbimirror.extended import build_extended, keff_enumerate
+from orbimirror.extended import (BasisShapeInfeasibleError,
+                                EnumerationUnboundedError, build_extended,
+                                keff_enumerate)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
-from orbimirror.fan import (basic_box_class, basic_ray_class, compute_box,
-                            fan_from_json)
+from orbimirror.fan import compute_box, fan_from_json
 from orbimirror.mirror import (MirrorShapeViolation, NotFanoError,
                                NotGorensteinError, _pairing_factor,
                                check_normalization, closed_h0_z2,
@@ -246,8 +247,7 @@ def test_bridge_computes_i_function_once(monkeypatch):
 
     monkeypatch.setattr(orbimirror.mirror, "i_function", counting)
     fan = wpn_fan(2)
-    rep = open_closed_bridge(fan, basic_box_class(fan, 0, compute_box(fan)),
-                             order=10)
+    rep = open_closed_bridge(fan, (0, 1), order=10)
     assert rep.cross_checked and rep.match
     assert len(calls) == 1
 
@@ -418,32 +418,78 @@ def test_open_gw_p112_closed_form():
 
 def test_bridge_p112():
     fan = wpn_fan(2)
-    box = compute_box(fan)
-    beta = basic_box_class(fan, 0, box)
-    rep = open_closed_bridge(fan, beta, order=10)
+    rep = open_closed_bridge(fan, (0, 1), order=10)
     assert rep.xbar.replaced_ray
     assert rep.cross_checked and rep.match
 
 
 def test_bridge_p113():
     fan = wpn_fan(3)
-    box = compute_box(fan)
-    k = next(i for i, el in enumerate(box) if el.age == 1)
-    rep = open_closed_bridge(fan, basic_box_class(fan, k, box), order=8)
+    nu = next(el.nu for el in compute_box(fan) if el.age == 1)
+    rep = open_closed_bridge(fan, nu, order=8)
     assert rep.cross_checked and rep.match
 
 
 def test_bridge_requires_gorenstein():
     fan = p1_orbifold(3, 5)
-    box = compute_box(fan)
     with pytest.raises(NotGorensteinError):
-        open_closed_bridge(fan, basic_ray_class(fan, 0, box))
+        open_closed_bridge(fan, fan.stacky_vectors[0])
 
 
 def test_bridge_requires_fano():
     fan = f2_fan()
     with pytest.raises(NotFanoError):
-        open_closed_bridge(fan, basic_ray_class(fan, 0, ()))
+        open_closed_bridge(fan, fan.stacky_vectors[0])
+
+
+@pytest.mark.parametrize("b0", [(1, 1), (0, 2), (0, 0)])
+def test_bridge_rejects_a_vector_that_names_no_basic_class(b0):
+    with pytest.raises(ValueError, match=re.escape(str(b0))):
+        open_closed_bridge(wpn_fan(2), b0, order=6)
+
+
+# The outcome at order 6 for every basic class of P(1,...,1,n), n = 2, 3,
+# 4, keyed by its boundary vector: (cross_checked, match), or the error
+# raised. Only a class whose X-bar is X itself is compared today; growing
+# the bridge to compare on the subdivided model (ROADMAP item 7) will
+# change this table on purpose.
+BRIDGE_OUTCOMES = [
+    (2, (0, 1), (True, True)),
+    (2, (1, 0), EnumerationUnboundedError),
+    (2, (-1, 2), EnumerationUnboundedError),
+    (2, (0, -1), (False, None)),
+    (3, (0, 0, 1), (True, True)),
+    (3, (0, 0, 2), (False, None)),
+    (3, (1, 0, 0), (False, None)),
+    (3, (0, 1, 0), (False, None)),
+    (3, (-1, -1, 3), (False, None)),
+    (3, (0, 0, -1), (False, None)),
+    (4, (0, 0, 0, 1), (True, True)),
+    (4, (0, 0, 0, 2), BasisShapeInfeasibleError),
+    (4, (0, 0, 0, 3), (False, None)),
+    (4, (1, 0, 0, 0), (False, None)),
+    (4, (0, 1, 0, 0), (False, None)),
+    (4, (0, 0, 1, 0), (False, None)),
+    (4, (-1, -1, -1, 4), (False, None)),
+    (4, (0, 0, 0, -1), (False, None)),
+]
+
+
+def test_bridge_outcome_table_covers_every_basic_class():
+    for n in (2, 3, 4):
+        fan = wpn_fan(n)
+        listed = {b0 for k, b0, _ in BRIDGE_OUTCOMES if k == n}
+        assert listed == {el.nu for el in fan.box} | set(fan.stacky_vectors)
+
+
+@pytest.mark.parametrize("n,b0,outcome", BRIDGE_OUTCOMES)
+def test_bridge_outcome_table(n, b0, outcome):
+    if isinstance(outcome, tuple):
+        rep = open_closed_bridge(wpn_fan(n), b0, order=6)
+        assert (rep.cross_checked, rep.match) == outcome
+    else:
+        with pytest.raises(outcome):
+            open_closed_bridge(wpn_fan(n), b0, order=6)
 
 
 def test_lf_consistency_with_hv():
