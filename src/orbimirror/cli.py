@@ -81,8 +81,11 @@ def _emit(payload: dict, fmt: str, out: Optional[str],
                 lines.append(f"{k}: {json.dumps(payload[k], sort_keys=True)}")
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise SchemaError(f"cannot write output file {out}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -207,10 +210,11 @@ def cmd_crc(args) -> int:
     res = _load_fan(args.resolution)
     pair = crc_mod.ResolutionPair.make(fan, res)
     payload = crc_mod.pair_report(pair, order=args.order, tol=args.tol)
-    if args.wpn is not None and args.wpn != payload.get("wpn"):
+    crepant = payload["crepancy"]["crepant"]
+    if crepant and args.wpn is not None and args.wpn != payload.get("wpn"):
         raise SchemaError(f"--wpn {args.wpn} does not match the pair "
                           f"(detected n: {payload.get('wpn')})")
-    failed = (not payload["crepancy"]["crepant"]
+    failed = (not crepant
               or any(r["status"] != "pass" for r in payload.get("reports", ())))
     _emit(payload, args.format, args.out)
     return 2 if failed else 0

@@ -38,7 +38,6 @@ exactly at the requested order.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -64,10 +63,6 @@ class ZeroLinearTerm(ValueError):
 
 
 class NotMirrorShaped(ValueError):
-    pass
-
-
-class BranchCutViolation(ValueError):
     pass
 
 
@@ -850,47 +845,7 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
         p = min(work, 2 * s)
 
 
-# -- numeric evaluation ------------------------------------------------
-
-
-def eval_complex(s: PuiseuxSeries, assignment: Mapping[str, complex]) -> complex:
-    """Evaluate on the principal branch.
-
-    Raises BranchCutViolation when a variable with a genuinely
-    fractional exponent is assigned a value on the cut (-inf, 0].
-    """
-    vals = []
-    for i, name in enumerate(s.roster.names):
-        if name not in assignment:
-            raise KeyError(f"no value for variable {name}")
-        vals.append(complex(assignment[name]))
-    total = 0 + 0j
-    for e, c in s.terms.items():
-        prod = complex(c)
-        for i, x in enumerate(e):
-            if not x:
-                continue
-            p = Fraction(x, s.roster.denoms[i])
-            v = vals[i]
-            if p.denominator != 1 and v.imag == 0 and v.real <= 0:
-                raise BranchCutViolation(
-                    f"variable {s.roster.names[i]} on the branch cut")
-            if v == 0:
-                if p < 0:
-                    raise ZeroDivisionError("negative power of zero")
-                prod = 0 if p > 0 else prod
-                continue
-            if p.denominator == 1:
-                prod *= v ** int(p)
-            else:
-                prod *= cmath.exp(complex(p) * cmath.log(v))
-        total += prod
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise OverflowError("series evaluation overflowed")
-    return total
-
-
-# -- JSON round-trip ----------------------------------------------------
+# -- JSON output -------------------------------------------------------
 
 
 def _frac_str(f: Fraction | int) -> str:
@@ -909,17 +864,3 @@ def series_to_json(s: PuiseuxSeries) -> dict:
         "order": _frac_str(s.order),
         "terms": terms,
     }
-
-
-def series_from_json(data: dict) -> PuiseuxSeries:
-    names = data["vars"]
-    denoms = data.get("denoms", [1] * len(names))
-    formal = data.get("formal", [False] * len(names))
-    roster = make_roster(names, denoms, formal)
-    order = Fraction(data["order"])
-    terms = {}
-    for t in data["terms"]:
-        if len(t["exp"]) != len(names):
-            raise ValueError(f"term exponents {t['exp']} do not match variables {names}")
-        terms[roster.scaled(dict(zip(names, t["exp"])))] = Fraction(t["coef"])
-    return PuiseuxSeries(roster, order, terms)

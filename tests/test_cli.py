@@ -317,19 +317,34 @@ def test_non_crepant_resolution_exits_2(cmd, tmp_path, capsys):
     assert json.loads(out)["crepancy"]["crepant"] is False
 
 
-def test_crc_non_refinement_exits_2(tmp_path, capsys):
-    # the cube fan against itself with one face's diagonal flipped
+def _cube_pair(tmp_path) -> list[str]:
+    """The cube fan and the cube fan with one face's diagonal flipped."""
     paths = []
     for flip in (False, True):
         path = tmp_path / f"cube_{flip}.json"
         path.write_text(json.dumps(fan_to_json(cube_fan(flip))))
         paths.append(str(path))
+    return paths
+
+
+def test_crc_non_refinement_exits_2(tmp_path, capsys):
+    paths = _cube_pair(tmp_path)
     code, out = run(capsys, "crc", paths[0], "--resolution", paths[1],
                     "--format", "json")
     assert code == 2
     crepancy = json.loads(out)["crepancy"]
     assert crepancy["refinement"] is False and crepancy["crepant"] is False
     assert len(crepancy["issues"]) == 2
+
+
+def test_crc_wpn_on_a_non_crepant_pair_exits_2(tmp_path, capsys):
+    # a pair that is not crepant has no n; it reports its crepancy as
+    # without --wpn, instead of a --wpn mismatch
+    paths = _cube_pair(tmp_path)
+    code, out = run(capsys, "crc", paths[0], "--resolution", paths[1],
+                    "--wpn", "3", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["crepancy"]["crepant"] is False
 
 
 @pytest.mark.parametrize("path", [F2, P112, KP3])
@@ -566,6 +581,15 @@ def _alone(argv):
     proc = subprocess.run([sys.executable, "-m", "orbimirror.cli", *argv],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+def test_unwritable_out_exits_1(target, tmp_path):
+    out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    code, stdout, stderr = _alone(["validate", P2, "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(f"error: cannot write output file {out}: ")
+    assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
