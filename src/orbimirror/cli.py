@@ -209,12 +209,9 @@ def cmd_crc(args) -> int:
         raise SchemaError("crc requires --resolution FILE")
     res = _load_fan(args.resolution)
     pair = crc_mod.ResolutionPair.make(fan, res)
-    payload = crc_mod.pair_report(pair, order=args.order, tol=args.tol)
-    crepant = payload["crepancy"]["crepant"]
-    if crepant and args.wpn is not None and args.wpn != payload.get("wpn"):
-        raise SchemaError(f"--wpn {args.wpn} does not match the pair "
-                          f"(detected n: {payload.get('wpn')})")
-    failed = (not crepant
+    payload = crc_mod.pair_report(pair, order=args.order, tol=args.tol,
+                                  wpn=args.wpn)
+    failed = (not payload["crepancy"]["crepant"]
               or any(r["status"] != "pass" for r in payload.get("reports", ())))
     _emit(payload, args.format, args.out)
     return 2 if failed else 0

@@ -24,9 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import DependentGeneratorsError, SmithFactor, integral
 from .extended import ExtendedFanData, build_extended
@@ -44,11 +43,14 @@ class BasisMismatch(ValueError):
     pass
 
 
+class WpnMismatch(ValueError):
+    pass
+
+
 # -- reports ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: str
     max_error: float
     worst_point: dict
@@ -68,8 +70,7 @@ def _report(identity: str, max_error: float, worst_point: dict,
 # -- resolution pairs ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrepancyReport:
+class CrepancyReport(NamedTuple):
     refinement: bool
     crepant: bool
     new_ray_indices: tuple[int, ...]
@@ -81,8 +82,7 @@ class CrepancyReport:
                 "issues": list(self.issues)}
 
 
-@dataclass(frozen=True)
-class ResolutionPair:
+class ResolutionPair(NamedTuple):
     orbifold: StackyFan
     resolution: StackyFan
     # orbifold ray index -> resolution ray index
@@ -137,8 +137,7 @@ def verify_crepant(pair: ResolutionPair) -> CrepancyReport:
 # -- chart gluing -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChartGluing:
+class ChartGluing(NamedTuple):
     """Monomial coordinate change between the two B-model charts.
 
     y_of_u[a][b] is the exponent of U_{b+1} in y_{a+1}; u_of_y is the
@@ -256,8 +255,7 @@ def wpn_f_series(n: int, order: int) -> PuiseuxSeries:
 # -- analytic continuation for P(1,...,1,n) -----------------------------
 
 
-@dataclass(frozen=True)
-class ContinuationFormula:
+class ContinuationFormula(NamedTuple):
     """log Q_1 continued to the orbifold chart, as a series in
     x = y1^{-1/n} y2: constant + sum over exponents e of coeff[e] * x^e.
     log Q_2 = (log y1 - log Q_1)/n.
@@ -470,16 +468,21 @@ def specialization_check(n: Optional[int],
 
 
 def pair_report(pair: ResolutionPair, order: int = 10,
-                tol: float = 1e-10) -> dict:
+                tol: float = 1e-10, wpn: Optional[int] = None) -> dict:
     """Full report for a crepant pair: crepancy, chart gluing, and (for
-    the weighted family) continuation/CRC data; `tol` goes to crc_verify."""
+    the weighted family) continuation/CRC data; `tol` goes to crc_verify.
+    `wpn`, when given, is the n that a crepant pair must have (the CLI's
+    --wpn): any other n raises WpnMismatch right after the crepancy
+    check, before the gluing and the continuation run."""
     crep = verify_crepant(pair)
     out = {"crepancy": crep.to_json()}
     if not crep.crepant:
         return out
+    n = pair_wpn_index(pair)
+    if wpn is not None and wpn != n:
+        raise WpnMismatch(f"--wpn {wpn} does not match the pair (detected n: {n})")
     gluing = glue_charts(pair)
     out["gluing"] = gluing.to_json()
-    n = pair_wpn_index(pair)
     if n is None:
         out["continuation"] = "continuation not implemented for this family"
     else:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import (SmithFactor, Vec, integral, lattice_generates,
                     primitive_vector, snf_kernel_basis)
@@ -35,8 +34,7 @@ class EnumerationUnboundedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EnumerationUnit:
+class EnumerationUnit(NamedTuple):
     """The class u of a max cone sigma and a free index j (not in sigma)
     with <D_j, u> = 1 and <D_k, u> = 0 for the other free indices k."""
 
@@ -46,18 +44,46 @@ class EnumerationUnit:
     c: Fraction                      # sum of the pairings
 
 
-@dataclass(frozen=True)
 class ExtendedFanData:
-    fan: StackyFan
-    box: tuple[BoxElement, ...]          # all of Box'
-    extra: tuple[BoxElement, ...]        # age <= 1, in ray order m+1..m'
-    basis: tuple[Vec, ...]               # d_1..d_{r'}, integer entries, length m'
-    t_extra: tuple[tuple[Fraction, ...], ...]  # extras expanded over base rays
-    dtilde: tuple[tuple[Fraction, ...], ...]   # a > r: push-forward in d_1..d_r, in [0, 1)^r
-    m: int
-    m_prime: int
-    r: int
-    r_prime: int
+    """The extended stacky fan of `build_extended`.
+
+    A plain class with a `__dict__`, like `StackyFan`, so that `den` and
+    `cone_units` are computed on first use and kept on the instance.
+    Equality and hashing read the ten fields only.
+    """
+
+    def __init__(self, fan: StackyFan, box: tuple[BoxElement, ...],
+                 extra: tuple[BoxElement, ...], basis: tuple[Vec, ...],
+                 t_extra: tuple[tuple[Fraction, ...], ...],
+                 dtilde: tuple[tuple[Fraction, ...], ...],
+                 m: int, m_prime: int, r: int, r_prime: int):
+        self.fan = fan
+        self.box = box                # all of Box'
+        self.extra = extra            # age <= 1, in ray order m+1..m'
+        self.basis = basis            # d_1..d_{r'}, integer entries, length m'
+        self.t_extra = t_extra        # extras expanded over base rays
+        self.dtilde = dtilde          # a > r: push-forward in d_1..d_r, in [0, 1)^r
+        self.m = m
+        self.m_prime = m_prime
+        self.r = r
+        self.r_prime = r_prime
+
+    def _key(self) -> tuple:
+        return (self.fan, self.box, self.extra, self.basis, self.t_extra,
+                self.dtilde, self.m, self.m_prime, self.r, self.r_prime)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("ExtendedFanData(fan=%r, box=%r, extra=%r, basis=%r, "
+                "t_extra=%r, dtilde=%r, m=%r, m_prime=%r, r=%r, r_prime=%r)"
+                % self._key())
 
     @property
     def dim(self) -> int:
@@ -212,8 +238,7 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
                            tuple(dtilde), m, m_prime, r, r_prime)
 
 
-@dataclass(frozen=True)
-class KEffElement:
+class KEffElement(NamedTuple):
     """An effective class, with numerators over L = `ExtendedFanData.den`."""
     delta: tuple[int, ...]           # L * coordinates in the d_a basis
     pairings: tuple[int, ...]        # L * <D_j, d> for j = 1..m'

@@ -13,10 +13,9 @@ class up by adjoining the ray at -b0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import SmithFactor, Vec, primitive_vector
 # not called here; perfbench/test_perfbench.py checks that the tracer
@@ -32,20 +31,38 @@ class IncompleteFanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class StackyFan:
     """Stacky vectors b_j in Z^dim and maximal cones as tuples of ray
     indices (sorted by `make`).
 
-    The validation report, the Box and the Smith factor of each maximal
-    cone (`factor`) are computed on first use and kept on the instance,
-    not in a module cache, so they go with the fan; equality and hashing
-    read the three fields only.
+    A plain class, not a tuple, so that it has a `__dict__`: the
+    validation report, the Box and the Smith factor of each maximal
+    cone (`factor`) are computed on first use and kept there, not in a
+    module cache, so they go with the fan. Equality and hashing read the
+    three fields only, so a fan whose caches are filled equals a fresh
+    one. The fields are not changed after construction.
     """
 
-    dim: int
-    stacky_vectors: tuple[Vec, ...]
-    max_cones: tuple[tuple[int, ...], ...]
+    def __init__(self, dim: int, stacky_vectors: tuple[Vec, ...],
+                 max_cones: tuple[tuple[int, ...], ...]):
+        self.dim = dim
+        self.stacky_vectors = stacky_vectors
+        self.max_cones = max_cones
+
+    def _key(self) -> tuple:
+        return (self.dim, self.stacky_vectors, self.max_cones)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("StackyFan(dim=%r, stacky_vectors=%r, max_cones=%r)"
+                % self._key())
 
     @staticmethod
     def make(dim, stacky_vectors, max_cones) -> "StackyFan":
@@ -119,8 +136,7 @@ def fan_to_json(fan: StackyFan) -> dict:
             "max_cones": [list(c) for c in fan.max_cones]}
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(NamedTuple):
     simplicial: bool
     complete: bool
     errors: tuple[str, ...]
@@ -229,8 +245,7 @@ def require_valid(fan: StackyFan, error: type[ValueError] = InvalidFanError,
         raise error(prefix + "; ".join(fan.report.errors))
 
 
-@dataclass(frozen=True)
-class BoxElement:
+class BoxElement(NamedTuple):
     nu: Vec
     cone: tuple[int, ...]
     t: tuple[Fraction, ...]
@@ -282,8 +297,7 @@ def is_gorenstein(fan: StackyFan) -> bool:
     return all(el.age.denominator == 1 for el in fan.box)
 
 
-@dataclass(frozen=True)
-class WallCurve:
+class WallCurve(NamedTuple):
     wall: tuple[int, ...]
     relation: tuple[Fraction, ...]
     c1: Fraction
@@ -348,8 +362,7 @@ def minimal_containing_cone(fan: StackyFan, v: Sequence) -> tuple[int, ...]:
 # -- the X-bar construction ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class XBarResult:
+class XBarResult(NamedTuple):
     fan: StackyFan
     boundary_vector: Vec
     infinity_vector: Vec

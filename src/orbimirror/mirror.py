@@ -18,10 +18,9 @@ whole. `closed_h0_z2` computes the one 1/z^2 key the bridge reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import SmithFactor, Vec, coordinates
 from .extended import (ExtendedFanData, KEffElement, build_extended,
@@ -148,8 +147,7 @@ def _chart_roster(ext: ExtendedFanData, order: Fraction) -> Roster:
                        [False] * ext.r_prime)
 
 
-@dataclass
-class ISeries:
+class ISeries(NamedTuple):
     """The I-function up to weight `order`, one series per key.
 
     `coeffs[(nu, zexp, pexp)][delta]` is the coefficient of z^zexp
@@ -221,8 +219,7 @@ def check_normalization(iseries: ISeries) -> tuple[bool, list[str]]:
 # -- mirror map ----------------------------------------------------------
 
 
-@dataclass
-class MirrorMap:
+class MirrorMap(NamedTuple):
     order: Fraction
     y_roster: Roster
     q_names: tuple[str, ...]
@@ -258,8 +255,7 @@ def mirror_map(ext: ExtendedFanData, order) -> MirrorMap:
 # -- superpotentials -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PotentialTerm:
+class PotentialTerm(NamedTuple):
     vector: Vec             # stacky vector b_j or Box vector nu
     ray_index: int          # index into ext.all_vectors()
     is_extended: bool
@@ -267,8 +263,7 @@ class PotentialTerm:
     exponents: tuple[Fraction, ...]   # C_j = prod_a y_a^exponents[a]
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     gauge: tuple[int, ...]
     terms: tuple[PotentialTerm, ...]
 
@@ -309,8 +304,7 @@ def _theorem_status(ext: ExtendedFanData) -> str:
     return "conjectural via the open mirror theorem"
 
 
-@dataclass
-class LFResult:
+class LFResult(NamedTuple):
     potential: Potential
     mirror: MirrorMap
     chart_images: dict[str, PuiseuxSeries]   # y_a -> series in (q, tau)
@@ -337,8 +331,7 @@ def lf_superpotential(ext: ExtendedFanData, order=10) -> LFResult:
 # -- open invariant extraction -------------------------------------------
 
 
-@dataclass
-class OpenGWTable:
+class OpenGWTable(NamedTuple):
     """n_{1,l,beta_a + d} keyed by (ray index, q-exponents, tau-exponents)."""
 
     entries: dict[tuple[int, tuple, tuple], Fraction]
@@ -394,8 +387,7 @@ def extract_open_gw(lf: LFResult, ext: ExtendedFanData) -> OpenGWTable:
 # -- open-closed bridge ----------------------------------------------------
 
 
-@dataclass
-class BridgeReport:
+class BridgeReport(NamedTuple):
     xbar: XBarResult
     beta_bar_delta: Optional[tuple]
     closed_series: PuiseuxSeries          # H^0 part of 1/z^2 of I on X-bar, in y

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count, takewhile
 from typing import Iterable, Mapping, Optional, Sequence
@@ -70,31 +69,42 @@ class InversionNotConverged(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Roster:
     """Variable roster: names, exponent denominators, formal flags.
 
     `lcm` and `scale` are derived from `denoms` (L = lcm of the
-    denominators, scale_i = L/d_i) and take no part in equality.
+    denominators, scale_i = L/d_i) and take no part in equality or
+    hashing, which read `names`, `denoms` and `formal`. The fields are
+    slots, since `weight` reads `scale` in the kernel's inner loops.
     """
 
-    names: tuple[str, ...]
-    denoms: tuple[int, ...]
-    formal: tuple[bool, ...]
-    lcm: int = field(init=False, compare=False, repr=False)
-    scale: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("names", "denoms", "formal", "lcm", "scale")
 
-    def __post_init__(self):
-        if not (len(self.names) == len(self.denoms) == len(self.formal)):
+    def __init__(self, names: tuple[str, ...], denoms: tuple[int, ...],
+                 formal: tuple[bool, ...]):
+        if not (len(names) == len(denoms) == len(formal)):
             raise ValueError("roster fields must have equal length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        for d, f in zip(self.denoms, self.formal):
+        for d, f in zip(denoms, formal):
             if d < 1 or (f and d != 1):
                 raise ValueError("formal variables must have denominator 1")
-        lcm = math.lcm(*self.denoms)
-        object.__setattr__(self, "lcm", lcm)
-        object.__setattr__(self, "scale", tuple(lcm // d for d in self.denoms))
+        self.names, self.denoms, self.formal = names, denoms, formal
+        self.lcm = lcm = math.lcm(*denoms)
+        self.scale = tuple(lcm // d for d in denoms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names, self.denoms, self.formal) == \
+            (other.names, other.denoms, other.formal)
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.denoms, self.formal))
+
+    def __repr__(self) -> str:
+        return (f"Roster(names={self.names!r}, denoms={self.denoms!r}, "
+                f"formal={self.formal!r})")
 
     def index(self, name: str) -> int:
         if name not in self.names:

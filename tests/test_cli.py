@@ -267,6 +267,37 @@ def test_crc_wpn_mismatch_exits_1(capsys):
     assert run(capsys, "crc", P2, "--resolution", P2, "--wpn", "2")[0] == 1
 
 
+def test_crc_wpn_mismatch_exits_before_the_continuation(monkeypatch, capsys):
+    # n is compared right after the crepancy check: at --order 300 the
+    # n = 2 continuation and its reports took 42 s before the mismatch
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the continuation ran")
+
+    monkeypatch.setattr("orbimirror.crc.continuation_wpn", unreachable)
+    code = main(["crc", P112, "--resolution", F2, "--wpn", "3"])
+    cap = capsys.readouterr()
+    assert (code, cap.out) == (1, "")
+    assert cap.err == "error: --wpn 3 does not match the pair (detected n: 2)\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["crc", P112, "--resolution", F2, "--wpn", "2"], 0),
+    (["crc", P112, "--resolution", F2, "--wpn", "3"], 1),
+    (["specialize", P112, "--resolution", F2], 0),
+], ids=["crc", "crc-mismatch", "specialize"])
+def test_resolution_commands_check_crepancy_once(argv, code, monkeypatch, capsys):
+    calls = []
+    verify = crc_mod.verify_crepant
+
+    def counting(pair):
+        calls.append(pair)
+        return verify(pair)
+
+    monkeypatch.setattr(crc_mod, "verify_crepant", counting)
+    assert main(argv) == code
+    assert len(calls) == 1
+
+
 def test_samples_flag_is_a_usage_error(capsys):
     # the sampled n = 2 comparison always takes crc.SAMPLES points
     assert run(capsys, "crc", P112, "--resolution", F2, "--samples", "20")[0] == 1

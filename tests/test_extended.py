@@ -1,7 +1,7 @@
 """Extended fan data: kernel bases, pushforwards, effective classes."""
 
-import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -15,15 +15,24 @@ from hypothesis import strategies as st
 from orbimirror.exact import coordinates, integer_solve, snf_kernel_basis
 from orbimirror.extended import (BasisShapeInfeasibleError,
                                  EnumerationUnboundedError,
-                                 LatticeNotGeneratedError, _nef_base_basis,
-                                 _scale_primitive, build_extended,
-                                 keff_enumerate)
+                                 ExtendedFanData, LatticeNotGeneratedError,
+                                 _nef_base_basis, _scale_primitive,
+                                 build_extended, keff_enumerate)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
 from orbimirror.fan import (InvalidFanError, StackyFan, fan_from_json,
                             wall_curve_classes)
 from orbimirror.mirror import _chart_roster, i_function
 from strategies import complete_fan_rays
+
+
+def _copy(ext: ExtendedFanData, **changes) -> ExtendedFanData:
+    """A new ExtendedFanData with the fields of ext, some of them changed,
+    and none of its caches."""
+    fields = dict(fan=ext.fan, box=ext.box, extra=ext.extra, basis=ext.basis,
+                  t_extra=ext.t_extra, dtilde=ext.dtilde, m=ext.m,
+                  m_prime=ext.m_prime, r=ext.r, r_prime=ext.r_prime)
+    return ExtendedFanData(**{**fields, **changes})
 
 
 def test_p112_extended_shape():
@@ -266,7 +275,7 @@ def test_keff_bound_monotone():
 def test_keff_sector_outside_box_raises():
     # a class whose twisted sector is missing from the Box is an input
     # fault, reported as InvalidFanError
-    ext = dataclasses.replace(build_extended(wpn_fan(2)), box=())
+    ext = _copy(build_extended(wpn_fan(2)), box=())
     with pytest.raises(InvalidFanError, match="is not a Box element"):
         keff_enumerate(ext, 4)
 
@@ -443,9 +452,77 @@ def test_non_fano_hirzebruch_units_take_the_fallback(k, c, delta):
     ext = build_extended(_hirzebruch(k))
     assert min(u.c for units in ext.cone_units for u in units) == c
     units = next(us for us in ext.cone_units if min(u.c for u in us) < 0)
-    one_cone = dataclasses.replace(ext)
+    one_cone = _copy(ext)
     one_cone.__dict__["cone_units"] = (tuple(sorted(units, key=lambda u: -u.c)),)
     pruned = keff_enumerate(one_cone, 6, 2)
     assert pruned == [el for el in keff_enumerate(one_cone, 6)
                       if sum(_rational(one_cone, el)[1]) <= 2]
     assert tuple(map(F, delta)) in {_rational(one_cone, el)[0] for el in pruned}
+
+
+def test_extended_fan_data_equality_and_hash_read_the_ten_fields():
+    # den and cone_units are caches on the instance
+    ext = build_extended(wpn_fan(2))
+    assert ext.den and ext.cone_units
+    fresh = _copy(ext)
+    assert {"den", "cone_units"} <= vars(ext).keys()
+    assert not {"den", "cone_units"} & vars(fresh).keys()
+    assert ext == fresh and hash(ext) == hash(fresh)
+    assert ext == build_extended(wpn_fan(2))
+    # each instance fills its own caches
+    assert fresh.cone_units == ext.cone_units
+    assert fresh.cone_units is not ext.cone_units
+    for field, value in [("fan", p2_fan()), ("box", ()), ("basis", ()),
+                         ("m", ext.m + 1), ("r_prime", ext.r_prime + 1)]:
+        assert _copy(ext, **{field: value}) != ext, field
+
+
+def _assert_keff_ages(ext: ExtendedFanData, order) -> int:
+    """Check that the z-weight of each class of keff_enumerate(ext, order,
+    1), less its pairings summed, is the age of its sector in `fan.box`;
+    the number of twisted classes.
+
+    sum_j (ceil <D_j, d> - <D_j, d>) = sum_j frac(-<D_j, d>), and the
+    indices with a fractional pairing are base rays spanning a cone, so
+    these are the coefficients of the sector on that cone's generators,
+    which `compute_box` sums from the Smith form."""
+    ages = {el.nu: el.age for el in ext.fan.box}
+    zero = (0,) * ext.dim
+    twisted = 0
+    for kel in keff_enumerate(ext, order, 1):
+        age = ages[kel.nu] if kel.nu != zero else 0
+        assert kel.zweight - F(sum(kel.pairings), ext.den) == age, kel
+        twisted += kel.nu != zero
+    return twisted
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FANS.glob("*.json")))
+def test_keff_zweight_excess_is_the_sector_age(name):
+    ext = build_extended(_bundled(name))
+    assert (_assert_keff_ages(ext, 6) > 0) == bool(ext.box)
+
+
+def _fangen():
+    """perfbench/fangen.py, the benchmark's seeded random 2D fans."""
+    spec = importlib.util.spec_from_file_location(
+        "fangen", FANS.parent / "perfbench" / "fangen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_keff_zweight_excess_is_the_sector_age_on_random_fans():
+    # the 200 fans of ROADMAP item 5; 11 of them build at this writing
+    fangen = _fangen()
+    built = twisted = 0
+    for seed in range(50):
+        for data in fangen.random_fans(seed, 4):
+            try:
+                ext = build_extended(fan_from_json(data))
+                ext.cone_units
+            except (BasisShapeInfeasibleError, EnumerationUnboundedError,
+                    LatticeNotGeneratedError):
+                continue
+            built += 1
+            twisted += _assert_keff_ages(ext, 2)
+    assert built and twisted

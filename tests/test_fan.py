@@ -208,6 +208,27 @@ def test_fan_validated_once(monkeypatch):
     assert calls == [fan]
 
 
+def test_stacky_fan_equality_and_hash_read_the_three_fields():
+    # the report, the Box and the cone factors are caches on the instance
+    fan = wpn_fan(2)
+    fresh = StackyFan.make(fan.dim, fan.stacky_vectors, fan.max_cones)
+    assert fan.report.valid and fan.box and fan.factor(fan.max_cones[0])
+    assert {"report", "box", "_factors"} <= vars(fan).keys()
+    assert not {"report", "box", "_factors"} & vars(fresh).keys()
+    assert fan == fresh and hash(fan) == hash(fresh)
+    assert {fan: 1}[fresh] == 1
+    # each instance fills its own caches
+    assert fresh.box == fan.box and fresh.box is not fan.box
+    assert fresh._factors is not fan._factors
+    assert fan != StackyFan(fan.dim + 1, fan.stacky_vectors, fan.max_cones)
+    assert fan != StackyFan(fan.dim, fan.stacky_vectors[::-1], fan.max_cones)
+    assert fan != StackyFan(fan.dim, fan.stacky_vectors, fan.max_cones[1:])
+    # a fan is not the tuple of its fields
+    assert fan != (fan.dim, fan.stacky_vectors, fan.max_cones)
+    assert repr(fresh) == ("StackyFan(dim=2, stacky_vectors=((1, 0), (-1, 2), "
+                           "(0, -1)), max_cones=((0, 1), (0, 2), (1, 2)))")
+
+
 def test_box_p112():
     fan = wpn_fan(2)
     box = compute_box(fan)

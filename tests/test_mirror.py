@@ -1,6 +1,5 @@
 """Mirror theorems: normalization, mirror maps, potentials, disc counts."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -231,7 +230,7 @@ def test_i_function_rejects_a_vanishing_factor_on_an_extended_index(monkeypatch)
     zero = next(k for k in keff_enumerate(ext, 4) if not any(k.pairings))
     pairings = list(zero.pairings)
     pairings[ext.m] = -ext.den
-    bad = dataclasses.replace(zero, pairings=tuple(pairings))
+    bad = zero._replace(pairings=tuple(pairings))
     monkeypatch.setattr(orbimirror.mirror, "keff_enumerate", lambda *args: [bad])
     with pytest.raises(AssertionError, match="vanishing factor on an extended index"):
         i_function(ext, 4)

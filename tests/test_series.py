@@ -9,13 +9,41 @@ from hypothesis import strategies as st
 
 from orbimirror import series
 from orbimirror.series import (BadConstantTerm, InversionNotConverged,
-                               PowerLadder, PuiseuxSeries, RosterMismatch,
-                               ZeroLinearTerm, _rational_root, lagrange_invert,
+                               PowerLadder, PuiseuxSeries, Roster,
+                               RosterMismatch, ZeroLinearTerm, _rational_root, lagrange_invert,
                                make_roster, multivar_invert, series_compose,
                                series_exp, series_log, series_pow,
                                series_to_json, substitute)
 
 R1 = make_roster(["t"])
+
+
+def test_roster_equality_ignores_lcm_and_scale():
+    r = make_roster(["q", "y"], [2, 3])
+    assert (r.lcm, r.scale) == (6, (3, 2))
+    other = Roster(("q", "y"), (2, 3), (False, False))
+    object.__setattr__(other, "lcm", 1)
+    object.__setattr__(other, "scale", (1, 1))
+    assert r == other and hash(r) == hash(other)
+    assert r != make_roster(["q", "y"], [2, 1])
+    assert r != make_roster(["q", "z"], [2, 3])
+    assert make_roster(["u"], [1], [True]) != make_roster(["u"])
+    # a roster is not the tuple of its fields, and has no __dict__
+    assert r != (r.names, r.denoms, r.formal)
+    assert not hasattr(r, "__dict__")
+    assert repr(r) == ("Roster(names=('q', 'y'), denoms=(2, 3), "
+                       "formal=(False, False))")
+
+
+@pytest.mark.parametrize("names,denoms,formal,message", [
+    (("q", "y"), (1,), (False, False), "equal length"),
+    (("q", "q"), (1, 1), (False, False), "duplicate variable names"),
+    (("u",), (2,), (True,), "formal variables must have denominator 1"),
+    (("q",), (0,), (False,), "formal variables must have denominator 1"),
+])
+def test_roster_rejects_bad_fields(names, denoms, formal, message):
+    with pytest.raises(ValueError, match=message):
+        Roster(names, denoms, formal)
 
 
 def uni(terms, order=12, roster=R1):
