@@ -19,8 +19,6 @@ the continuation's x^1 coefficient is checked (`crc_verify`); the
 potentials are not compared.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import random

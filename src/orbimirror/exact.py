@@ -11,9 +11,9 @@ and cone test reads it:
   or columns and on each negated row.
 - With D the largest nonzero d_i and VS = V diag(D/d_i) in integers,
   x = VS (U b) / D solves A x = b with the coordinates of V^-1 x past
-  the rank set to 0, and A^-1 = VS U / D. A rational b is first scaled
-  by the lcm of its denominators. V is unimodular, so A x = b has an
-  integral solution iff this x is integral.
+  the rank set to 0, and D A^-1 = VS U is integral. A rational b is
+  first scaled by the lcm of its denominators. V is unimodular, so
+  A x = b has an integral solution iff this x is integral.
 - The columns of V past the rank are a saturated kernel basis, and for
   the generators B of a simplicial cone Z^n / B Z^n is the product of
   the Z/d_i (the cone's Box group).
@@ -197,13 +197,19 @@ class SmithFactor:
         q = self.D * den
         return [Fraction(sum(v * y for v, y in zip(row, ub)), q) for row in self.VS]
 
-    def inverse(self) -> list[list[Fraction]]:
-        """A^{-1} = V S^{-1} U = VS U / D over Q."""
-        n, U, D = self.cols, self.U, self.D
+    def scaled_inverse(self) -> list[list[int]]:
+        """D A^{-1} = VS U, in integers. No smaller positive multiple of
+        A^{-1} is integral, since D is the exponent of Z^n / A Z^n."""
+        n, U = self.cols, self.U
         if self.rows != n or self.rank < n:
             raise DependentGeneratorsError("matrix is singular or not square")
-        return [[Fraction(sum(row[k] * U[k][j] for k in range(n)), D)
-                 for j in range(n)] for row in self.VS]
+        return [[sum(row[k] * U[k][j] for k in range(n)) for j in range(n)]
+                for row in self.VS]
+
+    def inverse(self) -> list[list[Fraction]]:
+        """A^{-1} = VS U / D over Q."""
+        D = self.D
+        return [[Fraction(x, D) for x in row] for row in self.scaled_inverse()]
 
 
 def snf_kernel_basis(A: Sequence[Sequence[int]]) -> list[Vec]:

@@ -7,8 +7,6 @@ j > m; the duals give the classes D_j whose pairings drive both the
 I-function and the effective-cone enumeration.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator
@@ -20,6 +18,7 @@ from .exact import (SmithFactor, Vec, integral, lattice_generates,
                     primitive_vector, snf_kernel_basis)
 from .fan import (BoxElement, InvalidFanError, StackyFan, require_valid,
                   wall_curve_classes)
+from .series import Roster, make_roster
 
 
 class LatticeNotGeneratedError(ValueError):
@@ -36,12 +35,11 @@ class EnumerationUnboundedError(ValueError):
 
 class EnumerationUnit(NamedTuple):
     """The class u of a max cone sigma and a free index j (not in sigma)
-    with <D_j, u> = 1 and <D_k, u> = 0 for the other free indices k."""
+    with <D_j, u> = 1 and <D_k, u> = 0 for the other free indices k, in
+    integer numerators over L = `ExtendedFanData.den`."""
 
-    pairings: tuple[Fraction, ...]   # <D_j, u> for j = 1..m'
-    delta: tuple[Fraction, ...]      # coordinates in the d_a basis
-    weight: Fraction                 # sum of delta
-    c: Fraction                      # sum of the pairings
+    delta: tuple[int, ...]   # L * coordinates in the d_a basis
+    c: int                   # L * sum_j <D_j, u> over j = 1..m'
 
 
 class ExtendedFanData:
@@ -49,7 +47,6 @@ class ExtendedFanData:
 
     A plain class with a `__dict__`, like `StackyFan`, so that `den` and
     `cone_units` are computed on first use and kept on the instance.
-    Equality and hashing read the ten fields only.
     """
 
     def __init__(self, fan: StackyFan, box: tuple[BoxElement, ...],
@@ -68,23 +65,6 @@ class ExtendedFanData:
         self.r = r
         self.r_prime = r_prime
 
-    def _key(self) -> tuple:
-        return (self.fan, self.box, self.extra, self.basis, self.t_extra,
-                self.dtilde, self.m, self.m_prime, self.r, self.r_prime)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return ("ExtendedFanData(fan=%r, box=%r, extra=%r, basis=%r, "
-                "t_extra=%r, dtilde=%r, m=%r, m_prime=%r, r=%r, r_prime=%r)"
-                % self._key())
-
     @property
     def dim(self) -> int:
         return self.fan.dim
@@ -92,47 +72,77 @@ class ExtendedFanData:
     def all_vectors(self) -> list[Vec]:
         return list(self.fan.stacky_vectors) + [el.nu for el in self.extra]
 
-    def pairing(self, j: int, delta: Sequence[Fraction]) -> Fraction:
-        """<D_j, d> for d = sum delta_a d_a."""
-        return sum(Fraction(da) * self.basis[a][j] for a, da in enumerate(delta))
+    # Kept on the instance, as `StackyFan.box` is, so they go with the data.
+    @cached_property
+    def _cone_inverses(self) -> tuple[tuple[int, list[list[int]]], ...]:
+        """(D, D B^-1) of each max cone sigma, in `fan.max_cones` order:
+        B is the r' x r' matrix basis[a][k] over the r' free indices k
+        (not in sigma) and D its largest Smith invariant, the least
+        multiplier that makes D B^-1 integral. Row i gives the unit of the
+        i-th free index (`cone_units`), whose weight, the row sum over D,
+        must be positive; it is tested here, before any other unit work.
+        """
+        out = []
+        for sigma in self.fan.max_cones:
+            free = [j for j in range(self.m_prime) if j not in sigma]
+            factor = SmithFactor([[d[k] for k in free] for d in self.basis])
+            rows = factor.scaled_inverse()
+            for j, row in zip(free, rows):
+                if sum(row) <= 0:
+                    raise EnumerationUnboundedError(
+                        f"direction {j} of cone {sigma} has nonpositive weight "
+                        f"{Fraction(sum(row), factor.D)}")
+            out.append((factor.D, rows))
+        return tuple(out)
 
     @cached_property
     def den(self) -> int:
-        """The lcm L of the unit delta-denominators; K_eff lies in (1/L)Z^r'."""
-        return math.lcm(*(x.denominator for units in self.cone_units
-                          for u in units for x in u.delta))
+        """L = lcm of the D of every max cone (`_cone_inverses`), the least
+        common denominator of the units; K_eff lies in (1/L)Z^r'."""
+        return math.lcm(*(D for D, _ in self._cone_inverses))
 
-    # Kept on the instance, as `StackyFan.box` is, so they go with the data.
     @cached_property
     def cone_units(self) -> tuple[tuple[EnumerationUnit, ...], ...]:
         """The enumeration units of each max cone, in `fan.max_cones`
         order, one per free index; every unit has positive weight.
 
-        The free indices of sigma are the r' indices outside it. With
-        B the r' x r' matrix basis[a][k] over the free k, the unit of
-        the i-th free index has delta = row i of B^-1, so that
-        <D_k, u> = (delta B)_k is 1 at that index and 0 at the others.
-        The weight is tested first, and the pairings are computed in
-        integers over the denominator L of delta, as in `keff_enumerate`.
+        With B the matrix of `_cone_inverses`, the unit of the i-th free
+        index has delta = row i of B^-1, so that <D_k, u> = (delta B)_k
+        is 1 at that index and 0 at the others. In numerators over
+        L = `den`, delta is row i of D B^-1 times L/D, and c is delta
+        dotted with the row sums of the basis.
         """
-        columns = [[d[k] for d in self.basis] for k in range(self.m_prime)]
+        L = self.den
+        sums = [sum(d) for d in self.basis]
         out = []
-        for sigma in self.fan.max_cones:
-            free = [j for j in range(self.m_prime) if j not in sigma]
-            inv = SmithFactor([[d[k] for k in free] for d in self.basis]).inverse()
-            units = []
-            for j, delta in zip(free, inv):
-                L = math.lcm(*(x.denominator for x in delta))
-                ints = [x.numerator * (L // x.denominator) for x in delta]
-                omega = Fraction(sum(ints), L)
-                if omega <= 0:
-                    raise EnumerationUnboundedError(
-                        f"direction {j} of cone {sigma} has nonpositive weight {omega}")
-                w = [sum(map(operator.mul, ints, col)) for col in columns]
-                units.append(EnumerationUnit(tuple(Fraction(x, L) for x in w),
-                                             tuple(delta), omega, Fraction(sum(w), L)))
-            out.append(tuple(units))
+        for D, rows in self._cone_inverses:
+            deltas = [tuple(x * (L // D) for x in row) for row in rows]
+            out.append(tuple(EnumerationUnit(delta, sum(map(operator.mul, delta, sums)))
+                             for delta in deltas))
         return tuple(out)
+
+
+def _chart_roster(ext: ExtendedFanData, order) -> Roster:
+    """The roster of the chart coordinates y_a, each with the lcm of the
+    delta_a-denominators over K_eff up to weight `order` (an int or a
+    Fraction).
+
+    Every class is a sum, with multiplicities k >= 1, of units of one max
+    cone, and each of those units has positive weight at most the
+    class's; each unit is itself a class. So the lcm over K_eff equals
+    the lcm over the units of weight <= order across all max cones, and
+    no element list is needed. A numerator x over L = `ext.den` has the
+    denominator L / gcd(x, L).
+    """
+    L = ext.den
+    cap = order.numerator * L // order.denominator
+    dens = [1] * ext.r_prime
+    for units in ext.cone_units:
+        for u in units:
+            if sum(u.delta) <= cap:
+                dens = [math.lcm(d, L // math.gcd(x, L)) for d, x in zip(dens, u.delta)]
+    return make_roster([f"y{a + 1}" for a in range(ext.r_prime)], dens,
+                       [False] * ext.r_prime)
 
 
 def _scale_primitive(w: Sequence[Fraction]) -> Vec:
@@ -244,13 +254,13 @@ class KEffElement(NamedTuple):
     pairings: tuple[int, ...]        # L * <D_j, d> for j = 1..m'
     nu: Vec                          # twisted sector (zero vector if none)
     zweight: int                     # w(d) = sum ceil <D_j, d>
-    weight: int                      # L * sum of delta (truncation weight)
 
 
 def keff_enumerate(ext: ExtendedFanData, bound,
                    max_c=None) -> list[KEffElement]:
-    """All effective classes of weight <= bound, and of c(d) <= max_c
-    unless max_c is None, where c(d) = sum_j <D_j, d> over all m' indices.
+    """All effective classes of weight sum(delta) <= bound, and of
+    c(d) <= max_c unless max_c is None, where c(d) = sum_j <D_j, d> over
+    all m' indices; bound and max_c are ints or Fractions.
 
     A class d belongs to K_eff iff the set J of indices with
     <D_j, d> not in Z_{>=0} consists of base rays spanning a cone of the
@@ -265,15 +275,15 @@ def keff_enumerate(ext: ExtendedFanData, bound,
     weight bound and each class is kept only if c <= max_c. Either way
     the result is exactly K_eff with weight <= bound and c <= max_c.
 
-    Every unit is scaled to integer numerators over L = `ext.den`, so the
+    The units are integer numerators over L = `ext.den`, so the
     recursion, the deduplication, the sector and z-weight of a class and
     the class itself are integers, and no `Fraction` is built per class.
     With W_j = L <D_j, d>, the sector is sum_j ((-W_j) mod L) v_j / L and
     the z-weight sum_j ceil(W_j / L).
     """
     cone_units, L = ext.cone_units, ext.den
-    w_cap = math.floor(Fraction(bound) * L)
-    c_cap = math.inf if max_c is None else math.floor(Fraction(max_c) * L)
+    w_cap = bound.numerator * L // bound.denominator
+    c_cap = math.inf if max_c is None else max_c.numerator * L // max_c.denominator
     n, m_prime = ext.dim, ext.m_prime
     vectors = ext.all_vectors()
     columns = [[d[j] for d in ext.basis] for j in range(m_prime)]
@@ -281,7 +291,7 @@ def keff_enumerate(ext: ExtendedFanData, bound,
     zero = (0,) * n
     seen: dict[tuple[int, ...], KEffElement] = {}
 
-    def add_class(delta: tuple[int, ...], weight: int) -> None:
+    def add_class(delta: tuple[int, ...]) -> None:
         pair = [sum(map(operator.mul, delta, col)) for col in columns]
         nu = []
         for i in range(n):
@@ -294,18 +304,17 @@ def keff_enumerate(ext: ExtendedFanData, bound,
                                   f"{tuple(Fraction(x, L) for x in delta)} "
                                   "is not a Box element")
         seen[delta] = KEffElement(delta, tuple(pair), nu,
-                                  -sum((-p) // L for p in pair), weight)
+                                  -sum((-p) // L for p in pair))
 
     for units in cone_units:
-        steps = [(tuple(int(x * L) for x in u.delta), int(u.weight * L),
-                  int(u.c * L)) for u in units]
+        steps = [(u.delta, sum(u.delta), u.c) for u in units]
         last = len(steps)
         c_limit = c_cap if all(u.c >= 0 for u in units) else math.inf
 
         def rec(idx: int, delta: tuple[int, ...], weight: int, c: int) -> None:
             if idx == last:
                 if c <= c_cap and delta not in seen:
-                    add_class(delta, weight)
+                    add_class(delta)
                 return
             step, w_step, c_step = steps[idx]
             while weight <= w_cap and c <= c_limit:

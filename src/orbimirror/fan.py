@@ -10,8 +10,6 @@ strictly inside its minimal cone. The X-bar construction closes the
 class up by adjoining the ray at -b0.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 from functools import cached_property

@@ -15,16 +15,14 @@ sector, z-power and pbar-monomial (`ISeries`); a reader takes one key
 whole. `closed_h0_z2` computes the one 1/z^2 key the bridge reads.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import SmithFactor, Vec, coordinates
-from .extended import (ExtendedFanData, KEffElement, build_extended,
-                       keff_enumerate)
+from .extended import (ExtendedFanData, KEffElement, _chart_roster,
+                       build_extended, keff_enumerate)
 from .families import wpn_index
 from .fan import (StackyFan, XBarResult, is_gorenstein, star_subdivide_xbar,
                   wall_curve_classes)
@@ -83,7 +81,7 @@ def _pairing_factor(P: int, L: int, n: int, cache: dict) -> tuple[tuple[int, ...
 
 
 def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
-                   dbar_pows: Sequence[Sequence[PuiseuxSeries]],
+                   dbar_pows: list[list[PuiseuxSeries]],
                    factors: dict) -> dict[tuple[int, ...], Fraction]:
     """P_delta, the class-delta coefficient of the I-function at z = 1,
     up to the pbar-degree t = min(n, D_delta + 1) that reaches 1/z.
@@ -126,25 +124,6 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
     for poly in product:
         P = P * poly
     return P.terms
-
-
-def _chart_roster(ext: ExtendedFanData, order: Fraction) -> Roster:
-    """The roster of the chart coordinates y_a, each with the lcm of the
-    delta_a-denominators over K_eff up to weight `order`.
-
-    Every class is a sum, with multiplicities k >= 1, of units of one max
-    cone, and each of those units has positive weight at most the
-    class's; each unit is itself a class. So the lcm over K_eff equals
-    the lcm over the units of weight <= order across all max cones, and
-    no element list is needed.
-    """
-    dens = [1] * ext.r_prime
-    for units in ext.cone_units:
-        for u in units:
-            if u.weight <= order:
-                dens = [math.lcm(d, x.denominator) for d, x in zip(dens, u.delta)]
-    return make_roster([f"y{a + 1}" for a in range(ext.r_prime)], dens,
-                       [False] * ext.r_prime)
 
 
 class ISeries(NamedTuple):

@@ -87,7 +87,9 @@ class Roster:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         for d, f in zip(denoms, formal):
-            if d < 1 or (f and d != 1):
+            if d < 1:
+                raise ValueError("denominators must be at least 1")
+            if f and d != 1:
                 raise ValueError("formal variables must have denominator 1")
         self.names, self.denoms, self.formal = names, denoms, formal
         self.lcm = lcm = math.lcm(*denoms)

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbimirror.exact import (DependentGeneratorsError, EmptyMatrixError,
@@ -126,6 +126,24 @@ def test_one_factor_solves_every_right_hand_side(A, bs):
             assert got is None
         assert got == integer_solve(A, b)
     assert factor.kernel_basis() == snf_kernel_basis(A) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(square)
+def test_scaled_inverse_is_the_least_integral_multiple(A):
+    # D A^-1 is integral, and (D/p) A^-1 is not for any prime p dividing
+    # D: D is the exponent of the group Z^n / A Z^n
+    assume(det(A) != 0)
+    factor = SmithFactor(A)
+    n, D = len(A), factor.D
+    scaled = factor.scaled_inverse()
+    assert all(type(x) is int for row in scaled for x in row)
+    assert mat_mul(A, scaled) == [[D * int(i == j) for j in range(n)]
+                                  for i in range(n)]
+    primes = [p for p in range(2, D + 1)
+              if D % p == 0 and all(p % q for q in range(2, p))]
+    for p in primes:
+        assert any(x % p for row in scaled for x in row), p
 
 
 def test_inverse_of_singular_or_non_square_matrix_raises():

@@ -1,6 +1,5 @@
 """Extended fan data: kernel bases, pushforwards, effective classes."""
 
-import hashlib
 import importlib.util
 import itertools
 import json
@@ -16,13 +15,14 @@ from orbimirror.exact import coordinates, integer_solve, snf_kernel_basis
 from orbimirror.extended import (BasisShapeInfeasibleError,
                                  EnumerationUnboundedError,
                                  ExtendedFanData, LatticeNotGeneratedError,
-                                 _nef_base_basis, _scale_primitive,
-                                 build_extended, keff_enumerate)
+                                 _chart_roster, _nef_base_basis,
+                                 _scale_primitive, build_extended,
+                                 keff_enumerate)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
 from orbimirror.fan import (InvalidFanError, StackyFan, fan_from_json,
                             wall_curve_classes)
-from orbimirror.mirror import _chart_roster, i_function
+from orbimirror.mirror import i_function
 from strategies import complete_fan_rays
 
 
@@ -217,11 +217,17 @@ def test_lattice_not_generated():
 
 
 def _rational(ext, el):
-    """delta, the pairings and the weight of a class as Fractions: the
-    enumeration keeps them as integer numerators over ext.den."""
+    """delta, the pairings and the weight sum(delta) of a class as
+    Fractions: the enumeration keeps them as integer numerators over
+    ext.den."""
     L = ext.den
     return (tuple(F(x, L) for x in el.delta),
-            tuple(F(p, L) for p in el.pairings), F(el.weight, L))
+            tuple(F(p, L) for p in el.pairings), F(sum(el.delta), L))
+
+
+def _pairing(ext, j, delta) -> F:
+    """<D_j, d> for d = sum delta_a d_a, in Fractions."""
+    return sum((F(da) * ext.basis[a][j] for a, da in enumerate(delta)), F(0))
 
 
 def test_keff_p2():
@@ -252,7 +258,7 @@ def test_keff_p112_twisted_sectors():
     for el in els:
         delta, pairings, weight = _rational(ext, el)
         assert weight <= 2
-        assert pairings == tuple(ext.pairing(j, delta)
+        assert pairings == tuple(_pairing(ext, j, delta)
                                  for j in range(ext.m_prime))
 
 
@@ -323,6 +329,10 @@ def test_keff_prune_is_the_full_set_cut_at_c_2(make, bounds):
         assert _chart_roster(ext, F(bound)).denoms == tuple(dens)
 
 
+def _least_unit_weight(ext, units) -> F:
+    return F(min(sum(u.delta) for u in units), ext.den)
+
+
 def _assert_i_function_pruning_is_exact(ext, bound):
     # -D_delta = sum_j ceil <D_j, delta> >= c(delta), so every class with
     # D_delta >= -1, all that the I-function keeps, has c(delta) <= 1 and
@@ -356,7 +366,7 @@ def test_i_function_pruning_is_exact_on_random_fans(rays):
     except (BasisShapeInfeasibleError, EnumerationUnboundedError,
             LatticeNotGeneratedError):
         assume(False)
-    _assert_i_function_pruning_is_exact(ext, 2 * min(u.weight for u in units))
+    _assert_i_function_pruning_is_exact(ext, _least_unit_weight(ext, units) * 2)
 
 
 def _assert_keff_and_units(ext, bound):
@@ -372,7 +382,7 @@ def _assert_keff_and_units(ext, bound):
     _assert_extended_form(ext)
     for el in keff_enumerate(ext, bound):
         delta, el_pairings, weight = _rational(ext, el)
-        pairings = tuple(ext.pairing(j, delta) for j in range(ext.m_prime))
+        pairings = tuple(_pairing(ext, j, delta) for j in range(ext.m_prime))
         assert el_pairings == pairings
         assert weight == sum(delta)
         assert el.zweight == sum(math.ceil(p) for p in pairings)
@@ -381,11 +391,11 @@ def _assert_keff_and_units(ext, bound):
         free = [j for j in range(ext.m_prime) if j not in sigma]
         assert len(units) == len(free)
         for j, u in zip(free, units):
-            assert [u.pairings[k] for k in free] == [int(k == j) for k in free]
-            assert u.pairings == tuple(ext.pairing(k, u.delta)
-                                       for k in range(ext.m_prime))
-            assert combo(u.pairings) == (0,) * n
-            assert (u.weight, u.c) == (sum(u.delta), sum(u.pairings))
+            delta = tuple(F(x, ext.den) for x in u.delta)
+            pairings = tuple(_pairing(ext, k, delta) for k in range(ext.m_prime))
+            assert [pairings[k] for k in free] == [int(k == j) for k in free]
+            assert combo(pairings) == (0,) * n
+            assert F(u.c, ext.den) == sum(pairings)
 
 
 @pytest.mark.parametrize("make,bounds", [c[1:] for c in _PRUNE_CASES],
@@ -409,32 +419,70 @@ def test_keff_and_unit_invariants_on_random_fans(rays):
         assume(False)
     # K_eff grows like (bound / least unit weight)^r', so the bound is
     # twice the least unit weight, which keeps the enumeration small
-    _assert_keff_and_units(ext, 2 * min(u.weight for u in units))
+    _assert_keff_and_units(ext, _least_unit_weight(ext, units) * 2)
 
 
-# sha256 of repr(ext.cone_units) of each bundled fan, as computed when the
-# pairings were Fraction sums over the basis rows; the integer pairings
-# must give the same units, field by field and type by type
-_CONE_UNIT_DIGESTS = {
-    "f2": "86a98afe9fecc0ef", "kp3": "5b6ae97f39aab10e",
-    "p1": "958b92346b3570e3", "p112": "aa9fc47d86c9b485",
-    "p113": "b7d3ad8ad13e754c", "p114": "1a44cc454916ecba",
-    "p1_3_5": "f6462de90bbcb2f5", "p2": "fc79af617e675728",
-}
+def _inverse(rows) -> list[list[F]]:
+    """The inverse of a square integer matrix by Gauss-Jordan elimination
+    in Fractions, which shares no code with the Smith form."""
+    n = len(rows)
+    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if a[i][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
 
 
-@pytest.mark.parametrize("name", sorted(_CONE_UNIT_DIGESTS))
-def test_cone_units_of_the_bundled_fans_are_unchanged(name):
-    units = build_extended(_bundled(name)).cone_units
-    digest = hashlib.sha256(repr(units).encode()).hexdigest()[:16]
-    assert digest == _CONE_UNIT_DIGESTS[name]
+def _assert_units_are_inverse_rows(ext):
+    """Each unit of a max cone sigma is the row of B^-1 of its free index,
+    with B = basis[a][k] over the free indices k, and its c the sum of
+    that row's pairings; den is the lcm of every entry's denominator."""
+    L = ext.den
+    dens = []
+    for sigma, units in zip(ext.fan.max_cones, ext.cone_units):
+        free = [j for j in range(ext.m_prime) if j not in sigma]
+        inv = _inverse([[d[k] for k in free] for d in ext.basis])
+        assert len(units) == len(inv)
+        for u, row in zip(units, inv):
+            assert [F(x, L) for x in u.delta] == row
+            assert F(u.c, L) == sum(_pairing(ext, j, row)
+                                    for j in range(ext.m_prime))
+            dens += [x.denominator for x in row]
+    assert L == math.lcm(*dens)
+
+
+@pytest.mark.parametrize("make", [c[1] for c in _PRUNE_CASES],
+                         ids=[c[0] for c in _PRUNE_CASES])
+def test_cone_units_are_the_rows_of_the_inverse(make):
+    _assert_units_are_inverse_rows(build_extended(make()))
+
+
+# about one fan in four builds; the others are rejected by assume
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(complete_fan_rays(max_rays=4))
+def test_cone_units_are_the_rows_of_the_inverse_on_random_fans(rays):
+    k = len(rays)
+    fan = StackyFan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
+    try:
+        ext = build_extended(fan)
+        ext.cone_units
+    except (BasisShapeInfeasibleError, EnumerationUnboundedError,
+            LatticeNotGeneratedError):
+        assume(False)
+    _assert_units_are_inverse_rows(ext)
 
 
 def test_cone_units_test_the_weight_before_the_pairings():
     # random_fans(20, 4)[2] of perfbench/fangen.py: r' = 75, and the
     # third cone has a unit of weight 0. Building every unit's 77
     # pairings in Fractions before the weight test took 7.9 s on a
-    # 2-vCPU host; the weight test first and integer pairings take 0.4 s
+    # 2-vCPU host; the weight test on the integer inverse takes 0.4 s
     fan = StackyFan.make(2, ((-3, -6), (-2, -6), (3, 0), (-6, 9), (-6, 2)),
                          ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
     ext = build_extended(fan)
@@ -450,7 +498,7 @@ def test_non_fano_hirzebruch_units_take_the_fallback(k, c, delta):
     # below has c = 2, but its d_2 part alone has c = 2 * delta_2 > 2, so
     # a cone that adds d_2 before d_1 must not stop at c > 2
     ext = build_extended(_hirzebruch(k))
-    assert min(u.c for units in ext.cone_units for u in units) == c
+    assert F(min(u.c for units in ext.cone_units for u in units), ext.den) == c
     units = next(us for us in ext.cone_units if min(u.c for u in us) < 0)
     one_cone = _copy(ext)
     one_cone.__dict__["cone_units"] = (tuple(sorted(units, key=lambda u: -u.c)),)
@@ -460,21 +508,16 @@ def test_non_fano_hirzebruch_units_take_the_fallback(k, c, delta):
     assert tuple(map(F, delta)) in {_rational(one_cone, el)[0] for el in pruned}
 
 
-def test_extended_fan_data_equality_and_hash_read_the_ten_fields():
+def test_extended_fan_data_keeps_den_and_cone_units_per_instance():
     # den and cone_units are caches on the instance
     ext = build_extended(wpn_fan(2))
     assert ext.den and ext.cone_units
     fresh = _copy(ext)
     assert {"den", "cone_units"} <= vars(ext).keys()
     assert not {"den", "cone_units"} & vars(fresh).keys()
-    assert ext == fresh and hash(ext) == hash(fresh)
-    assert ext == build_extended(wpn_fan(2))
     # each instance fills its own caches
     assert fresh.cone_units == ext.cone_units
     assert fresh.cone_units is not ext.cone_units
-    for field, value in [("fan", p2_fan()), ("box", ()), ("basis", ()),
-                         ("m", ext.m + 1), ("r_prime", ext.r_prime + 1)]:
-        assert _copy(ext, **{field: value}) != ext, field
 
 
 def _assert_keff_ages(ext: ExtendedFanData, order) -> int:

@@ -7,6 +7,10 @@ module (`crc_mod.pair_report`). An attribute of anything else does not
 count, so the `rank` attribute of a `SmithFactor` does not keep the
 function `exact.rank` alive. Tests do not count either: a name that
 only tests reach is dead code with a test.
+
+A method or property of a package class, other than a dunder, counts as
+used when an attribute of its name is loaded anywhere under src/ or
+scripts/, on any object, since the type of the object is not known.
 """
 
 import ast
@@ -71,3 +75,27 @@ def test_every_function_and_class_has_a_caller():
     assert unused == allowed, (
         f"no caller in src/ or scripts/: {sorted(unused - allowed)}; "
         f"stale allow-list entries: {sorted(allowed - unused)}")
+
+
+def _members_and_attributes() -> tuple[dict[str, str], set[str]]:
+    members: dict[str, str] = {}
+    loaded: set[str] = set()
+    for path in sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("scripts/**/*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.parent == PACKAGE:
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef):
+                    for node in cls.body:
+                        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                and not node.name.startswith("__")):
+                            members[f"{path.stem}.{cls.name}.{node.name}"] = node.name
+        loaded.update(node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load))
+    return members, loaded
+
+
+def test_every_method_and_property_has_a_caller():
+    members, loaded = _members_and_attributes()
+    unused = sorted(q for q, name in members.items() if name not in loaded)
+    assert not unused, f"no attribute load in src/ or scripts/: {unused}"

@@ -39,7 +39,7 @@ def test_roster_equality_ignores_lcm_and_scale():
     (("q", "y"), (1,), (False, False), "equal length"),
     (("q", "q"), (1, 1), (False, False), "duplicate variable names"),
     (("u",), (2,), (True,), "formal variables must have denominator 1"),
-    (("q",), (0,), (False,), "formal variables must have denominator 1"),
+    (("q",), (0,), (False,), "denominators must be at least 1"),
 ])
 def test_roster_rejects_bad_fields(names, denoms, formal, message):
     with pytest.raises(ValueError, match=message):
