@@ -12,8 +12,10 @@ and cone test reads it:
 - With D the largest nonzero d_i and VS = V diag(D/d_i) in integers,
   x = VS (U b) / D solves A x = b with the coordinates of V^-1 x past
   the rank set to 0, and D A^-1 = VS U is integral. A rational b is
-  first scaled by the lcm of its denominators. V is unimodular, so
-  A x = b has an integral solution iff this x is integral.
+  first scaled by the lcm of its denominators. The solve keeps x as
+  integer numerators over that positive denominator (`scaled_solve`),
+  so a sign test builds no Fraction. V is unimodular, so A x = b has
+  an integral solution iff this x is integral.
 - The columns of V past the rank are a saturated kernel basis, and for
   the generators B of a simplicial cone Z^n / B Z^n is the product of
   the Z/d_i (the cone's Box group).
@@ -184,18 +186,33 @@ class SmithFactor:
         V, cols = self.V, self.cols
         return [tuple(V[i][j] for i in range(cols)) for j in range(self.rank, cols)]
 
-    def solve(self, b: Sequence) -> Optional[list[Fraction]]:
-        """The rational x with A x = b whose coordinates V^-1 x past the
-        rank are 0, or None if A x = b is inconsistent."""
+    def scaled_solve(self, b: Sequence) -> Optional[tuple[list[int], int]]:
+        """(num, q) in integers with q > 0 and x = num / q the rational
+        solution of A x = b whose coordinates V^-1 x past the rank are
+        0, or None if A x = b is inconsistent. q is D times the lcm of
+        the denominators of b, so num is not reduced; x_j has the sign
+        of num_j, which is all that a cone or wall-side test reads."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        den = math.lcm(*(Fraction(x).denominator for x in b))
-        b = [int(x * den) for x in b]
+        den = 1
+        if not all(type(x) is int for x in b):
+            den = math.lcm(*(Fraction(x).denominator for x in b))
+            b = [int(x * den) for x in b]
         ub = [sum(u * x for u, x in zip(row, b)) for row in self.U]
         if any(ub[self.rank:]):
             return None
-        q = self.D * den
-        return [Fraction(sum(v * y for v, y in zip(row, ub)), q) for row in self.VS]
+        return ([sum(v * y for v, y in zip(row, ub)) for row in self.VS],
+                self.D * den)
+
+    def solve(self, b: Sequence) -> Optional[list[Fraction]]:
+        """`scaled_solve` as Fractions: the rational x with A x = b whose
+        coordinates V^-1 x past the rank are 0, or None if A x = b is
+        inconsistent."""
+        scaled = self.scaled_solve(b)
+        if scaled is None:
+            return None
+        num, q = scaled
+        return [Fraction(x, q) for x in num]
 
     def scaled_inverse(self) -> list[list[int]]:
         """D A^{-1} = VS U, in integers. No smaller positive multiple of

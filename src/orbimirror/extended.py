@@ -162,10 +162,12 @@ def _nef_base_basis(kernel: list[Vec], walls: list[Vec]) -> list[Vec]:
     subsets grow as C(|walls|, r), the one candidate is the SNF kernel
     basis in its own order. One Smith factor of the kernel solves for
     every wall and candidate, and one of each candidate for every wall.
+    The nef test reads only signs, so it solves for each wall's
+    coordinates times a positive integer (`SmithFactor.scaled_solve`).
     """
     r = len(kernel)
     on_kernel = SmithFactor(list(zip(*kernel)))
-    wcoords = {w: on_kernel.solve(w) for w in walls}
+    wcoords = {w: on_kernel.scaled_solve(w) for w in walls}
     if None in wcoords.values():
         raise BasisShapeInfeasibleError("wall class not in the kernel lattice span")
     candidates = [kernel] if r > 2 else [
@@ -173,8 +175,8 @@ def _nef_base_basis(kernel: list[Vec], walls: list[Vec]) -> list[Vec]:
         for s in itertools.combinations(sorted(wcoords), r)]
     for cand in candidates:
         on_cand = SmithFactor(list(zip(*map(on_kernel.solve, cand))))
-        if abs(on_cand.det) == 1 and all(min(on_cand.solve(wc)) >= 0
-                                         for wc in wcoords.values()):
+        if abs(on_cand.det) == 1 and all(min(on_cand.scaled_solve(num)[0]) >= 0
+                                         for num, _ in wcoords.values()):
             return [tuple(v) for v in cand]
     raise BasisShapeInfeasibleError(
         f"no nef unimodular basis of kernel rank {r} among the candidates")

@@ -97,11 +97,13 @@ class StackyFan:
                 [list(row) for row in zip(*self.cone_generators(cone))])
         return f
 
-    def in_cone(self, cone: tuple[int, ...], v: Sequence) -> Optional[list[Fraction]]:
-        """The coefficients of v on the cone's generators when all are
-        nonnegative, else None (v outside the cone)."""
-        x = self.factor(cone).solve(v)
-        return x if x is not None and min(x) >= 0 else None
+    def in_cone(self, cone: tuple[int, ...], v: Sequence) -> Optional[list[int]]:
+        """The integer numerators, over a positive denominator, of the
+        coefficients of v on the cone's generators when all are
+        nonnegative, else None (v outside the cone). A numerator has its
+        coefficient's sign, which is all that the callers read."""
+        x = self.factor(cone).scaled_solve(v)
+        return x[0] if x is not None and min(x[0]) >= 0 else None
 
 
 def _json_int(x, what: str) -> int:
@@ -224,7 +226,8 @@ def _completeness_errors(fan: StackyFan) -> list[str]:
     for f, (sigma0, sigma1) in walls.items():
         (e0,) = set(sigma0) - f
         (e1,) = set(sigma1) - f
-        if fan.factor(sigma0).solve(vecs[e1])[sigma0.index(e0)] > 0:
+        num, _ = fan.factor(sigma0).scaled_solve(vecs[e1])
+        if num[sigma0.index(e0)] > 0:
             bad.append(f"cones {sigma0} and {sigma1} lie on the same side "
                        f"of wall {tuple(sorted(f))}")
     if bad:
@@ -250,31 +253,49 @@ class BoxElement(NamedTuple):
     age: Fraction
 
 
-def _box_of_cone(fan: StackyFan, cone: Sequence[int]) -> dict[Vec, BoxElement]:
-    """All Box elements (including those of faces) of a full-dim cone.
+def _box_of_cone(fan: StackyFan, cone: Sequence[int],
+                 found: dict[Vec, BoxElement] | None = None
+                 ) -> dict[Vec, BoxElement]:
+    """Add the Box elements of a full-dim cone, those of its faces
+    included, to `found` (a new dict by default) and return it.
 
     With B the generator matrix and U B V = S its Smith form, U carries
     N / B N onto the group of y in prod Z/d_i, and the representative
     x = U^{-1} y has coordinates t = B^{-1} x = V S^{-1} y on the
     generators. So t_j = frac(sum_i V[j][i] y_i / d_i), computed in
-    integers as (VS y)_j / D over D = d_n, which every d_i divides.
+    integers as (VS y)_j / D over D = d_n, which every d_i divides; a
+    y_i with d_i = 1 is 0, so only the factors with d_i > 1 are walked.
+    A nu already in `found` lies on a shared face. Its t is the unique
+    expansion of nu over the independent generators of its support, so
+    the two agree when their supports do, and that is checked before
+    any Fraction is built. Every t_j and age is read from one table of
+    the k / D.
     """
-    n = fan.dim
-    gens = fan.cone_generators(cone)
+    if found is None:
+        found = {}
     factor = fan.factor(cone)
-    D, VS = factor.D, factor.VS
-    out: dict[Vec, BoxElement] = {}
-    for y in itertools.product(*[range(d) for d in factor.diag]):
-        num = [sum(VS[j][i] * y[i] for i in range(n)) % D for j in range(n)]
+    n, D = fan.dim, factor.D
+    if D == 1:
+        return found
+    gens = fan.cone_generators(cone)
+    walked = [i for i, d in enumerate(factor.diag) if d > 1]
+    cols = [[row[i] for row in factor.VS] for i in walked]
+    frac = [Fraction(k, D) for k in range(n * (D - 1) + 1)]
+    for y in itertools.product(*[range(factor.diag[i]) for i in walked]):
+        num = [sum(c[j] * yi for c, yi in zip(cols, y)) % D for j in range(n)]
         if not any(num):
             continue
         x = [sum(num[j] * gens[j][i] for j in range(n)) for i in range(n)]
         assert all(xi % D == 0 for xi in x)
         nu = tuple(xi // D for xi in x)
         support = tuple(cone[j] for j in range(n) if num[j])
-        ts = tuple(Fraction(num[j], D) for j in range(n) if num[j])
-        out[nu] = BoxElement(nu, support, ts, Fraction(sum(num), D))
-    return out
+        el = found.get(nu)
+        if el is None:
+            found[nu] = BoxElement(nu, support, tuple(frac[k] for k in num if k),
+                                   frac[sum(num)])
+        elif el.cone != support:
+            raise InvalidFanError(f"inconsistent Box element at {nu}")
+    return found
 
 
 def compute_box(fan: StackyFan) -> tuple[BoxElement, ...]:
@@ -282,17 +303,32 @@ def compute_box(fan: StackyFan) -> tuple[BoxElement, ...]:
     require_valid(fan)
     found: dict[Vec, BoxElement] = {}
     for c in fan.max_cones:
-        for nu, el in _box_of_cone(fan, c).items():
-            if nu in found:
-                if found[nu].cone != el.cone or found[nu].t != el.t:
-                    raise InvalidFanError(f"inconsistent Box element at {nu}")
-            else:
-                found[nu] = el
+        _box_of_cone(fan, c, found)
     return tuple(found[k] for k in sorted(found))
 
 
 def is_gorenstein(fan: StackyFan) -> bool:
-    return all(el.age.denominator == 1 for el in fan.box)
+    """Whether every twisted sector has integral age, read from the
+    Smith factors of the maximal cones; the Box is not built.
+
+    On a maximal cone sigma with generator matrix B, the linear form
+    m = 1^T B^{-1} takes the value 1 on each generator b_i, and a Box
+    element nu = sum t_k b_k of sigma or of one of its faces has age
+    sum t_k = m(nu). N is generated by Box(sigma) and the b_i, since
+    v - sum floor(x_i) b_i lies in Box(sigma) for v = sum x_i b_i. So
+    the ages on sigma are all integral iff m is integral on N, that is
+    iff D m = 1^T (D B^{-1}) is 0 mod D, with D B^{-1} =
+    `scaled_inverse()`: D divides every column sum. Every Box element
+    lies in some maximal cone, so X is Gorenstein iff this holds on
+    every maximal cone.
+    """
+    require_valid(fan)
+    for c in fan.max_cones:
+        factor = fan.factor(c)
+        D = factor.D
+        if D > 1 and any(sum(col) % D for col in zip(*factor.scaled_inverse())):
+            return False
+    return True
 
 
 class WallCurve(NamedTuple):

@@ -255,15 +255,20 @@ def hori_vafa(ext: ExtendedFanData, order=10) -> Potential:
     fixed by prod_j C_j^{D_j(e_a)} = y_a for the basis classes e_a, so
     their exponent vectors are the rows of the inverse of the basis
     matrix restricted to those rays. Each term stores its exponent
-    vector, which is 0 on the gauge cone.
+    vector, which is 0 on the gauge cone. The rows are read from
+    D B^{-1} in integers, with D the largest Smith invariant of that
+    matrix B; D is the least common denominator of B^{-1}, so it is the
+    chart roster's denominator.
     """
     gauge = ext.fan.max_cones[0]
     free = [j for j in range(ext.m_prime) if j not in gauge]
-    rows = dict(zip(free, SmithFactor([[ext.basis[a][j] for j in free]
-                                       for a in range(ext.r_prime)]).inverse()))
-    zero = (Fraction(0),) * ext.r_prime
-    expo = [tuple(rows.get(j, zero)) for j in range(ext.m_prime)]
-    den = math.lcm(*(x.denominator for e in expo for x in e))
+    factor = SmithFactor([[ext.basis[a][j] for j in free]
+                          for a in range(ext.r_prime)])
+    den = factor.D
+    rows = dict(zip(free, factor.scaled_inverse()))
+    zero = (0,) * ext.r_prime
+    expo = [tuple(Fraction(x, den) for x in rows.get(j, zero))
+            for j in range(ext.m_prime)]
     names = [f"y{a + 1}" for a in range(ext.r_prime)]
     roster = make_roster(names, [den] * ext.r_prime, [False] * ext.r_prime)
     vectors = ext.all_vectors()

@@ -1,7 +1,9 @@
 """Hypothesis strategies and fans shared by the test modules."""
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -60,3 +62,12 @@ def cube_fan(flip=False):
             ring = ring[1:] + ring[:1]
         cones += [(ring[0], ring[1], ring[2]), (ring[0], ring[2], ring[3])]
     return StackyFan.make(3, vectors, cones)
+
+
+def load_fangen():
+    """perfbench/fangen.py, the benchmark's seeded random 2D fans."""
+    spec = importlib.util.spec_from_file_location(
+        "fangen", Path(__file__).resolve().parent.parent / "perfbench" / "fangen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -190,13 +190,32 @@ def minor_rank(A):
     return 0
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrices, st.sampled_from(("as drawn", "column sum", "row sum")),
-       st.lists(st.fractions(-5, 5, max_denominator=4), min_size=4, max_size=4),
-       st.booleans(), st.booleans())
-def test_solves_against_minor_ranks(A, dependence, v, integer, in_image):
-    # rank-deficient inputs on purpose: the last column or row becomes
-    # the sum of the others; b is A v or v itself, integral or rational
+def gauss_jordan(A, b):
+    """The x with A x = b over Q, for A with independent columns, or
+    None when the system is inconsistent."""
+    rows, cols = len(A), len(A[0])
+    M = [[Fraction(a) for a in row] + [Fraction(c)] for row, c in zip(A, b)]
+    for j in range(cols):
+        p = next(i for i in range(j, rows) if M[i][j])
+        M[j], M[p] = M[p], M[j]
+        M[j] = [a / M[j][j] for a in M[j]]
+        for i in range(rows):
+            if i != j and M[i][j]:
+                M[i] = [a - M[i][j] * c for a, c in zip(M[i], M[j])]
+    if any(M[i][cols] for i in range(cols, rows)):
+        return None
+    return [M[j][cols] for j in range(cols)]
+
+
+# rank-deficient inputs on purpose: the last column or row becomes the
+# sum of the others; b is A v or v itself, integral or rational
+right_hand_sides = (
+    matrices, st.sampled_from(("as drawn", "column sum", "row sum")),
+    st.lists(st.fractions(-5, 5, max_denominator=4), min_size=4, max_size=4),
+    st.booleans(), st.booleans())
+
+
+def system(A, dependence, v, integer, in_image):
     rows, cols = len(A), len(A[0])
     if dependence == "column sum" and cols > 1:
         A = [row[:-1] + [sum(row[:-1])] for row in A]
@@ -205,6 +224,14 @@ def test_solves_against_minor_ranks(A, dependence, v, integer, in_image):
     if integer:
         v = [int(x) for x in v]
     b = [sum(a * x for a, x in zip(row, v)) for row in A] if in_image else v[:rows]
+    return A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(*right_hand_sides)
+def test_solves_against_minor_ranks(A, dependence, v, integer, in_image):
+    A, b = system(A, dependence, v, integer, in_image)
+    cols = len(A[0])
     r = minor_rank(A)
     consistent = minor_rank([row + [c] for row, c in zip(A, b)]) == r
     x = SmithFactor(A).solve(b)
@@ -252,3 +279,24 @@ def test_lattice_generates():
     assert lattice_generates([(1, 0), (-1, 2), (0, -1)], 2)
     assert not lattice_generates([(2, 0), (0, 2)], 2)
     assert not lattice_generates([(2,), (-2,)], 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*right_hand_sides)
+def test_scaled_solve_is_the_solve_over_a_positive_denominator(
+        A, dependence, v, integer, in_image):
+    A, b = system(A, dependence, v, integer, in_image)
+    factor = SmithFactor(A)
+    scaled, x = factor.scaled_solve(b), factor.solve(b)
+    assert (scaled is None) == (x is None)
+    if x is None:
+        return
+    num, q = scaled
+    assert type(q) is int and q > 0
+    assert all(type(c) is int for c in num)
+    assert x == [Fraction(c, q) for c in num]
+    if minor_rank(A) == len(A[0]):
+        # the unique solution: the numerators have its signs, which is
+        # all that a cone or wall-side test reads
+        want = gauss_jordan(A, b)
+        assert [(c > 0) - (c < 0) for c in num] == [(c > 0) - (c < 0) for c in want]

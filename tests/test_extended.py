@@ -1,6 +1,5 @@
 """Extended fan data: kernel bases, pushforwards, effective classes."""
 
-import importlib.util
 import itertools
 import json
 import math
@@ -23,7 +22,7 @@ from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
 from orbimirror.fan import (InvalidFanError, StackyFan, fan_from_json,
                             wall_curve_classes)
 from orbimirror.mirror import i_function
-from strategies import complete_fan_rays
+from strategies import complete_fan_rays, load_fangen
 
 
 def _copy(ext: ExtendedFanData, **changes) -> ExtendedFanData:
@@ -545,18 +544,9 @@ def test_keff_zweight_excess_is_the_sector_age(name):
     assert (_assert_keff_ages(ext, 6) > 0) == bool(ext.box)
 
 
-def _fangen():
-    """perfbench/fangen.py, the benchmark's seeded random 2D fans."""
-    spec = importlib.util.spec_from_file_location(
-        "fangen", FANS.parent / "perfbench" / "fangen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_keff_zweight_excess_is_the_sector_age_on_random_fans():
     # the 200 fans of ROADMAP item 5; 11 of them build at this writing
-    fangen = _fangen()
+    fangen = load_fangen()
     built = twisted = 0
     for seed in range(50):
         for data in fangen.random_fans(seed, 4):

@@ -21,7 +21,9 @@ from orbimirror.fan import (IncompleteFanError, InvalidFanError, StackyFan,
                             wall_curve_classes)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan, wpn_index)
-from strategies import complete_fan_rays
+from strategies import complete_fan_rays, load_fangen
+
+FANS = Path(__file__).resolve().parent.parent / "fans"
 
 
 def test_validate_families():
@@ -37,7 +39,7 @@ def test_wpn_index_family(n):
 
 @pytest.mark.parametrize("name", ["f2", "kp3", "p1", "p1_3_5", "p2"])
 def test_wpn_index_bundled_non_family(name):
-    path = Path(__file__).resolve().parent.parent / "fans" / f"{name}.json"
+    path = FANS / f"{name}.json"
     assert wpn_index(fan_from_json(json.loads(path.read_text()))) is None
 
 
@@ -164,17 +166,21 @@ def test_validate_cyclic_fans_match_angle_oracle(rays):
     assert validate_fan(fan).valid == _winds_once(rays)
 
 
-def _parallelepiped_count(g1, g2) -> int:
-    """Lattice points t1*g1 + t2*g2 with 0 <= t1, t2 < 1, by scanning the
-    bounding box and solving for (t1, t2) with Cramer's rule."""
+def _cramer(g1, g2, v) -> tuple[F, F]:
+    """(t1, t2) with v = t1*g1 + t2*g2, by Cramer's rule."""
     d = g1[0] * g2[1] - g1[1] * g2[0]
+    return (F(v[0] * g2[1] - v[1] * g2[0], d), F(g1[0] * v[1] - g1[1] * v[0], d))
+
+
+def _parallelepiped_points(g1, g2) -> dict[tuple[int, int], tuple[F, F]]:
+    """The lattice points t1*g1 + t2*g2 with 0 <= t1, t2 < 1, each with
+    its (t1, t2), by scanning the bounding box with Cramer's rule."""
     xs = range(min(0, g1[0], g2[0], g1[0] + g2[0]),
                max(0, g1[0], g2[0], g1[0] + g2[0]) + 1)
     ys = range(min(0, g1[1], g2[1], g1[1] + g2[1]),
                max(0, g1[1], g2[1], g1[1] + g2[1]) + 1)
-    return sum(0 <= F(x * g2[1] - y * g2[0], d) < 1
-               and 0 <= F(g1[0] * y - g1[1] * x, d) < 1
-               for x in xs for y in ys)
+    points = {(x, y): _cramer(g1, g2, (x, y)) for x in xs for y in ys}
+    return {p: t for p, t in points.items() if all(0 <= ti < 1 for ti in t)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,7 +195,118 @@ def test_box_counts_match_determinants(rays):
         g1, g2 = (rays[i] for i in cone)
         index = abs(g1[0] * g2[1] - g1[1] * g2[0])
         inside = sum(set(el.cone) <= set(cone) for el in box)
-        assert inside + 1 == index == _parallelepiped_count(g1, g2)
+        assert inside + 1 == index == len(_parallelepiped_points(g1, g2))
+
+
+@st.composite
+def _labelled_cyclic_fans(draw):
+    """A complete 2D stacky fan with labels in 1..3, the ray at angle
+    position j carrying the index cycle[j]."""
+    rays = draw(complete_fan_rays())
+    k = len(rays)
+    stacky = _stacky(rays, draw(st.lists(st.integers(1, 3), min_size=k,
+                                         max_size=k)))
+    cycle = draw(st.permutations(range(k)))
+    vecs = [None] * k
+    for j, i in enumerate(cycle):
+        vecs[i] = stacky[j]
+    return StackyFan.make(2, vecs, [(cycle[j], cycle[(j + 1) % k])
+                                    for j in range(k)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_cyclic_fans())
+def test_box_elements_match_parallelepiped_points(fan):
+    # the oracle's (nu, cone, t, age), a point on a shared ray found
+    # from both of its cones with the same t
+    want = {}
+    for cone in fan.max_cones:
+        g1, g2 = fan.cone_generators(cone)
+        for nu, t in _parallelepiped_points(g1, g2).items():
+            if not any(t):
+                continue
+            el = (nu, tuple(i for i, ti in zip(cone, t) if ti),
+                  tuple(ti for ti in t if ti), sum(t))
+            assert want.setdefault(nu, el) == el
+    assert [tuple(el) for el in compute_box(fan)] == sorted(want.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_cyclic_fans(),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+def test_in_cone_signs_match_cramer_rule(fan, v):
+    # in_cone returns integer numerators over a positive denominator,
+    # so their signs are those of the Fraction coefficients
+    for cone in fan.max_cones:
+        t = _cramer(*fan.cone_generators(cone), v)
+        got = fan.in_cone(cone, v)
+        if min(t) < 0:
+            assert got is None
+        else:
+            assert all(type(x) is int for x in got)
+            assert [(x > 0) - (x < 0) for x in got] == [(x > 0) - (x < 0) for x in t]
+
+
+def _gorenstein_oracle(fan) -> bool:
+    return all(el.age.denominator == 1 for el in compute_box(fan))
+
+
+def _many_fans() -> list[StackyFan]:
+    """The bundled fans, the weighted and bundle families in dims 2-7
+    and the seeded random 2D fans of perfbench/fangen.py."""
+    fangen = load_fangen()
+    return ([fan_from_json(json.loads(p.read_text())) for p in sorted(FANS.glob("*.json"))]
+            + [wpn_fan(n) for n in range(2, 8)]
+            + [kp_bundle_fan(n) for n in range(2, 8)]
+            + [fan_from_json(d) for seed in range(60)
+               for d in fangen.random_fans(seed, 4)]
+            + [fan_from_json(d) for seed in range(20)
+               for d in fangen.benchmark_fans(seed, 16)])
+
+
+def test_gorenstein_matches_the_ages_of_the_box():
+    fans = _many_fans()
+    gorenstein = 0
+    for fan in fans:
+        got = is_gorenstein(fan)
+        # read off the Smith factors: the Box is not built
+        assert "box" not in vars(fan)
+        assert got == _gorenstein_oracle(fan)
+        gorenstein += got
+    # the Gorenstein ones: the bundled fans but P1_{3,5}, and the two
+    # families in dims 2-7; the Hypothesis case below covers 2D stacky
+    # fans with labels
+    assert len(fans) == 580 and gorenstein == 19
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_cyclic_fans())
+def test_gorenstein_matches_the_ages_of_the_box_on_labelled_fans(fan):
+    assert is_gorenstein(fan) == _gorenstein_oracle(fan)
+    assert "box" not in vars(fan)
+
+
+def test_gorenstein_of_an_invalid_fan_raises():
+    with pytest.raises(InvalidFanError):
+        is_gorenstein(FOLD)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_check_builds_no_box(fmt, monkeypatch, tmp_path):
+    calls = []
+
+    def counting(fan):
+        calls.append(fan)
+        return compute_box(fan)
+
+    monkeypatch.setattr("orbimirror.fan.compute_box", counting)
+    for path in sorted(FANS.glob("*.json")):
+        out = tmp_path / f"{path.stem}.{fmt}"
+        assert main(["check", str(path), "--format", fmt, "--out", str(out)]) == 0
+    assert calls == []
+    assert main(["box", str(FANS / "p112.json"), "--format", fmt,
+                 "--out", str(tmp_path / "box")]) == 0
+    assert len(calls) == 1
 
 
 def test_fan_validated_once(monkeypatch):

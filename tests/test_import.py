@@ -28,8 +28,10 @@ print(json.dumps({"file": orbimirror.cli.__file__,
 
 # perfbench/run.py imports the package afresh before every pass. An
 # evaluated annotation that subscripts a `typing` generic with a package
-# class (`Sequence[PuiseuxSeries]`) enters typing's cache, which then
-# keeps the class, and through its methods its whole earlier module, alive.
+# class (`Sequence[PuiseuxSeries]`, `Optional[dict[Vec, BoxElement]]`)
+# enters typing's cache, which then keeps the class alive, and through
+# its methods, if it has any, its whole earlier module. The heap that
+# the benchmark's gc.collect() before each job walks grows with them.
 REIMPORT_PROBE = """
 import gc, importlib, json, sys
 for _ in range(4):
@@ -37,9 +39,14 @@ for _ in range(4):
         del sys.modules[name]
     importlib.import_module("orbimirror.cli")
 gc.collect()
-print(json.dumps(sorted(o["__name__"] for o in gc.get_objects()
-                        if isinstance(o, dict) and "__builtins__" in o
-                        and str(o.get("__name__")).startswith("orbimirror"))))
+objects = gc.get_objects()
+print(json.dumps({
+    "modules": sorted(o["__name__"] for o in objects
+                      if isinstance(o, dict) and "__builtins__" in o
+                      and str(o.get("__name__")).startswith("orbimirror")),
+    "classes": sorted(f"{o.__module__}.{o.__qualname__}" for o in objects
+                      if isinstance(o, type)
+                      and o.__module__.startswith("orbimirror"))}))
 """
 
 
@@ -71,5 +78,10 @@ def test_record_annotations_are_evaluated_types():
 
 
 def test_reimport_leaves_no_earlier_module_alive():
-    alive = _probe(REIMPORT_PROBE)
+    alive = _probe(REIMPORT_PROBE)["modules"]
     assert len(alive) == len(set(alive)), alive
+
+
+def test_reimport_leaves_no_earlier_class_alive():
+    alive = _probe(REIMPORT_PROBE)["classes"]
+    assert alive and len(alive) == len(set(alive)), alive
