@@ -18,7 +18,7 @@ from orbimirror.extended import (BasisShapeInfeasibleError,
                                 keff_enumerate)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
-from orbimirror.fan import compute_box, fan_from_json
+from orbimirror.fan import compute_box, fan_from_json, star_subdivide_xbar
 from orbimirror.mirror import (MirrorShapeViolation, NotFanoError,
                                NotGorensteinError, _pairing_factor,
                                check_normalization, closed_h0_z2,
@@ -334,6 +334,19 @@ def test_hori_vafa_exponents_give_each_monomial(name):
         lf = lf_superpotential(ext, 4)
         assert [t.exponents for t in lf.potential.terms] == \
             [t.exponents for t in hv.terms]
+
+
+@pytest.mark.parametrize("b0,direction", [((1, 0), 5), ((-1, 2), 4)])
+def test_hori_vafa_runs_where_the_units_are_unbounded(b0, direction):
+    # X-bar of P(1,1,2) at a ray has a cone with a unit of weight 0, so
+    # K_eff cannot be enumerated; the Hori-Vafa terms need no weights
+    xbar = star_subdivide_xbar(wpn_fan(2), b0).fan
+    ext = build_extended(xbar)
+    assert len(hori_vafa(ext, 4).terms) == 6
+    with pytest.raises(EnumerationUnboundedError,
+                       match=rf"^direction {direction} of cone \(0, 1\) has "
+                             r"nonpositive weight 0$"):
+        ext.cone_units
 
 
 # F2 with the -2 ray (0, 1) first, so that the first maximal cone holds it
