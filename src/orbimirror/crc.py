@@ -180,10 +180,11 @@ def _extended_in_resolution(pair: ResolutionPair,
     return out
 
 
-def glue_charts(pair: ResolutionPair) -> ChartGluing:
+def glue_charts(pair: ResolutionPair, n: Optional[int]) -> ChartGluing:
     """Express each orbifold chart coordinate y_a as a monomial in the
     resolution chart coordinates U_b, by writing the orbifold curve-class
-    basis in the resolution basis."""
+    basis in the resolution basis. `n` is the pair's P(1,...,1,n) index
+    (`pair_wpn_index`), or None; it selects the eta relations."""
     ext_x = build_extended(pair.orbifold)
     ext_y = build_extended(pair.resolution)
     if ext_y.extra:
@@ -192,10 +193,9 @@ def glue_charts(pair: ResolutionPair) -> ChartGluing:
     if ext_x.r_prime != ext_y.r_prime:
         raise BasisMismatch("chart dimensions differ")
     mapped = _extended_in_resolution(pair, ext_x)
-    on_y = SmithFactor(list(zip(*ext_y.basis)))
     M = []
     for row in mapped:
-        sol = integral(on_y.solve(row))
+        sol = integral(ext_y.basis_factor.solve(row))
         if sol is None:
             raise BasisMismatch("orbifold class is not integral in the "
                                 "resolution basis")
@@ -204,7 +204,6 @@ def glue_charts(pair: ResolutionPair) -> ChartGluing:
         u_of_y = tuple(map(tuple, SmithFactor(M).inverse()))
     except DependentGeneratorsError:
         raise BasisMismatch("glued classes are linearly dependent")
-    n = pair_wpn_index(pair)
     eta = None
     if n is not None:
         # eta_1 = U_1^{-1/n}, eta_2 = U_1^{1/n} U_2
@@ -479,7 +478,7 @@ def pair_report(pair: ResolutionPair, order: int = 10,
     n = pair_wpn_index(pair)
     if wpn is not None and wpn != n:
         raise WpnMismatch(f"--wpn {wpn} does not match the pair (detected n: {n})")
-    gluing = glue_charts(pair)
+    gluing = glue_charts(pair, n)
     out["gluing"] = gluing.to_json()
     if n is None:
         out["continuation"] = "continuation not implemented for this family"

@@ -45,25 +45,22 @@ class EnumerationUnit(NamedTuple):
 class ExtendedFanData:
     """The extended stacky fan of `build_extended`.
 
-    A plain class with a `__dict__`, like `StackyFan`, so that `den` and
+    A plain class with a `__dict__`, like `StackyFan`, so that the Smith
+    data of the basis (`basis_factor`, `cone_inverses`), `den` and
     `cone_units` are computed on first use and kept on the instance.
     """
 
-    def __init__(self, fan: StackyFan, box: tuple[BoxElement, ...],
-                 extra: tuple[BoxElement, ...], basis: tuple[Vec, ...],
-                 t_extra: tuple[tuple[Fraction, ...], ...],
-                 dtilde: tuple[tuple[Fraction, ...], ...],
-                 m: int, m_prime: int, r: int, r_prime: int):
+    def __init__(self, fan: StackyFan, extra: tuple[BoxElement, ...],
+                 basis: tuple[Vec, ...],
+                 dtilde: tuple[tuple[Fraction, ...], ...]):
         self.fan = fan
-        self.box = box                # all of Box'
         self.extra = extra            # age <= 1, in ray order m+1..m'
         self.basis = basis            # d_1..d_{r'}, integer entries, length m'
-        self.t_extra = t_extra        # extras expanded over base rays
         self.dtilde = dtilde          # a > r: push-forward in d_1..d_r, in [0, 1)^r
-        self.m = m
-        self.m_prime = m_prime
-        self.r = r
-        self.r_prime = r_prime
+        self.m = fan.n_rays
+        self.m_prime = self.m + len(extra)
+        self.r = self.m - fan.dim
+        self.r_prime = self.m_prime - fan.dim
 
     @property
     def dim(self) -> int:
@@ -74,48 +71,57 @@ class ExtendedFanData:
 
     # Kept on the instance, as `StackyFan.box` is, so they go with the data.
     @cached_property
-    def _cone_inverses(self) -> tuple[tuple[int, list[list[int]]], ...]:
-        """(D, D B^-1) of each max cone sigma, in `fan.max_cones` order:
-        B is the r' x r' matrix basis[a][k] over the r' free indices k
-        (not in sigma) and D its largest Smith invariant, the least
-        multiplier that makes D B^-1 integral. Row i gives the unit of the
-        i-th free index (`cone_units`), whose weight, the row sum over D,
-        must be positive; it is tested here, before any other unit work.
-        """
+    def basis_factor(self) -> SmithFactor:
+        """The Smith factor of the m' x r' matrix whose columns are
+        d_1..d_{r'}: its `solve` gives a class's coordinates in the basis.
+        The columns are independent, so a solution is unique."""
+        return SmithFactor(list(zip(*self.basis)))
+
+    @cached_property
+    def cone_inverses(self) -> tuple[tuple[list[int], int, list[list[int]]], ...]:
+        """(free, D, D B^-1) of each max cone sigma, in `fan.max_cones`
+        order: free lists the r' indices j not in sigma, B is the
+        r' x r' matrix basis[a][free[i]] and D its largest Smith
+        invariant, the least multiplier that makes D B^-1 integral.
+        Row i of B^-1 gives the unit of free[i] (`cone_units`) and the
+        Hori-Vafa exponents of ray free[i] when sigma is the gauge cone
+        (`mirror.hori_vafa`); no weight is tested here."""
         out = []
         for sigma in self.fan.max_cones:
             free = [j for j in range(self.m_prime) if j not in sigma]
             factor = SmithFactor([[d[k] for k in free] for d in self.basis])
-            rows = factor.scaled_inverse()
-            for j, row in zip(free, rows):
-                if sum(row) <= 0:
-                    raise EnumerationUnboundedError(
-                        f"direction {j} of cone {sigma} has nonpositive weight "
-                        f"{Fraction(sum(row), factor.D)}")
-            out.append((factor.D, rows))
+            out.append((free, factor.D, factor.scaled_inverse()))
         return tuple(out)
 
     @cached_property
     def den(self) -> int:
-        """L = lcm of the D of every max cone (`_cone_inverses`), the least
+        """L = lcm of the D of every max cone (`cone_inverses`), the least
         common denominator of the units; K_eff lies in (1/L)Z^r'."""
-        return math.lcm(*(D for D, _ in self._cone_inverses))
+        return math.lcm(*(D for _, D, _ in self.cone_inverses))
 
     @cached_property
     def cone_units(self) -> tuple[tuple[EnumerationUnit, ...], ...]:
         """The enumeration units of each max cone, in `fan.max_cones`
         order, one per free index; every unit has positive weight.
 
-        With B the matrix of `_cone_inverses`, the unit of the i-th free
+        With B the matrix of `cone_inverses`, the unit of the i-th free
         index has delta = row i of B^-1, so that <D_k, u> = (delta B)_k
-        is 1 at that index and 0 at the others. In numerators over
-        L = `den`, delta is row i of D B^-1 times L/D, and c is delta
-        dotted with the row sums of the basis.
+        is 1 at that index and 0 at the others. Its weight, the row sum
+        of D B^-1 over D, must be positive; every weight is tested
+        before any unit is built. In numerators over L = `den`, delta is
+        row i of D B^-1 times L/D, and c is delta dotted with the row
+        sums of the basis.
         """
+        for sigma, (free, D, rows) in zip(self.fan.max_cones, self.cone_inverses):
+            for j, row in zip(free, rows):
+                if sum(row) <= 0:
+                    raise EnumerationUnboundedError(
+                        f"direction {j} of cone {sigma} has nonpositive weight "
+                        f"{Fraction(sum(row), D)}")
         L = self.den
         sums = [sum(d) for d in self.basis]
         out = []
-        for D, rows in self._cone_inverses:
+        for _, D, rows in self.cone_inverses:
             deltas = [tuple(x * (L // D) for x in row) for row in rows]
             out.append(tuple(EnumerationUnit(delta, sum(map(operator.mul, delta, sums)))
                              for delta in deltas))
@@ -199,22 +205,18 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
     require_valid(fan)
     n = fan.dim
     m = fan.n_rays
-    box = fan.box
-    extra = tuple(el for el in box if el.age <= 1)
+    extra = tuple(el for el in fan.box if el.age <= 1)
     m_prime = m + len(extra)
     vectors = list(fan.stacky_vectors) + [el.nu for el in extra]
     if not lattice_generates(vectors, n):
         raise LatticeNotGeneratedError(
             "stacky vectors and age<=1 Box elements do not generate the lattice")
-    r = m - n
-    r_prime = m_prime - n
     base = SmithFactor([[fan.stacky_vectors[j][i] for j in range(m)]
                         for i in range(n)])
     walls = [_scale_primitive(w.relation) for w in wall_curve_classes(fan)]
     base_basis = _nef_base_basis(base.kernel_basis(), walls)
     on_nef = SmithFactor(list(zip(*base_basis)))
     basis: list[Vec] = [tuple(d) + (0,) * len(extra) for d in base_basis]
-    t_extra = []
     dtilde = []
     for k, el in enumerate(extra):
         c = integral(base.solve(el.nu))
@@ -231,23 +233,19 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
              for j in range(m)] + [0] * len(extra)
         d[m + k] = 1
         basis.append(tuple(d))
-        t_extra.append(tuple(t))
         dtilde.append(tuple(x + za for x, za in zip(s, z)))
     # every basis vector must be a relation
     for d in basis:
         for i in range(n):
             assert sum(d[j] * vectors[j][i] for j in range(m_prime)) == 0
+    ext = ExtendedFanData(fan, extra, tuple(basis), tuple(dtilde))
     # saturation: each SNF kernel vector of the full matrix must be an
     # integer combination of the chosen basis
     full_matrix = [[vectors[j][i] for j in range(m_prime)] for i in range(n)]
     saturation = snf_kernel_basis(full_matrix)
-    if saturation:
-        chosen = SmithFactor([[basis[a][j] for a in range(r_prime)]
-                              for j in range(m_prime)])
-        if any(integral(chosen.solve(kv)) is None for kv in saturation):
-            raise BasisShapeInfeasibleError("chosen basis does not saturate the kernel")
-    return ExtendedFanData(fan, box, extra, tuple(basis), tuple(t_extra),
-                           tuple(dtilde), m, m_prime, r, r_prime)
+    if any(integral(ext.basis_factor.solve(kv)) is None for kv in saturation):
+        raise BasisShapeInfeasibleError("chosen basis does not saturate the kernel")
+    return ext
 
 
 class KEffElement(NamedTuple):
@@ -289,7 +287,7 @@ def keff_enumerate(ext: ExtendedFanData, bound,
     n, m_prime = ext.dim, ext.m_prime
     vectors = ext.all_vectors()
     columns = [[d[j] for d in ext.basis] for j in range(m_prime)]
-    box_nus = {el.nu for el in ext.box}
+    box_nus = {el.nu for el in ext.fan.box}
     zero = (0,) * n
     seen: dict[tuple[int, ...], KEffElement] = {}
 

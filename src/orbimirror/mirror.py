@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import SmithFactor, Vec, coordinates
+from .exact import Vec
 from .extended import (ExtendedFanData, KEffElement, _chart_roster,
                        build_extended, keff_enumerate)
 from .families import wpn_index
@@ -180,7 +180,7 @@ def check_normalization(iseries: ISeries) -> tuple[bool, list[str]]:
     sector of age <= 1 (the B_b). Each key is checked once."""
     ext = iseries.ext
     zero_nu, zero_p = (0,) * ext.dim, (0,) * ext.r
-    ages = {el.nu: el.age for el in ext.box}
+    ages = {el.nu: el.age for el in ext.fan.box}
     errors = []
     for (nu, z, pexp), terms in iseries.coeffs.items():
         if z > 0:
@@ -256,16 +256,13 @@ def hori_vafa(ext: ExtendedFanData, order=10) -> Potential:
     their exponent vectors are the rows of the inverse of the basis
     matrix restricted to those rays. Each term stores its exponent
     vector, which is 0 on the gauge cone. The rows are read from
-    D B^{-1} in integers, with D the largest Smith invariant of that
-    matrix B; D is the least common denominator of B^{-1}, so it is the
-    chart roster's denominator.
+    D B^{-1}, the gauge cone's entry of `ext.cone_inverses`; D is the
+    least common denominator of B^{-1}, so it is the chart roster's
+    denominator.
     """
     gauge = ext.fan.max_cones[0]
-    free = [j for j in range(ext.m_prime) if j not in gauge]
-    factor = SmithFactor([[ext.basis[a][j] for j in free]
-                          for a in range(ext.r_prime)])
-    den = factor.D
-    rows = dict(zip(free, factor.scaled_inverse()))
+    free, den, rows = ext.cone_inverses[0]
+    rows = dict(zip(free, rows))
     zero = (0,) * ext.r_prime
     expo = [tuple(Fraction(x, den) for x in rows.get(j, zero))
             for j in range(ext.m_prime)]
@@ -281,7 +278,7 @@ def hori_vafa(ext: ExtendedFanData, order=10) -> Potential:
 
 def _theorem_status(ext: ExtendedFanData) -> str:
     """Open mirror theorem coverage: manifolds and the P(1,..,1,n) family."""
-    if not ext.box:
+    if not ext.fan.box:
         return "proved (manifold)"
     if wpn_index(ext.fan) is not None:
         return "proved (P(1,...,1,n) family)"
@@ -423,9 +420,11 @@ def open_closed_bridge(fan: StackyFan, b0: Sequence[int], order=10) -> BridgeRep
     if jopen < ext.m:
         w[jopen] = Fraction(1)
     else:
-        w[:ext.m] = ext.t_extra[jopen - ext.m]
+        el = ext.extra[jopen - ext.m]
+        for j, tj in zip(el.cone, el.t):
+            w[j] = tj
     w[xbar.new_ray_index] += 1
-    delta = coordinates(ext.basis, w)
+    delta = ext.basis_factor.solve(w)
     if delta is None:
         raise MirrorShapeViolation("beta-bar is not a curve class")
     lf = lf_superpotential(ext, order)

@@ -19,7 +19,7 @@ from orbimirror.cli import build_parser, main
 from orbimirror.exact import SmithFactor
 from orbimirror.extended import build_extended
 from orbimirror.families import kp_bundle_fan, wpn_fan
-from orbimirror.fan import fan_from_json, fan_to_json
+from orbimirror.fan import StackyFan, fan_from_json, fan_to_json
 from orbimirror.mirror import lf_superpotential
 from orbimirror.series import series_to_json
 from strategies import cube_fan
@@ -649,8 +649,12 @@ def _count_factors(monkeypatch) -> Counter:
     return made
 
 
+def _load(path) -> StackyFan:
+    return fan_from_json(json.loads(Path(path).read_text()))
+
+
 def _cone_matrices(path) -> Counter:
-    fan = fan_from_json(json.loads(Path(path).read_text()))
+    fan = _load(path)
     return Counter(tuple(zip(*fan.cone_generators(c))) for c in fan.max_cones)
 
 
@@ -670,3 +674,25 @@ def test_crc_factors_no_orbifold_cone_twice(monkeypatch, capsys):
     resolution = _cone_matrices(KP3)
     for m in _cone_matrices(P113):
         assert made[m] == 1 + resolution[m]
+
+
+def test_superpotential_factors_each_cone_block_once(monkeypatch):
+    # hori_vafa reads the gauge cone's inverse off cone_inverses, which
+    # K_eff's units read too, so the gauge block is not factored again
+    ext = build_extended(_load(F2))
+    made = _count_factors(monkeypatch)
+    lf_superpotential(ext, 6)
+    assert made == Counter(
+        tuple(tuple(d[j] for j in range(ext.m_prime) if j not in sigma)
+              for d in ext.basis)
+        for sigma in ext.fan.max_cones)
+
+
+def test_crc_factors_the_resolution_basis_only_in_build_extended(monkeypatch):
+    # the chart gluing reads the factor that the saturation check made
+    made = _count_factors(monkeypatch)
+    basis = tuple(zip(*build_extended(_load(F2)).basis))
+    built = made[basis]
+    made.clear()
+    crc_mod.pair_report(crc_mod.ResolutionPair.make(_load(P112), _load(F2)))
+    assert made[basis] == built

@@ -62,7 +62,7 @@ def test_verify_crepant_flags_a_flipped_diagonal():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_glue_charts(n):
-    gl = glue_charts(wpn_pair(n))
+    gl = glue_charts(wpn_pair(n), n)
     # y1 = U1 U2^n, y2 = U2
     assert gl.y_of_u == ((1, n), (0, 1))
     # inverse chart: U1 = y1 y2^{-n}, U2 = y2

@@ -25,13 +25,9 @@ from orbimirror.mirror import i_function
 from strategies import complete_fan_rays, load_fangen
 
 
-def _copy(ext: ExtendedFanData, **changes) -> ExtendedFanData:
-    """A new ExtendedFanData with the fields of ext, some of them changed,
-    and none of its caches."""
-    fields = dict(fan=ext.fan, box=ext.box, extra=ext.extra, basis=ext.basis,
-                  t_extra=ext.t_extra, dtilde=ext.dtilde, m=ext.m,
-                  m_prime=ext.m_prime, r=ext.r, r_prime=ext.r_prime)
-    return ExtendedFanData(**{**fields, **changes})
+def _copy(ext: ExtendedFanData) -> ExtendedFanData:
+    """A new ExtendedFanData with the fields of ext and none of its caches."""
+    return ExtendedFanData(ext.fan, ext.extra, ext.basis, ext.dtilde)
 
 
 def test_p112_extended_shape():
@@ -142,8 +138,9 @@ def test_p2_extended_shape():
 def test_extra_expansion_over_base_rays():
     ext = build_extended(wpn_fan(2))
     # nu = (0,1) = (1/2)(1,0) + (1/2)(-1,2) over the rays of its cone
-    (t,) = ext.t_extra
-    vec = tuple(sum(F(c) * F(v[i]) for c, v in zip(t, ext.fan.stacky_vectors))
+    (el,) = ext.extra
+    rays = [ext.fan.stacky_vectors[j] for j in el.cone]
+    vec = tuple(sum(F(c) * F(v[i]) for c, v in zip(el.t, rays))
                 for i in range(2))
     assert vec == (F(0), F(1))
 
@@ -172,7 +169,9 @@ def _assert_extended_form(ext):
         c = integer_solve([[v[i] for v in rays] for i in range(ext.dim)], el.nu)
         z = coordinates(nef, [x + y for x, y in zip(d[:m], c)])
         assert all(x.denominator == 1 for x in z)
-        push = [x + t for x, t in zip(d[:m], ext.t_extra[k])]
+        push = list(d[:m])
+        for j, t in zip(el.cone, el.t):
+            push[j] += t
         assert tuple(coordinates(nef, push)) == dt
         assert all(0 <= x < 1 for x in dt)
 
@@ -280,7 +279,8 @@ def test_keff_bound_monotone():
 def test_keff_sector_outside_box_raises():
     # a class whose twisted sector is missing from the Box is an input
     # fault, reported as InvalidFanError
-    ext = _copy(build_extended(wpn_fan(2)), box=())
+    ext = build_extended(wpn_fan(2))
+    ext.fan.__dict__["box"] = ()
     with pytest.raises(InvalidFanError, match="is not a Box element"):
         keff_enumerate(ext, 4)
 
@@ -508,12 +508,14 @@ def test_non_fano_hirzebruch_units_take_the_fallback(k, c, delta):
 
 
 def test_extended_fan_data_keeps_den_and_cone_units_per_instance():
-    # den and cone_units are caches on the instance
+    # den, cone_units and the Smith data of the basis are caches on the
+    # instance; build_extended's saturation check fills basis_factor
     ext = build_extended(wpn_fan(2))
     assert ext.den and ext.cone_units
     fresh = _copy(ext)
-    assert {"den", "cone_units"} <= vars(ext).keys()
-    assert not {"den", "cone_units"} & vars(fresh).keys()
+    cached = {"den", "cone_units", "cone_inverses", "basis_factor"}
+    assert cached <= vars(ext).keys()
+    assert not cached & vars(fresh).keys()
     # each instance fills its own caches
     assert fresh.cone_units == ext.cone_units
     assert fresh.cone_units is not ext.cone_units
@@ -541,7 +543,7 @@ def _assert_keff_ages(ext: ExtendedFanData, order) -> int:
 @pytest.mark.parametrize("name", sorted(p.stem for p in FANS.glob("*.json")))
 def test_keff_zweight_excess_is_the_sector_age(name):
     ext = build_extended(_bundled(name))
-    assert (_assert_keff_ages(ext, 6) > 0) == bool(ext.box)
+    assert (_assert_keff_ages(ext, 6) > 0) == bool(ext.fan.box)
 
 
 def test_keff_zweight_excess_is_the_sector_age_on_random_fans():
