@@ -9,7 +9,6 @@ Hirzebruch surface F_2. Every table is computed to the order that
 """
 
 import argparse
-import math
 import time
 
 from orbimirror.extended import build_extended

@@ -24,7 +24,7 @@ from .families import wpn_index
 from .fan import (StackyFan, fan_from_json, fan_to_json, is_gorenstein,
                   star_subdivide_xbar, wall_curve_classes)
 from .mirror import extract_open_gw, hori_vafa, lf_superpotential, mirror_map
-from .series import _frac_str, series_to_json
+from .series import series_to_json
 
 
 class SchemaError(ValueError):
@@ -106,7 +106,7 @@ def cmd_box(args) -> int:
     fan = _load_fan(args.fan)
     payload = {"gorenstein": is_gorenstein(fan),
                "box": [{"nu": _frac_vec(el.nu), "cone": list(el.cone),
-                        "t": _frac_vec(el.t), "age": _frac_str(el.age),
+                        "t": _frac_vec(el.t), "age": str(el.age),
                         "extended": el.age <= 1} for el in fan.box]}
     _emit(payload, args.format, args.out,
           ("box", ["nu", "cone", "t", "age", "extended"]))
@@ -114,7 +114,7 @@ def cmd_box(args) -> int:
 
 
 def _frac_vec(v) -> list:
-    return [_frac_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def cmd_check(args) -> int:
@@ -127,7 +127,7 @@ def cmd_check(args) -> int:
     payload = {
         "gorenstein": is_gorenstein(fan),
         "walls": [{"wall": list(w.wall), "relation": _frac_vec(w.relation),
-                   "c1": _frac_str(w.c1)} for w in walls],
+                   "c1": str(w.c1)} for w in walls],
         "semi_fano": all(w.c1 >= 0 for w in walls),
         "fano": all(w.c1 > 0 for w in walls),
     }
@@ -180,7 +180,7 @@ def cmd_open_gw(args) -> int:
     tab = extract_open_gw(lf_superpotential(ext, args.order), ext)
     payload = {"status": tab.status,
                "entries": [{"ray": j, "q_exp": _frac_vec(qe),
-                            "tau_exp": list(te), "invariant": _frac_str(v)}
+                            "tau_exp": list(te), "invariant": str(v)}
                            for (j, qe, te), v in sorted(tab.entries.items())]}
     _emit(payload, args.format, args.out,
           ("entries", ["ray", "q_exp", "tau_exp", "invariant"]))

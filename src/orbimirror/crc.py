@@ -112,9 +112,9 @@ def verify_crepant(pair: ResolutionPair) -> CrepancyReport:
     issues = []
     refinement = True
     for cone in Y.max_cones:
-        vs = [Y.stacky_vectors[i] for i in cone]
-        vs.append(tuple(map(sum, zip(*vs))))   # an interior point
+        # a cone is convex, so it lies in sigma when its generators do;
         # solved on the orbifold's cone factors, which X keeps
+        vs = Y.cone_generators(cone)
         if not any(all(X.in_cone(sigma, v) is not None for v in vs)
                    for sigma in X.max_cones):
             refinement = False

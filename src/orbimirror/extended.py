@@ -12,12 +12,11 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .exact import (SmithFactor, Vec, integral, lattice_generates,
-                    primitive_vector, snf_kernel_basis)
-from .fan import (BoxElement, InvalidFanError, StackyFan, require_valid,
-                  wall_curve_classes)
+                    snf_kernel_basis)
+from .fan import BoxElement, InvalidFanError, StackyFan, require_valid
 from .series import Roster, make_roster
 
 
@@ -151,11 +150,6 @@ def _chart_roster(ext: ExtendedFanData, order) -> Roster:
                        [False] * ext.r_prime)
 
 
-def _scale_primitive(w: Sequence[Fraction]) -> Vec:
-    den = math.lcm(*(x.denominator for x in w))
-    return primitive_vector([int(x * den) for x in w])
-
-
 def _nef_base_basis(kernel: list[Vec], walls: list[Vec]) -> list[Vec]:
     """A unimodular basis of the base kernel on which every wall class has
     nonnegative coordinates.
@@ -213,8 +207,9 @@ def build_extended(fan: StackyFan) -> ExtendedFanData:
             "stacky vectors and age<=1 Box elements do not generate the lattice")
     base = SmithFactor([[fan.stacky_vectors[j][i] for j in range(m)]
                         for i in range(n)])
-    walls = [_scale_primitive(w.relation) for w in wall_curve_classes(fan)]
-    base_basis = _nef_base_basis(base.kernel_basis(), walls)
+    # the primitive integer wall relations that validation kept
+    base_basis = _nef_base_basis(base.kernel_basis(),
+                                 [w for _, _, w in fan.report.walls])
     on_nef = SmithFactor(list(zip(*base_basis)))
     basis: list[Vec] = [tuple(d) + (0,) * len(extra) for d in base_basis]
     dtilde = []

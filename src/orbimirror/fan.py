@@ -140,6 +140,9 @@ class FanReport(NamedTuple):
     simplicial: bool
     complete: bool
     errors: tuple[str, ...]
+    # (face, lo, w) per wall, sorted by face, with w the relation of
+    # completeness test (a); empty unless (a) and (b) pass
+    walls: tuple[tuple[tuple[int, ...], int, Vec], ...] = ()
 
     @property
     def valid(self) -> bool:
@@ -160,26 +163,28 @@ def validate_fan(fan: StackyFan) -> FanReport:
 
     The fan is complete when every wall lies in exactly two maximal
     cones and
-      (a) at each wall f between sigma0 and sigma1, with e0 the ray of
-          sigma0 and e1 the ray of sigma1 off the wall, the coefficient
-          c of b_e0 in b_e1 on the generators of sigma0 is negative,
-          and
+      (a) at each wall f, with lo the lower-indexed and hi the other of
+          the two rays off it, the primitive integer relation
+          w_lo b_lo + sum_{k in f} w_k b_k + w_hi b_hi = 0 with
+          w_lo > 0 has w_hi > 0, and
       (b) the interior point p = sum of the generators of the first
           maximal cone lies in no other maximal cone.
-    From b_e1 = sum_{k in f} c_k b_k + c b_e0 follows
-    det(f, b_e1) = c det(f, b_e0), and c != 0 since sigma1 has
-    independent generators, so (a) says that the two opposite rays lie
-    on opposite sides of the wall's hyperplane. Let d(x) count the
-    maximal cones whose interior contains x. By (a), crossing a wall
-    leaves one cone and enters the other, so d is constant off the
-    walls (their codimension-2 faces do not separate R^n minus 0). By
-    (b), d(p) = 1. Hence every generic direction lies in exactly one
-    cone: the cones cover R^n and their interiors are disjoint. A fan
-    that folds over a wall fails (a); one that winds around the origin
-    twice, or falls into pieces, fails (b). In dim 1 the only wall is
-    the empty face, which every maximal cone contains, so the fan is
-    complete just when it has two cones on opposite sides. The rank
-    test, (a) and (b) all read the cones' Smith factors
+    (a) finds w by solving -b_lo on the generators of the cone f + hi
+    across the wall, and keeps it on the report (`FanReport.walls`)
+    for the wall curve classes and the nef basis. The cone f + lo has
+    independent generators, so w is unique up to scale and w_hi != 0;
+    and w_hi det(f, b_hi) = -w_lo det(f, b_lo), so (a) says that the
+    two opposite rays lie on opposite sides of the wall's hyperplane.
+    Let d(x) count the maximal cones whose interior contains x. By (a),
+    crossing a wall leaves one cone and enters the other, so d is
+    constant off the walls (their codimension-2 faces do not separate
+    R^n minus 0). By (b), d(p) = 1. Hence every generic direction lies
+    in exactly one cone: the cones cover R^n and their interiors are
+    disjoint. A fan that folds over a wall fails (a); one that winds
+    around the origin twice, or falls into pieces, fails (b). In dim 1
+    the only wall is the empty face, which every maximal cone contains,
+    so the fan is complete just when it has two cones on opposite
+    sides. The rank test, (a) and (b) all read the cones' Smith factors
     (`StackyFan.factor`), which are built here, after each cone is
     checked to have n distinct rays in range.
     """
@@ -210,33 +215,45 @@ def validate_fan(fan: StackyFan) -> FanReport:
     if not simplicial:
         return FanReport(False, False, tuple(errors))
 
-    bad = _completeness_errors(fan)
-    return FanReport(True, not bad, tuple(errors + bad))
+    bad, walls = _completeness_errors(fan)
+    return FanReport(True, not bad, tuple(errors + bad), walls)
 
 
-def _completeness_errors(fan: StackyFan) -> list[str]:
+def _completeness_errors(fan: StackyFan) -> tuple[list[str], tuple]:
+    """The errors of tests (a) and (b) of `validate_fan`, and the wall
+    relations of `FanReport.walls` when there are none."""
     n, vecs = fan.dim, fan.stacky_vectors
     if not fan.max_cones:
-        return ["fan has no maximal cones"]
+        return ["fan has no maximal cones"], ()
     walls = _walls(fan)
     bad = [f"wall {tuple(sorted(f))} lies in {len(cs)} max cones"
            for f, cs in walls.items() if len(cs) != 2]
     if bad:
-        return bad
+        return bad, ()
+    kept = []
     for f, (sigma0, sigma1) in walls.items():
         (e0,) = set(sigma0) - f
         (e1,) = set(sigma1) - f
-        num, _ = fan.factor(sigma0).scaled_solve(vecs[e1])
-        if num[sigma0.index(e0)] > 0:
+        lo, hi, across = (e0, e1, sigma1) if e0 < e1 else (e1, e0, sigma0)
+        face = tuple(sorted(f))
+        # -b_lo on the generators of the cone across the wall from lo
+        num, q = fan.factor(across).scaled_solve([-x for x in vecs[lo]])
+        w = [0] * fan.n_rays
+        w[lo] = q
+        for j, x in zip(across, num):
+            w[j] = x
+        w = primitive_vector(w)
+        if w[hi] <= 0:
             bad.append(f"cones {sigma0} and {sigma1} lie on the same side "
-                       f"of wall {tuple(sorted(f))}")
+                       f"of wall {face}")
+        kept.append((face, lo, w))
     if bad:
-        return bad
+        return bad, ()
     first = fan.max_cones[0]
     p = [sum(vecs[j][i] for j in first) for i in range(n)]
     return [f"interior point {tuple(p)} of cone {first} also lies in cone {c}"
             for c in fan.max_cones[1:]
-            if fan.in_cone(c, p) is not None]
+            if fan.in_cone(c, p) is not None], tuple(sorted(kept))
 
 
 def require_valid(fan: StackyFan, error: type[ValueError] = InvalidFanError,
@@ -343,24 +360,15 @@ def wall_curve_classes(fan: StackyFan) -> list[WallCurve]:
     The relation sum a_j b_j = 0 is supported on the wall rays plus the
     two opposite rays; it is normalized so the lower-indexed opposite
     ray has coefficient 1 (the two opposite coefficients need not be
-    equal for orbifold fans). c1 = sum a_j.
+    equal for orbifold fans). c1 = sum a_j. It is the integer relation
+    that validation kept (`FanReport.walls`) divided by that
+    coefficient, so nothing is solved here.
     """
     require_valid(fan)
-    m = fan.n_rays
     out = []
-    for f, cs in sorted(_walls(fan).items(), key=lambda kv: tuple(sorted(kv[0]))):
-        sigma0, sigma1 = cs
-        (e0,) = set(sigma0) - f
-        (e1,) = set(sigma1) - f
-        if e0 > e1:
-            e0, sigma1 = e1, sigma0
-        # -b_e0 on the generators of the cone across the wall from e0
-        sol = fan.factor(sigma1).solve([-x for x in fan.stacky_vectors[e0]])
-        rel = [Fraction(0)] * m
-        rel[e0] = Fraction(1)
-        for j, v in zip(sigma1, sol):
-            rel[j] = v
-        out.append(WallCurve(tuple(sorted(f)), tuple(rel), sum(rel)))
+    for face, lo, w in fan.report.walls:
+        rel = tuple(Fraction(x, w[lo]) for x in w)
+        out.append(WallCurve(face, rel, sum(rel)))
     return out
 
 

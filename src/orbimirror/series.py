@@ -860,19 +860,14 @@ def multivar_invert(log_corrections: Sequence[PuiseuxSeries],
 # -- JSON output -------------------------------------------------------
 
 
-def _frac_str(f: Fraction | int) -> str:
-    """A Fraction or an int as "p/q", or as "p" when it is integral."""
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def series_to_json(s: PuiseuxSeries) -> dict:
     terms = []
     for e, c in s.sorted_terms():
-        terms.append({"exp": [_frac_str(x) for x in e], "coef": _frac_str(c)})
+        terms.append({"exp": [str(x) for x in e], "coef": str(c)})
     return {
         "vars": list(s.roster.names),
         "denoms": list(s.roster.denoms),
         "formal": list(s.roster.formal),
-        "order": _frac_str(s.order),
+        "order": str(s.order),
         "terms": terms,
     }

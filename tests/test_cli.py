@@ -19,7 +19,8 @@ from orbimirror.cli import build_parser, main
 from orbimirror.exact import SmithFactor
 from orbimirror.extended import build_extended
 from orbimirror.families import kp_bundle_fan, wpn_fan
-from orbimirror.fan import StackyFan, fan_from_json, fan_to_json
+from orbimirror.fan import (StackyFan, fan_from_json, fan_to_json,
+                            wall_curve_classes)
 from orbimirror.mirror import lf_superpotential
 from orbimirror.series import series_to_json
 from strategies import cube_fan
@@ -696,3 +697,40 @@ def test_crc_factors_the_resolution_basis_only_in_build_extended(monkeypatch):
     made.clear()
     crc_mod.pair_report(crc_mod.ResolutionPair.make(_load(P112), _load(F2)))
     assert made[basis] == built
+
+
+def _count_solves(monkeypatch) -> list[SmithFactor]:
+    """The factor of each `scaled_solve` call from now on, those made
+    through `solve` included."""
+    calls: list[SmithFactor] = []
+    scaled_solve = SmithFactor.scaled_solve
+
+    def counting(self, b):
+        calls.append(self)
+        return scaled_solve(self, b)
+
+    monkeypatch.setattr(SmithFactor, "scaled_solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FANS.glob("*.json")))
+def test_check_solves_each_wall_once(name, monkeypatch, capsys):
+    fan = _load(FANS / f"{name}.json")
+    calls = _count_solves(monkeypatch)
+    assert main(["check", str(FANS / f"{name}.json")]) == 0
+    # each cone has n walls and each wall lies in two cones; test (b)
+    # solves the first cone's interior point on each other cone
+    walls = len(fan.max_cones) * fan.dim // 2
+    assert len(calls) == walls + len(fan.max_cones) - 1
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FANS.glob("*.json")))
+def test_wall_classes_and_nef_basis_solve_no_wall(name, monkeypatch):
+    # they read the relations that validation kept
+    fan = _load(FANS / f"{name}.json")
+    assert fan.report.valid
+    calls = _count_solves(monkeypatch)
+    wall_curve_classes(fan)
+    build_extended(fan)
+    cones = list(fan._factors.values())
+    assert not [f for f in calls if any(f is c for c in cones)]

@@ -15,12 +15,10 @@ from orbimirror.extended import (BasisShapeInfeasibleError,
                                  EnumerationUnboundedError,
                                  ExtendedFanData, LatticeNotGeneratedError,
                                  _chart_roster, _nef_base_basis,
-                                 _scale_primitive, build_extended,
-                                 keff_enumerate)
+                                 build_extended, keff_enumerate)
 from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
-from orbimirror.fan import (InvalidFanError, StackyFan, fan_from_json,
-                            wall_curve_classes)
+from orbimirror.fan import InvalidFanError, StackyFan, fan_from_json
 from orbimirror.mirror import i_function
 from strategies import complete_fan_rays, load_fangen
 
@@ -115,7 +113,7 @@ def test_nef_basis_is_the_extremal_wall_classes(rays):
     k = len(rays)
     fan = StackyFan.make(2, rays, [(i, (i + 1) % k) for i in range(k)])
     kernel = snf_kernel_basis([[v[i] for v in rays] for i in range(2)])
-    walls = [_scale_primitive(w.relation) for w in wall_curve_classes(fan)]
+    walls = [w for _, _, w in fan.report.walls]
     window = _window_basis(kernel, walls)
     try:
         basis = _nef_base_basis(kernel, walls)

@@ -104,10 +104,14 @@ DOUBLE_WINDING = StackyFan.make(2, ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)),
 
 
 def test_validate_fold():
-    # the turn at ray 1 goes back, so cones (0,1) and (1,2) overlap
+    # the turns at rays 1 and 2 go back, so cones (0,1) and (1,2)
+    # overlap, and so do (1,2) and (2,3); the errors come in wall order
     rep = validate_fan(FOLD)
     assert not rep.valid and not rep.complete
-    assert any("same side" in e for e in rep.errors)
+    assert rep.errors == (
+        "cones (0, 1) and (1, 2) lie on the same side of wall (1,)",
+        "cones (1, 2) and (2, 3) lie on the same side of wall (2,)")
+    assert rep.walls == ()
 
 
 def test_validate_double_winding():
@@ -546,30 +550,55 @@ def test_cross_product_oracle_sees_fold_and_double_winding():
     assert _cross_complete([(1, 0), (-1, -1), (0, 1)])
 
 
-@settings(max_examples=200, deadline=None)
-@given(complete_fan_rays(), st.data())
-def test_wall_classes_match_cramer_rule(rays, data):
-    # the ray at angle position j gets the index cycle[j], so that the
-    # lower-indexed neighbour of a wall may come before or after it
+@st.composite
+def _labelled_cyclic_fans(draw):
+    """(fan, vecs, cycle): a complete 2D stacky fan whose ray at angle
+    position j has the index cycle[j], so that the lower-indexed
+    neighbour of a wall may come before or after it."""
+    rays = draw(complete_fan_rays())
     k = len(rays)
-    stacky = _stacky(rays, data.draw(st.lists(st.integers(1, 3), min_size=k,
-                                              max_size=k)))
-    cycle = data.draw(st.permutations(range(k)))
+    stacky = _stacky(rays, draw(st.lists(st.integers(1, 3), min_size=k,
+                                         max_size=k)))
+    cycle = draw(st.permutations(range(k)))
     vecs = [None] * k
     for j, i in enumerate(cycle):
         vecs[i] = stacky[j]
     cones = [(cycle[j], cycle[(j + 1) % k]) for j in range(k)]
-    if data.draw(st.booleans()):
+    if draw(st.booleans()):
         fan = StackyFan.make(2, vecs, cones)
     else:
         # unsorted cones, as the constructor takes them: the cone of the
         # higher-indexed opposite ray may come first at a wall
         fan = StackyFan(2, tuple(vecs), tuple(cones[::-1]))
+    return fan, vecs, cycle
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_cyclic_fans())
+def test_wall_classes_match_cramer_rule(labelled):
+    fan, vecs, cycle = labelled
     walls = {w.wall: w for w in wall_curve_classes(fan)}
-    assert sorted(walls) == [(i,) for i in range(k)]
+    assert sorted(walls) == [(i,) for i in range(len(cycle))]
     for j, i in enumerate(cycle):
         assert walls[(i,)].relation == _cross_relation(vecs, cycle, j)
         assert walls[(i,)].c1 == sum(walls[(i,)].relation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_cyclic_fans())
+def test_validation_keeps_one_primitive_relation_per_wall(labelled):
+    fan, vecs, cycle = labelled
+    k = len(cycle)
+    walls = fan.report.walls
+    assert [face for face, _, _ in walls] == [(i,) for i in range(k)]
+    for j, i in enumerate(cycle):
+        face, lo, w = walls[i]
+        assert (lo, face) == (min(cycle[j - 1], cycle[(j + 1) % k]), (i,))
+        hi = max(cycle[j - 1], cycle[(j + 1) % k])
+        assert math.gcd(*w) == 1 and w[lo] > 0 and w[hi] > 0
+        assert all(w[x] == 0 for x in range(k) if x not in (lo, i, hi))
+        assert [sum(wj * v[t] for wj, v in zip(w, vecs)) for t in (0, 1)] == [0, 0]
+        assert tuple(F(x, w[lo]) for x in w) == _cross_relation(vecs, cycle, j)
 
 
 # SHA-256 of the canonical JSON of validate, box and check on the

@@ -11,6 +11,9 @@ only tests reach is dead code with a test.
 A method or property of a package class, other than a dunder, counts as
 used when an attribute of its name is loaded anywhere under src/ or
 scripts/, on any object, since the type of the object is not known.
+
+A module-level import in src/ or scripts/ counts as used when its file
+loads the name it binds.
 """
 
 import ast
@@ -38,12 +41,23 @@ ALLOWED = {
     "p1_orbifold": "a ready-made fan that the tests build on",
 }
 
+# file:name of an import -> why its file does not use it
+UNUSED_IMPORTS = {
+    "src/orbimirror/fan.py:solve_unique":
+        "perfbench/test_perfbench.py checks that the tracer restores this "
+        "module's binding of it",
+}
+
+
+def _sources() -> list[Path]:
+    return sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("scripts/**/*.py"))
+
 
 def _defined_and_used() -> tuple[dict[str, str], set[str]]:
     modules = {p.stem for p in PACKAGE.glob("*.py")}
     defined: dict[str, str] = {}
     used: set[str] = set()
-    for path in sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("scripts/**/*.py")):
+    for path in _sources():
         tree = ast.parse(path.read_text(), str(path))
         module_aliases = {a.asname or a.name for node in ast.walk(tree)
                           if isinstance(node, ast.ImportFrom)
@@ -80,7 +94,7 @@ def test_every_function_and_class_has_a_caller():
 def _members_and_attributes() -> tuple[dict[str, str], set[str]]:
     members: dict[str, str] = {}
     loaded: set[str] = set()
-    for path in sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("scripts/**/*.py")):
+    for path in _sources():
         tree = ast.parse(path.read_text(), str(path))
         if path.parent == PACKAGE:
             for cls in tree.body:
@@ -99,3 +113,22 @@ def test_every_method_and_property_has_a_caller():
     members, loaded = _members_and_attributes()
     unused = sorted(q for q, name in members.items() if name not in loaded)
     assert not unused, f"no attribute load in src/ or scripts/: {unused}"
+
+
+def test_every_import_is_used():
+    unused = set()
+    for path in _sources():
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for top in tree.body:
+            if (not isinstance(top, (ast.Import, ast.ImportFrom))
+                    or getattr(top, "module", None) == "__future__"):
+                continue
+            for alias in top.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    unused.add(f"{path.relative_to(ROOT)}:{name}")
+    assert unused == UNUSED_IMPORTS.keys(), (
+        f"imported and not used: {sorted(unused - UNUSED_IMPORTS.keys())}; "
+        f"stale entries: {sorted(UNUSED_IMPORTS.keys() - unused)}")
