@@ -4,14 +4,16 @@ Commands operate on a stacky-fan JSON file
 ({"dim": int, "stacky_vectors": [[int]], "max_cones": [[int]],
 optional "labels": [int]}) and emit text, canonical JSON, or CSV.
 Each command accepts only the flags it reads (`build_parser`).
-Exit codes: 0 success, 2 verification failure, 1 input or usage error.
+Exit codes: 1 on an input or usage error; otherwise 2 when the payload
+records a failed verification (`"valid": false`, crepancy
+`"crepant": false`, or a report whose status is not `"pass"`), and 0
+when it does not (`_verdict`).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -91,38 +93,32 @@ def _emit(payload: dict, fmt: str, out: Optional[str],
 
 
 # -- command implementations ---------------------------------------------
+# Each takes the loaded fan and the parsed flags and returns (payload,
+# table), what `_emit` writes; `main` reads the exit code off the payload.
 
 
-def cmd_validate(args) -> int:
-    fan = _load_fan(args.fan)
+def cmd_validate(fan, args):
     rep = fan.report
-    _emit({"simplicial": rep.simplicial, "complete": rep.complete,
-           "errors": list(rep.errors), "valid": rep.valid},
-          args.format, args.out)
-    return 0 if rep.valid else 2
+    return {"simplicial": rep.simplicial, "complete": rep.complete,
+            "errors": list(rep.errors), "valid": rep.valid}, None
 
 
-def cmd_box(args) -> int:
-    fan = _load_fan(args.fan)
+def cmd_box(fan, args):
     payload = {"gorenstein": is_gorenstein(fan),
                "box": [{"nu": _frac_vec(el.nu), "cone": list(el.cone),
                         "t": _frac_vec(el.t), "age": str(el.age),
                         "extended": el.age <= 1} for el in fan.box]}
-    _emit(payload, args.format, args.out,
-          ("box", ["nu", "cone", "t", "age", "extended"]))
-    return 0
+    return payload, ("box", ["nu", "cone", "t", "age", "extended"])
 
 
 def _frac_vec(v) -> list:
     return [str(x) for x in v]
 
 
-def cmd_check(args) -> int:
-    fan = _load_fan(args.fan)
+def cmd_check(fan, args):
     rep = fan.report
     if not rep.valid:
-        _emit({"valid": False, "errors": list(rep.errors)}, args.format, args.out)
-        return 2
+        return {"valid": False, "errors": list(rep.errors)}, None
     walls = wall_curve_classes(fan)
     payload = {
         "gorenstein": is_gorenstein(fan),
@@ -131,8 +127,7 @@ def cmd_check(args) -> int:
         "semi_fano": all(w.c1 >= 0 for w in walls),
         "fano": all(w.c1 > 0 for w in walls),
     }
-    _emit(payload, args.format, args.out, ("walls", ["wall", "relation", "c1"]))
-    return 0
+    return payload, ("walls", ["wall", "relation", "c1"])
 
 
 def _potential_json(pot) -> dict:
@@ -144,96 +139,81 @@ def _potential_json(pot) -> dict:
                       for t in pot.terms]}
 
 
-def cmd_hori_vafa(args) -> int:
-    fan = _load_fan(args.fan)
-    ext = build_extended(fan)
-    pot = hori_vafa(ext, order=args.order)
-    _emit(_potential_json(pot), args.format, args.out)
-    return 0
+def cmd_hori_vafa(fan, args):
+    pot = hori_vafa(build_extended(fan), order=args.order)
+    return _potential_json(pot), None
 
 
-def cmd_mirror_map(args) -> int:
-    fan = _load_fan(args.fan)
-    ext = build_extended(fan)
-    mm = mirror_map(ext, args.order)
-    payload = {"q_names": list(mm.q_names), "tau_names": list(mm.tau_names),
-               "q_denoms": list(mm.q_denoms),
-               "log_corrections": [series_to_json(s) for s in mm.log_corrections],
-               "tau": [series_to_json(s) for s in mm.tau]}
-    _emit(payload, args.format, args.out)
-    return 0
+def cmd_mirror_map(fan, args):
+    mm = mirror_map(build_extended(fan), args.order)
+    return {"q_names": list(mm.q_names), "tau_names": list(mm.tau_names),
+            "q_denoms": list(mm.q_denoms),
+            "log_corrections": [series_to_json(s) for s in mm.log_corrections],
+            "tau": [series_to_json(s) for s in mm.tau]}, None
 
 
-def cmd_superpotential(args) -> int:
-    fan = _load_fan(args.fan)
-    ext = build_extended(fan)
-    lf = lf_superpotential(ext, args.order)
+def cmd_superpotential(fan, args):
+    lf = lf_superpotential(build_extended(fan), args.order)
     payload = _potential_json(lf.potential)
     payload["status"] = lf.status
-    _emit(payload, args.format, args.out)
-    return 0
+    return payload, None
 
 
-def cmd_open_gw(args) -> int:
-    fan = _load_fan(args.fan)
+def cmd_open_gw(fan, args):
     ext = build_extended(fan)
     tab = extract_open_gw(lf_superpotential(ext, args.order), ext)
     payload = {"status": tab.status,
                "entries": [{"ray": j, "q_exp": _frac_vec(qe),
                             "tau_exp": list(te), "invariant": str(v)}
                            for (j, qe, te), v in sorted(tab.entries.items())]}
-    _emit(payload, args.format, args.out,
-          ("entries", ["ray", "q_exp", "tau_exp", "invariant"]))
-    return 0
+    return payload, ("entries", ["ray", "q_exp", "tau_exp", "invariant"])
 
 
-def cmd_xbar(args) -> int:
-    fan = _load_fan(args.fan)
+def cmd_xbar(fan, args):
     extended = [el.nu for el in fan.box if el.age <= 1]
     if not extended:
         raise SchemaError("fan has no twisted sector of age at most one")
     xbar = star_subdivide_xbar(fan, extended[0])
-    payload = {"fan": fan_to_json(xbar.fan),
-               "boundary_vector": _frac_vec(xbar.boundary_vector),
-               "infinity_vector": _frac_vec(xbar.infinity_vector),
-               "new_ray_index": xbar.new_ray_index,
-               "replaced_ray": xbar.replaced_ray,
-               "note": xbar.beta_bar_note}
-    _emit(payload, args.format, args.out)
-    return 0
+    return {"fan": fan_to_json(xbar.fan),
+            "boundary_vector": _frac_vec(xbar.boundary_vector),
+            "infinity_vector": _frac_vec(xbar.infinity_vector),
+            "new_ray_index": xbar.new_ray_index,
+            "replaced_ray": xbar.replaced_ray,
+            "note": xbar.beta_bar_note}, None
 
 
-def cmd_crc(args) -> int:
-    fan = _load_fan(args.fan)
+def cmd_crc(fan, args):
     if not args.resolution:
         raise SchemaError("crc requires --resolution FILE")
-    res = _load_fan(args.resolution)
-    pair = crc_mod.ResolutionPair.make(fan, res)
-    payload = crc_mod.pair_report(pair, order=args.order, tol=args.tol,
-                                  wpn=args.wpn)
-    failed = (not payload["crepancy"]["crepant"]
-              or any(r["status"] != "pass" for r in payload.get("reports", ())))
-    _emit(payload, args.format, args.out)
-    return 2 if failed else 0
+    pair = crc_mod.ResolutionPair.make(fan, _load_fan(args.resolution))
+    return crc_mod.pair_report(pair, order=args.order, tol=args.tol,
+                               wpn=args.wpn), None
 
 
-def cmd_specialize(args) -> int:
-    fan = _load_fan(args.fan)
+def cmd_specialize(fan, args):
     payload = {}
     if args.resolution:
         pair = crc_mod.ResolutionPair.make(fan, _load_fan(args.resolution))
         crep = crc_mod.verify_crepant(pair)
         payload["crepancy"] = crep.to_json()
         if not crep.crepant:
-            _emit(payload, args.format, args.out)
-            return 2
+            return payload, None
         n = crc_mod.pair_wpn_index(pair)
     else:
         n = wpn_index(fan)
     reports = crc_mod.specialization_check(n, tol=args.tol)
     payload["reports"] = [r.to_json() for r in reports]
-    _emit(payload, args.format, args.out)
-    return 0 if all(r.status == "pass" for r in reports) else 2
+    return payload, None
+
+
+def _verdict(payload: dict) -> int:
+    """The exit code of a command that ran: 2 when its payload records a
+    failed verification (an invalid fan, a pair that is not crepant, or
+    a report that is not "pass"), 0 otherwise."""
+    failed = (payload.get("valid") is False
+              or payload.get("crepancy", {}).get("crepant") is False
+              or any(r["status"] != "pass" for r in payload.get("reports", ())))
+    return 2 if failed else 0
 
 
 # command -> (implementation, the flags it reads besides --format and --out)
@@ -273,10 +253,8 @@ FLAGS = {
 }
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process (at import, below):
-    parse_args keeps no state between calls, so `main` reuses it."""
+    """One subcommand per entry of COMMANDS, with the flags it reads."""
     p = argparse.ArgumentParser(
         prog="orbimirror",
         description="Landau-Ginzburg mirrors, open invariants, and "
@@ -293,23 +271,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Built at import, so that no command pays for it: a lazy build would
-# land on whichever command an in-process caller happens to run first.
-build_parser()
+# Built once, at import, so that no command pays for it: parse_args
+# keeps no state between calls, so `main` reuses it.
+PARSER = build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as e:
         # argparse exits 0 after --help and 2 on a usage error, which is
         # an input error here: exit code 2 means a failed verification
         return 0 if e.code == 0 else 1
     try:
-        return COMMANDS[args.command][0](args)
+        payload, table = COMMANDS[args.command][0](_load_fan(args.fan), args)
+        _emit(payload, args.format, args.out, table)
     except (ValueError, KeyError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return _verdict(payload)
 
 
 if __name__ == "__main__":

@@ -257,7 +257,6 @@ class ContinuationFormula(NamedTuple):
     x = y1^{-1/n} y2: constant + sum over exponents e of coeff[e] * x^e.
     log Q_2 = (log y1 - log Q_1)/n.
     """
-    n: int
     parity: str                     # "even" | "odd"
     constant: complex
     coefficients: dict              # exponent -> complex
@@ -297,7 +296,7 @@ def continuation_wpn(n: int, order: int = 10) -> ContinuationFormula:
             else "non-affine change of variables; flat structures near the "
                  "large-radius limit points are not preserved; "
                  "W_X = W_Y(Q) is not compared")
-    return ContinuationFormula(n, "even" if even else "odd", constant, coeffs,
+    return ContinuationFormula("even" if even else "odd", constant, coeffs,
                                note)
 
 

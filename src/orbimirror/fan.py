@@ -11,6 +11,7 @@ class up by adjoining the ray at -b0.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -161,8 +162,8 @@ def _walls(fan: StackyFan) -> dict[frozenset, list[tuple[int, ...]]]:
 def validate_fan(fan: StackyFan) -> FanReport:
     """Check that the fan is simplicial and complete, exactly.
 
-    The fan is complete when every wall lies in exactly two maximal
-    cones and
+    The fan is complete when its maximal cones are distinct, every wall
+    lies in exactly two of them, and
       (a) at each wall f, with lo the lower-indexed and hi the other of
           the two rays off it, the primitive integer relation
           w_lo b_lo + sum_{k in f} w_k b_k + w_hi b_hi = 0 with
@@ -225,6 +226,11 @@ def _completeness_errors(fan: StackyFan) -> tuple[list[str], tuple]:
     n, vecs = fan.dim, fan.stacky_vectors
     if not fan.max_cones:
         return ["fan has no maximal cones"], ()
+    counts = Counter(tuple(sorted(c)) for c in fan.max_cones)
+    repeated = [f"repeated maximal cone {c}"
+                for c, k in counts.items() if k > 1]
+    if repeated:
+        return repeated, ()
     walls = _walls(fan)
     bad = [f"wall {tuple(sorted(f))} lies in {len(cs)} max cones"
            for f, cs in walls.items() if len(cs) != 2]

@@ -200,7 +200,6 @@ def check_normalization(iseries: ISeries) -> tuple[bool, list[str]]:
 
 class MirrorMap(NamedTuple):
     order: Fraction
-    y_roster: Roster
     q_names: tuple[str, ...]
     tau_names: tuple[str, ...]
     q_denoms: tuple[int, ...]
@@ -227,7 +226,7 @@ def mirror_map(ext: ExtendedFanData, order) -> MirrorMap:
     B = [iseries.series(el.nu, -1, zero_p, order) for el in ext.extra]
     q_names = tuple(f"q{a + 1}" for a in range(r))
     tau_names = tuple(f"tau{r + b + 1}" for b in range(rp - r))
-    return MirrorMap(order, iseries.roster, q_names, tau_names,
+    return MirrorMap(order, q_names, tau_names,
                      iseries.roster.denoms[:r], A, B)
 
 

@@ -218,7 +218,7 @@ def roundtrip_exact(fan, order) -> bool:
     ext = build_extended(fan)
     mm = mirror_map(ext, order)
     Y = mm.inverse()
-    images = {mm.y_roster.names[a]: Y[a] for a in range(len(Y))}
+    images = dict(zip(mm.log_corrections[0].roster.names, Y))
     for a, A in enumerate(mm.log_corrections):
         shifted = substitute(A, images, order)
         prod = Y[a] * series_exp(shifted)

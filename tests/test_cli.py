@@ -349,6 +349,69 @@ def test_non_crepant_resolution_exits_2(cmd, tmp_path, capsys):
     assert json.loads(out)["crepancy"]["crepant"] is False
 
 
+INCOMPLETE_ERRORS = ["wall (0,) lies in 1 max cones",
+                     "wall (1,) lies in 1 max cones"]
+# the fans that the argv of EXIT_CODES name
+EXIT_FANS = {
+    "incomplete": {"dim": 2, "stacky_vectors": [[1, 0], [0, 1]],
+                   "max_cones": [[0, 1]]},
+    # P(1,1,2) refined by the ray (1,1), which is not a Box element
+    "non-crepant": {"dim": 2,
+                    "stacky_vectors": [[1, 0], [-1, 2], [0, -1], [1, 1]],
+                    "max_cones": [[0, 3], [1, 3], [1, 2], [0, 2]]},
+}
+NON_CREPANT = {"crepancy": {
+    "crepant": False, "new_rays": [3], "refinement": True,
+    "issues": ["new ray (1, 1) is not an age-one twisted sector of the "
+               "orbifold"]}}
+# README's exit-code table, one case per entry: argv, the exit code, and
+# the JSON payload's entries (for exit 1, stderr; for a list, the report
+# statuses)
+EXIT_CODES = {
+    "check incomplete": (["check", "incomplete"], 2,
+                         {"valid": False, "errors": INCOMPLETE_ERRORS}),
+    "validate incomplete": (["validate", "incomplete"], 2,
+                            {"simplicial": True, "complete": False,
+                             "errors": INCOMPLETE_ERRORS, "valid": False}),
+    "box incomplete": (["box", "incomplete"], 1,
+                       f"error: {'; '.join(INCOMPLETE_ERRORS)}\n"),
+    "open-gw incomplete": (["open-gw", "incomplete"], 1,
+                           f"error: {'; '.join(INCOMPLETE_ERRORS)}\n"),
+    "crc non-crepant": (["crc", P112, "--resolution", "non-crepant"], 2,
+                        NON_CREPANT),
+    "specialize non-crepant": (["specialize", P112, "--resolution",
+                                "non-crepant"], 2, NON_CREPANT),
+    "crc tol": (["crc", P112, "--resolution", F2, "--tol", "1e-30"], 2,
+                ["pass", "fail", "fail"]),
+    "specialize tol": (["specialize", P112, "--resolution", F2,
+                        "--tol", "1e-30"], 2, ["pass", "fail"]),
+    # a crepant pair outside the family makes no report (ROADMAP item 14)
+    "crc p2 p2": (["crc", P2, "--resolution", P2], 0,
+                  {"continuation": "continuation not implemented for this "
+                                   "family"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_exit_code_rule(name, tmp_path, capsys):
+    argv, code, expected = EXIT_CODES[name]
+    for stem, data in EXIT_FANS.items():
+        (tmp_path / f"{stem}.json").write_text(json.dumps(data))
+    argv = [str(tmp_path / f"{a}.json") if a in EXIT_FANS else a
+            for a in argv]
+    assert main(argv + ["--format", "json"]) == code
+    cap = capsys.readouterr()
+    if code == 1:
+        assert (cap.out, cap.err) == ("", expected)
+        return
+    payload = json.loads(cap.out)
+    if isinstance(expected, list):
+        assert [r["status"] for r in payload["reports"]] == expected
+    else:
+        assert {k: payload[k] for k in expected} == expected
+        assert "reports" not in payload
+
+
 def _cube_pair(tmp_path) -> list[str]:
     """The cube fan and the cube fan with one face's diagonal flipped."""
     paths = []

@@ -245,8 +245,7 @@ def _gamma_swapped(n, order=10):
     if n % 2 == 0:
         c *= complex(math.cos(math.pi / n), -math.sin(math.pi / n))
     coeffs[1] = c
-    return ContinuationFormula(n, cont.parity, cont.constant, coeffs,
-                               cont.note)
+    return ContinuationFormula(cont.parity, cont.constant, coeffs, cont.note)
 
 
 @pytest.mark.parametrize("n", [3, 4])

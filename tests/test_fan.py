@@ -72,6 +72,20 @@ def test_validate_incomplete_dim_1(vecs, cones, error):
     assert error in rep.errors
 
 
+@pytest.mark.parametrize("dim,vecs,cones", [
+    (1, ((1,), (-1,)), ((0,), (0,))),
+    (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 1))),
+    (2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 1), (1, 2), (0, 2))),
+], ids=["dim-1", "dim-2", "p2"])
+def test_validate_repeated_cone(dim, vecs, cones):
+    # named before the wall tests, which would report a cone listed
+    # twice as a fold, or its walls as lying in 3 cones
+    rep = validate_fan(StackyFan.make(dim, vecs, cones))
+    assert rep.simplicial and not rep.complete and not rep.valid
+    assert rep.errors == (f"repeated maximal cone {cones[0]}",)
+    assert rep.walls == ()
+
+
 def test_walls_p1_orbifold():
     # the empty wall of P^1_{a,b}: b (a) + a (-b) = 0, normalized to
     # (1, a/b)

@@ -523,7 +523,7 @@ def test_lf_consistency_with_hv():
 
 def _round_trip(mm, Y, order):
     """Y_a exp(A_a(Y)) - q_a and B_b(Y) - tau_b, substituted at `order`."""
-    images = dict(zip(mm.y_roster.names, Y))
+    images = dict(zip(mm.log_corrections[0].roster.names, Y))
     out = []
     for a, A in enumerate(mm.log_corrections):
         prod = Y[a] * series_exp(substitute(A, images, order))
