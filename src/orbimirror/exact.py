@@ -270,12 +270,6 @@ def det(A: Sequence[Sequence[int]]) -> int:
     return SmithFactor(A).det
 
 
-def coordinates(vectors: Sequence[Sequence], w: Sequence) -> Optional[list[Fraction]]:
-    """The unique c with w = sum c_k vectors[k], for independent vectors,
-    or None when w is outside their span."""
-    return solve_unique([[v[j] for v in vectors] for j in range(len(w))], w)
-
-
 def cone_coefficients(generators: Sequence[Sequence], v: Sequence) -> Optional[list[Fraction]]:
     """Coefficients of v on independent generators, if all nonnegative.
 
@@ -285,7 +279,7 @@ def cone_coefficients(generators: Sequence[Sequence], v: Sequence) -> Optional[l
     """
     if not generators:
         raise DependentGeneratorsError("no generators")
-    c = coordinates(generators, v)
+    c = solve_unique([[g[j] for g in generators] for j in range(len(v))], v)
     if c is None or any(x < 0 for x in c):
         return None
     return c

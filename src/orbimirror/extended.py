@@ -275,6 +275,12 @@ def keff_enumerate(ext: ExtendedFanData, bound,
     the class itself are integers, and no `Fraction` is built per class.
     With W_j = L <D_j, d>, the sector is sum_j ((-W_j) mod L) v_j / L and
     the z-weight sum_j ceil(W_j / L).
+
+    The z-weight is c(d) + age(nu), with age 0 on the untwisted sector:
+    ceil <D_j, d> - <D_j, d> is the fractional part f_j of -<D_j, d>,
+    which is 0 off J, so nu = sum_{j in J} f_j b_j. The b_j of J are
+    independent rays of a cone of the fan and each f_j is in [0, 1), so
+    the f_j are nu's coordinates as a Box element, whose sum is its age.
     """
     cone_units, L = ext.cone_units, ext.den
     w_cap = bound.numerator * L // bound.denominator

@@ -27,8 +27,7 @@ from .families import wpn_index
 from .fan import (StackyFan, XBarResult, is_gorenstein, star_subdivide_xbar,
                   wall_curve_classes)
 from .series import (PowerLadder, PuiseuxSeries, Roster, _power_of,
-                     linear_combination, make_roster, multivar_invert,
-                     substitute)
+                     make_roster, multivar_invert, power_sum, substitute)
 
 
 class MirrorShapeViolation(ValueError):
@@ -81,7 +80,7 @@ def _pairing_factor(P: int, L: int, n: int, cache: dict) -> tuple[tuple[int, ...
 
 
 def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
-                   dbar_pows: list[list[PuiseuxSeries]],
+                   dbar: list[PuiseuxSeries],
                    factors: dict) -> dict[tuple[int, ...], Fraction]:
     """P_delta, the class-delta coefficient of the I-function at z = 1,
     up to the pbar-degree t = min(n, D_delta + 1) that reaches 1/z.
@@ -92,17 +91,18 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
     and the pbar-degree-i part of P_delta carries z^{D_delta - i}.
     P_delta is the product over j of the pairing factors
     (N_0 + ... + N_t Dbar_j^t) / D (`_pairing_factor`, memoised in
-    `factors`), each sum built only to Dbar_j^t; the product starts from
+    `factors`), each the power sum of N_0..N_t in Dbar_j = `dbar[j]`
+    (`power_sum`, which stops at Dbar_j^t); the product starts from
     an integer scalar num/den at order t, which truncates it, and every
     1/D goes into that scalar. Dbar_j vanishes on an extended index j,
     which contributes its c_0 only; that c_0 and every factor without a
     term of degree 1..t go into the scalar too.
     P_delta is 0 when the scalar is, or when the lowest Dbar-degrees of
-    the other factors sum past t. `dbar_pows[j][i]` is Dbar_j^i.
+    the other factors sum past t.
     """
     n, L = ext.dim, ext.den
     t = min(n, 1 - kel.zweight)
-    roster = dbar_pows[0][0].roster
+    roster = dbar[0].roster
     num, den, low = 1, 1, 0
     product = []
     for j, P in enumerate(kel.pairings):
@@ -116,8 +116,7 @@ def _i_coefficient(ext: ExtendedFanData, kel: KEffElement,
             num *= N[0]
         else:
             low += next(i for i, x in enumerate(N) if x)
-            product.append(linear_combination(roster, n, [
-                (N[i], dbar_pows[j][i]) for i in range(t + 1) if N[i]]))
+            product.append(power_sum(N[:t + 1], dbar[j]))
     if not num or low > t:
         return {}
     P = PuiseuxSeries(roster, t, {(0,) * len(roster.names): num}, den)
@@ -155,20 +154,15 @@ def i_function(ext: ExtendedFanData, order) -> ISeries:
     order = Fraction(order)
     n, r = ext.dim, ext.r
     roster = make_roster([f"p{a + 1}" for a in range(r)], [1] * r, [True] * r)
-    dbar_pows = []
-    for j in range(ext.m):
-        dbar = PuiseuxSeries(roster, n, {
-            tuple(int(a == b) for b in range(r)): ext.basis[a][j]
-            for a in range(r)}, 1)
-        pows = [PuiseuxSeries.constant(roster, n, 1)]
-        for _ in range(n):
-            pows.append(pows[-1] * dbar)
-        dbar_pows.append(pows)
+    # Dbar_j = sum_a basis[a][j] pbar_a on each base ray, to pbar-degree n
+    dbar = [PuiseuxSeries(roster, n, {
+        tuple(int(a == b) for b in range(r)): ext.basis[a][j]
+        for a in range(r)}, 1) for j in range(ext.m)]
     coeffs, factors = {}, {}
     for kel in keff_enumerate(ext, order, 1):
         degree = -kel.zweight            # D_delta
         if degree >= -1:
-            for pexp, c in _i_coefficient(ext, kel, dbar_pows, factors).items():
+            for pexp, c in _i_coefficient(ext, kel, dbar, factors).items():
                 key = (kel.nu, degree - sum(pexp), pexp)
                 coeffs.setdefault(key, {})[kel.delta] = c
     return ISeries(ext, order, _chart_roster(ext, order), coeffs)

@@ -18,10 +18,11 @@ Every operation runs in integers and reduces once; `Fraction`s appear
 only at the boundaries (`terms`, `coefficient`, JSON). All operations
 are exact up to the declared truncation order.
 
-The kernel writes each step once. exp, log, rational powers and
-composition are one power sum a_0 + a_1 u + a_2 u^2 + ... of a series u,
-with the coefficients of exp, of log(1 + u), the binomial ones, or
-those of the outer series (`_power_sum`). Multiplying by a monomial
+The kernel writes each step once. exp, log, rational powers,
+composition and the I-function's pairing factors are one power sum
+a_0 + a_1 u + a_2 u^2 + ... of a series u, with the coefficients of exp,
+of log(1 + u), the binomial ones, those of the outer series, or those
+of a Gamma-factor polynomial (`power_sum`). Multiplying by a monomial
 moves every term and the truncation order by its weight (`_shift`).
 A rational power of a monomial scales its stored exponent vector and
 must stay integral (`_power_of`).
@@ -369,13 +370,6 @@ def _collect(roster: Roster, order: Fraction,
     return PuiseuxSeries(roster, order, out, den)
 
 
-def linear_combination(roster: Roster, order,
-                       pairs: Iterable[tuple[Fraction, PuiseuxSeries]]) -> PuiseuxSeries:
-    """sum c*s over the (c, s) in `pairs`, kept to `order`."""
-    return _collect(roster, Fraction(order),
-                    ((s.num, s.den * c.denominator, c.numerator) for c, s in pairs))
-
-
 def _shift(s: PuiseuxSeries, me: tuple[int, ...], factor=1) -> PuiseuxSeries:
     """factor * y^me * s for a scaled exponent vector me of weight w:
     every term moves by me, and O(o) becomes O(o + w)."""
@@ -416,7 +410,7 @@ def _power_of(e: tuple[int, ...], p: Fraction) -> tuple[int, ...]:
 # -- transcendental operations ----------------------------------------
 
 
-def _power_sum(coefs: Iterable[Fraction], u: PuiseuxSeries) -> PuiseuxSeries:
+def power_sum(coefs: Iterable[Fraction], u: PuiseuxSeries) -> PuiseuxSeries:
     """a_0 + a_1*u + a_2*u^2 + ... to the order of u, for the a_k in `coefs`.
 
     The sum stops when the coefficients run out or when u^k vanishes.
@@ -449,7 +443,7 @@ def series_exp(s: PuiseuxSeries) -> PuiseuxSeries:
     v = s.valuation()
     if v is not None and v <= 0:
         raise BadConstantTerm("exp requires positive valuation")
-    return _power_sum((Fraction(1, math.factorial(k)) for k in count()), s)
+    return power_sum((Fraction(1, math.factorial(k)) for k in count()), s)
 
 
 def series_log(s: PuiseuxSeries) -> PuiseuxSeries:
@@ -459,7 +453,7 @@ def series_log(s: PuiseuxSeries) -> PuiseuxSeries:
     v = u.valuation()
     if v is not None and v <= 0:
         raise BadConstantTerm("log requires 1 + positive-valuation tail")
-    return _power_sum((Fraction((-1) ** (k + 1), k) if k else 0 for k in count()), u)
+    return power_sum((Fraction((-1) ** (k + 1), k) if k else 0 for k in count()), u)
 
 
 def _rational_root(c: Fraction, e: Fraction) -> Fraction:
@@ -514,7 +508,7 @@ def series_pow(s: PuiseuxSeries, e) -> PuiseuxSeries:
     # coefficients stop at the first zero, so an integer e stops early.
     binomials = takewhile(bool, accumulate(
         count(), lambda c, k: c * (e - k) / (k + 1), initial=Fraction(1)))
-    return _shift(_power_sum(binomials, _unit_tail(s, le)), me, c0)
+    return _shift(power_sum(binomials, _unit_tail(s, le)), me, c0)
 
 
 def series_compose(outer: PuiseuxSeries, inner: PuiseuxSeries) -> PuiseuxSeries:
@@ -531,8 +525,8 @@ def series_compose(outer: PuiseuxSeries, inner: PuiseuxSeries) -> PuiseuxSeries:
         if e < 0:
             raise ValueError("composition requires nonnegative outer exponents")
         coefs[e // d] = c
-    return _power_sum((coefs.get(k, 0) for k in range(max(coefs, default=-1) + 1)),
-                      inner)
+    return power_sum((coefs.get(k, 0) for k in range(max(coefs, default=-1) + 1)),
+                     inner)
 
 
 def lagrange_invert(s: PuiseuxSeries, order: int,

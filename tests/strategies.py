@@ -45,6 +45,12 @@ def complete_fan_rays(draw, max_rays: int = 6):
     return rays
 
 
+def hirzebruch_fan(k: int) -> StackyFan:
+    """The Hirzebruch surface F_k: rays (1, 0), (0, 1), (-1, k), (0, -1)."""
+    return StackyFan.make(2, ((1, 0), (0, 1), (-1, k), (0, -1)),
+                          ((0, 1), (1, 2), (2, 3), (3, 0)))
+
+
 def cube_fan(flip=False):
     """The fan over the faces of the cube [-1, 1]^3, each square face cut
     into two triangles along one diagonal; `flip` cuts the face x = 1

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from orbimirror.exact import (DependentGeneratorsError, EmptyMatrixError,
                               RankDeficientError, SmithFactor,
-                              cone_coefficients, cone_index, coordinates,
-                              det, integer_solve, integral,
+                              cone_coefficients, cone_index, det,
+                              integer_solve, integral,
                               lattice_generates, primitive_vector, rank,
                               smith_normal_form, snf_kernel_basis,
                               solve_unique)
@@ -242,9 +242,12 @@ def test_solves_against_minor_ranks(A, dependence, v, integer, in_image):
         with pytest.raises(DependentGeneratorsError):
             solve_unique(A, b)
         with pytest.raises(DependentGeneratorsError):
-            coordinates(list(zip(*A)), b)
+            cone_coefficients(list(zip(*A)), b)
     else:
-        assert solve_unique(A, b) == coordinates(list(zip(*A)), b) == x
+        assert solve_unique(A, b) == x
+        # the columns of A as generators: x unless a coefficient is < 0
+        in_cone = x is not None and all(c >= 0 for c in x)
+        assert cone_coefficients(list(zip(*A)), b) == (x if in_cone else None)
 
 
 @settings(max_examples=100, deadline=None)

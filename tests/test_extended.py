@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from orbimirror.exact import coordinates, integer_solve, snf_kernel_basis
+from orbimirror.exact import integer_solve, snf_kernel_basis, solve_unique
 from orbimirror.extended import (BasisShapeInfeasibleError,
                                  EnumerationUnboundedError,
                                  ExtendedFanData, LatticeNotGeneratedError,
@@ -20,7 +20,7 @@ from orbimirror.families import (f2_fan, kp_bundle_fan, p1_orbifold, p2_fan,
                                  wpn_fan)
 from orbimirror.fan import InvalidFanError, StackyFan, fan_from_json
 from orbimirror.mirror import i_function
-from strategies import complete_fan_rays, load_fangen
+from strategies import complete_fan_rays, hirzebruch_fan, load_fangen
 
 
 def _copy(ext: ExtendedFanData) -> ExtendedFanData:
@@ -152,9 +152,14 @@ def test_dtilde_pushforward():
     assert d2 == (F(1, 2),)
 
 
+def _coordinates(vectors, w):
+    """The unique c with w = sum c_k vectors[k], for independent vectors."""
+    return solve_unique([[v[j] for v in vectors] for j in range(len(w))], w)
+
+
 def _assert_extended_form(ext):
     """The form that `build_extended` documents, recomputed with
-    `integer_solve` and `coordinates`: d_1..d_r vanish on the extras; the
+    `integer_solve` and `_coordinates`: d_1..d_r vanish on the extras; the
     vector of the k-th extra is e_{m+k} - c_k plus an integer combination
     of d_1..d_r; its push-forward has coordinates dtilde_k in [0, 1)^r."""
     m, r = ext.m, ext.r
@@ -165,12 +170,12 @@ def _assert_extended_form(ext):
     for k, (el, d, dt) in enumerate(zip(ext.extra, ext.basis[r:], ext.dtilde)):
         assert d[m:] == tuple(int(i == k) for i in range(len(ext.extra)))
         c = integer_solve([[v[i] for v in rays] for i in range(ext.dim)], el.nu)
-        z = coordinates(nef, [x + y for x, y in zip(d[:m], c)])
+        z = _coordinates(nef, [x + y for x, y in zip(d[:m], c)])
         assert all(x.denominator == 1 for x in z)
         push = list(d[:m])
         for j, t in zip(el.cone, el.t):
             push[j] += t
-        assert tuple(coordinates(nef, push)) == dt
+        assert tuple(_coordinates(nef, push)) == dt
         assert all(0 <= x < 1 for x in dt)
 
 
@@ -286,11 +291,6 @@ def test_keff_sector_outside_box_raises():
 FANS = Path(__file__).resolve().parent.parent / "fans"
 
 
-def _hirzebruch(k: int) -> StackyFan:
-    return StackyFan.make(2, ((1, 0), (0, 1), (-1, k), (0, -1)),
-                          ((0, 1), (1, 2), (2, 3), (3, 0)))
-
-
 def _bundled(name: str) -> StackyFan:
     return fan_from_json(json.loads((FANS / f"{name}.json").read_text()))
 
@@ -307,7 +307,7 @@ _PRUNE_CASES = (
     # P^1_{a,b} builds for coprime a, b
     + [(f"p1_{a}_{b}", lambda a=a, b=b: p1_orbifold(a, b), (F(1, 4), 2))
        for a in range(1, 6) for b in range(a, 6) if math.gcd(a, b) == 1]
-    + [(f"F{k}", lambda k=k: _hirzebruch(k), (2, 4)) for k in (3, 4)]
+    + [(f"F{k}", lambda k=k: hirzebruch_fan(k), (2, 4)) for k in (3, 4)]
 )
 
 
@@ -494,7 +494,7 @@ def test_non_fano_hirzebruch_units_take_the_fallback(k, c, delta):
     # the unit d_1 has c = 2 - k < 0 and the unit d_2 has c = 2. The class
     # below has c = 2, but its d_2 part alone has c = 2 * delta_2 > 2, so
     # a cone that adds d_2 before d_1 must not stop at c > 2
-    ext = build_extended(_hirzebruch(k))
+    ext = build_extended(hirzebruch_fan(k))
     assert F(min(u.c for units in ext.cone_units for u in units), ext.den) == c
     units = next(us for us in ext.cone_units if min(u.c for u in us) < 0)
     one_cone = _copy(ext)
@@ -521,13 +521,10 @@ def test_extended_fan_data_keeps_den_and_cone_units_per_instance():
 
 def _assert_keff_ages(ext: ExtendedFanData, order) -> int:
     """Check that the z-weight of each class of keff_enumerate(ext, order,
-    1), less its pairings summed, is the age of its sector in `fan.box`;
-    the number of twisted classes.
-
-    sum_j (ceil <D_j, d> - <D_j, d>) = sum_j frac(-<D_j, d>), and the
-    indices with a fractional pairing are base rays spanning a cone, so
-    these are the coefficients of the sector on that cone's generators,
-    which `compute_box` sums from the Smith form."""
+    1), less its pairings summed, is the age of its sector in `fan.box`
+    (the identity that `keff_enumerate`'s docstring proves, against the
+    ages that `compute_box` sums from the Smith form); the number of
+    twisted classes."""
     ages = {el.nu: el.age for el in ext.fan.box}
     zero = (0,) * ext.dim
     twisted = 0
@@ -538,9 +535,20 @@ def _assert_keff_ages(ext: ExtendedFanData, order) -> int:
     return twisted
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in FANS.glob("*.json")))
-def test_keff_zweight_excess_is_the_sector_age(name):
-    ext = build_extended(_bundled(name))
+# the bundled fans, the two families in dims 2-7, and the non-Fano F_3
+# and F_4, whose cones with a unit of c < 0 are enumerated in full
+_AGE_CASES = (
+    [(p.stem, lambda p=p: _bundled(p.stem)) for p in sorted(FANS.glob("*.json"))]
+    + [(f"wpn_fan({n})", lambda n=n: wpn_fan(n)) for n in range(2, 8)]
+    + [(f"kp_bundle_fan({n})", lambda n=n: kp_bundle_fan(n)) for n in range(2, 8)]
+    + [(f"F{k}", lambda k=k: hirzebruch_fan(k)) for k in (3, 4)]
+)
+
+
+@pytest.mark.parametrize("make", [c[1] for c in _AGE_CASES],
+                         ids=[c[0] for c in _AGE_CASES])
+def test_keff_zweight_excess_is_the_sector_age(make):
+    ext = build_extended(make())
     assert (_assert_keff_ages(ext, 6) > 0) == bool(ext.fan.box)
 
 
@@ -557,5 +565,5 @@ def test_keff_zweight_excess_is_the_sector_age_on_random_fans():
                     LatticeNotGeneratedError):
                 continue
             built += 1
-            twisted += _assert_keff_ages(ext, 2)
+            twisted += _assert_keff_ages(ext, 3)
     assert built and twisted

@@ -27,6 +27,7 @@ from orbimirror.mirror import (MirrorShapeViolation, NotFanoError,
                                open_closed_bridge)
 from orbimirror.series import (PuiseuxSeries, multivar_invert, series_exp,
                                substitute)
+from strategies import hirzebruch_fan
 
 FANS = Path(__file__).resolve().parent.parent / "fans"
 
@@ -150,6 +151,10 @@ def _oracle_product(ext, kel):
     (wpn_fan(4), 8), (p1_orbifold(3, 5), 3),
     # n = 5 truncation, and n = 4 in two pbar variables
     (wpn_fan(5), 8), (kp_bundle_fan(4), 6),
+    # the non-Fano F_3 and F_4: classes of z-weight <= -1, whose pairing
+    # factors reach Dbar_j^2
+    (hirzebruch_fan(3), 4), (hirzebruch_fan(3), 6), (hirzebruch_fan(4), 4),
+    (hirzebruch_fan(4), 6),
 ])
 def test_i_function_matches_product_oracle(fan, order):
     ext = build_extended(fan)
